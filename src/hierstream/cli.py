@@ -111,6 +111,19 @@ def _detector_config(args) -> DetectorConfig:
     )
 
 
+def _scorer_config(args, feature_dim: int) -> ScorerConfig:
+    return ScorerConfig(
+        feature_dim=feature_dim,
+        recurrent_layers=args.layers,
+        hidden_dim=args.hidden_dim,
+        learning_rate=args.learning_rate,
+        weight_decay=args.weight_decay,
+        batch_size=args.batch_size,
+        epochs=args.epochs,
+        bptt_window=args.bptt_window,
+    )
+
+
 def _write_corpus(cfg: SimConfig, outdir: Path, with_features: bool) -> list:
     annotations = gen_annotations(cfg)
     for a in annotations:
@@ -158,16 +171,7 @@ def cmd_train(args) -> int:
         _, feats = read_features(path)
         features.append(feats)
         kept.append(a)
-    cfg = ScorerConfig(
-        feature_dim=features[0].shape[1],
-        recurrent_layers=args.layers,
-        hidden_dim=args.hidden_dim,
-        learning_rate=args.learning_rate,
-        weight_decay=args.weight_decay,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        bptt_window=args.bptt_window,
-    )
+    cfg = _scorer_config(args, features[0].shape[1])
     model, trace = train_scorer(features, kept, cfg, seed=args.seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -385,17 +389,9 @@ def cmd_e2e(args) -> int:
         for a in annotations:
             _, feats = read_features(outdir / "sim" / "features" / f"{a.video_id}.csv")
             features.append(feats)
-        scfg = ScorerConfig(
-            feature_dim=cfg.feature_dim,
-            recurrent_layers=args.layers,
-            hidden_dim=args.hidden_dim,
-            learning_rate=args.learning_rate,
-            weight_decay=args.weight_decay,
-            batch_size=args.batch_size,
-            epochs=args.epochs,
-            bptt_window=args.bptt_window,
+        model, _trace = train_scorer(
+            features, annotations, _scorer_config(args, cfg.feature_dim), seed=args.seed
         )
-        model, _trace = train_scorer(features, annotations, scfg, seed=args.seed)
         model.save(outdir / "model.npz")
 
     emissions_dir = outdir / "emissions"

@@ -108,7 +108,7 @@ class FrameScores:
             arr = getattr(self, name)
             if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12):
                 problems.append(f"{name} has entries outside [0, 1]")
-            if abs(float(arr.sum()) - 1.0) > 1e-6:
+            if not abs(float(arr.sum()) - 1.0) <= 1e-6:  # NaN fails too
                 problems.append(f"{name} sums to {float(arr.sum())}, expected 1")
         return problems
 

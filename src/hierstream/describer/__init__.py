@@ -1,4 +1,4 @@
-from .http import API_KEY_ENV, DescriberEndpoint, HttpDescriber, http_describe
+from .http import API_KEY_ENV, DescriberEndpoint, HttpDescriber
 from .mock import mock_describe
 from .prompts import GOAL_PROMPT, STEP_PROMPT, SUBSTEP_PROMPT, TEMPLATES
 from .responses import (
@@ -24,6 +24,5 @@ __all__ = [
     "mock_describe",
     "DescriberEndpoint",
     "HttpDescriber",
-    "http_describe",
     "API_KEY_ENV",
 ]

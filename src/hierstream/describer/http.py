@@ -95,8 +95,3 @@ class HttpDescriber:
             raise last_error
         raise TransportError(f"describe failed after retries: {last_error}")
 
-
-def http_describe(
-    endpoint: DescriberEndpoint, request: DescribeRequest, limits: HttpLimits = HttpLimits()
-) -> DescriberResponse:
-    return HttpDescriber(endpoint, limits).describe(request)

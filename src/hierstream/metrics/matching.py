@@ -4,8 +4,10 @@ and emission-delay statistics.
 F1 follows the optimal one-to-one matching convention: build the full
 gt x pred tIoU profit matrix, take the assignment maximizing total tIoU,
 then count matched pairs at or above the threshold as true positives and
-report 2*tp / (|gt| + |pred|). Matching is threshold-independent, so one
-match result serves every threshold.
+report 2*tp / (|gt| + |pred|). Matching is threshold-independent, so it
+runs once per video: ``matched_rows`` keeps the matched pairs as rows, and
+every threshold-dependent metric (F1, top-k F1, emission delay) reads them
+through ``rows_at``, which holds the one threshold check.
 """
 
 from __future__ import annotations
@@ -21,6 +23,16 @@ from .assignment import solve_max_profit
 # F1 when both sides are empty; Algorithm-style 2*tp/(a+p) would divide by
 # zero, and two empty sets agree perfectly.
 EMPTY_VS_EMPTY_F1 = 1.0
+
+
+# A matched pair: (tIoU, video index, gt index, pred index).
+Row = tuple[Fraction, int, int, int]
+
+
+def _threshold(threshold: float) -> Fraction:
+    if not 0 < threshold <= 1:
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    return Fraction(threshold)
 
 
 def tiou(a: Interval, b: Interval) -> float:
@@ -55,13 +67,6 @@ class MatchResult:
     fn: int
     fp: int
 
-    @property
-    def f1(self) -> float:
-        denom = (self.tp + self.fn) + (self.tp + self.fp)
-        if denom == 0:
-            return EMPTY_VS_EMPTY_F1
-        return 2.0 * self.tp / denom
-
 
 def hungarian_match(gt: Sequence[Interval], pred: Sequence[Interval]) -> list[tuple[int, int, Fraction]]:
     """Optimal one-to-one matching by total tIoU, exact and deterministic.
@@ -73,37 +78,51 @@ def hungarian_match(gt: Sequence[Interval], pred: Sequence[Interval]) -> list[tu
     return [(i, j, profit[i][j]) for i, j in pairs]
 
 
+def matched_rows(videos: Sequence[tuple[Sequence[Interval], Sequence[Interval]]]) -> list[Row]:
+    """One optimal matching per video, as rows in video order. Instances
+    never match across videos."""
+    return [
+        (t, v, i, j)
+        for v, (gt, pred) in enumerate(videos)
+        for i, j, t in hungarian_match(gt, pred)
+    ]
+
+
+def rows_at(rows: Sequence[Row], threshold: float) -> list[Row]:
+    """The rows whose tIoU clears the threshold; the one tIoU threshold
+    check that every row consumer goes through."""
+    thr = _threshold(threshold)
+    return [row for row in rows if row[0] >= thr]
+
+
+def f1_at(rows: Sequence[Row], videos: Sequence[tuple[Sequence, Sequence]], threshold: float) -> float:
+    """Micro-averaged F1 with the rows at or above the threshold as true
+    positives; ``videos`` holds the (gt, pred) lists the rows index."""
+    tp = len(rows_at(rows, threshold))
+    total = sum(len(gt) + len(pred) for gt, pred in videos)
+    return 2.0 * tp / total if total else EMPTY_VS_EMPTY_F1
+
+
 def hungarian_f1(
     gt: Sequence[Interval], pred: Sequence[Interval], threshold: float
 ) -> tuple[float, MatchResult]:
-    if not 0 < threshold <= 1:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    matched = hungarian_match(gt, pred)
-    thr = Fraction(threshold)
-    tp = sum(1 for _, _, t in matched if t >= thr)
+    videos = [(gt, pred)]
+    rows = matched_rows(videos)
+    tp = len(rows_at(rows, threshold))
     result = MatchResult(
-        pairs=tuple((i, j, float(t)) for i, j, t in matched),
+        pairs=tuple((i, j, float(t)) for t, _, i, j in rows),
         tp=tp,
         fn=len(gt) - tp,
         fp=len(pred) - tp,
     )
-    return result.f1, result
+    return f1_at(rows, videos, threshold), result
 
 
 def hungarian_f1_corpus(
     videos: Sequence[tuple[Sequence[Interval], Sequence[Interval]]], threshold: float
 ) -> float:
-    """Micro-averaged F1 over per-video matchings (instances never match
-    across videos)."""
-    total_tp, total_gt, total_pred = 0, 0, 0
-    for gt, pred in videos:
-        _, result = hungarian_f1(gt, pred, threshold)
-        total_tp += result.tp
-        total_gt += len(gt)
-        total_pred += len(pred)
-    if total_gt + total_pred == 0:
-        return EMPTY_VS_EMPTY_F1
-    return 2.0 * total_tp / (total_gt + total_pred)
+    """Micro-averaged F1 over per-video matchings."""
+    return f1_at(matched_rows(videos), videos, threshold)
 
 
 def greedy_match(
@@ -112,8 +131,7 @@ def greedy_match(
     """Each prediction takes the ground truth with the highest tIoU (ties go
     to the earliest), kept when it clears the threshold. Several predictions
     may claim the same ground truth."""
-    if not 0 < threshold <= 1:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    _threshold(threshold)
     pairs = []
     matched_gt = set()
     for j, p in enumerate(pred):
@@ -142,22 +160,17 @@ class DelayStats:
     count: int
 
 
-def _tp_gaps(gt: Sequence[Interval], pred: Sequence[Emission], threshold: float) -> list[float]:
-    intervals = [e.instance.interval for e in pred]
-    thr = Fraction(threshold)
-    return [
-        pred[j].emit_time - gt[i].end
-        for i, j, t in hungarian_match(gt, intervals)
-        if t >= thr
-    ]
-
-
-def aedt(
-    gt: Sequence[Interval], pred: Sequence[Emission], threshold: float
+def delay_at(
+    rows: Sequence[Row],
+    videos: Sequence[tuple[Sequence[Interval], Sequence[Emission]]],
+    threshold: float,
 ) -> DelayStats | None:
-    """Average emission delay over optimal-matching TPs at the threshold.
-    Returns None when there are no true positives."""
-    gaps = _tp_gaps(gt, pred, threshold)
+    """Pooled gaps between emission time and matched ground-truth end over
+    the rows at or above the threshold; None when there are none."""
+    gaps = [
+        videos[v][1][j].emit_time - videos[v][0][i].end
+        for _, v, i, j in rows_at(rows, threshold)
+    ]
     if not gaps:
         return None
     return DelayStats(
@@ -171,13 +184,13 @@ def aedt_corpus(
     videos: Sequence[tuple[Sequence[Interval], Sequence[Emission]]], threshold: float
 ) -> DelayStats | None:
     """Pooled emission-delay stats across videos."""
-    gaps: list[float] = []
-    for gt, pred in videos:
-        gaps.extend(_tp_gaps(gt, pred, threshold))
-    if not gaps:
-        return None
-    return DelayStats(
-        mean_abs=sum(abs(g) for g in gaps) / len(gaps),
-        mean_signed=sum(gaps) / len(gaps),
-        count=len(gaps),
-    )
+    rows = matched_rows([(gt, [e.instance.interval for e in pred]) for gt, pred in videos])
+    return delay_at(rows, videos, threshold)
+
+
+def aedt(
+    gt: Sequence[Interval], pred: Sequence[Emission], threshold: float
+) -> DelayStats | None:
+    """Average emission delay over optimal-matching TPs at the threshold.
+    Returns None when there are no true positives."""
+    return aedt_corpus([(gt, pred)], threshold)

@@ -3,20 +3,22 @@
 Top-k F1 keeps the optimal interval matching and adds a semantic gate: a
 threshold-passing pair stays a true positive only if the matched ground
 truth description ranks within the top k of the whole evaluation corpus
-when sorted by cosine similarity to the prediction's embedding. Goal
-accuracy is top-1 retrieval of the video's own goal among all goal texts.
+when sorted by cosine similarity to the prediction's embedding. It reads
+the rows of ``matching.matched_rows``; the rank does not depend on the
+threshold, so each row is ranked once. Goal accuracy is top-1 retrieval of
+the video's own goal among all goal texts.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from ..core import ActionInstance
 from .embedding import Embedder
-from .matching import EMPTY_VS_EMPTY_F1, hungarian_match
+from .matching import Row, f1_at, matched_rows, rows_at
+from .matching import hungarian_match  # noqa: F401  (perfbench/spans.py wraps semantic.hungarian_match)
 
 
 def description_rank(
@@ -35,37 +37,33 @@ def description_rank(
     raise ValueError(f"description not present in corpus: {target_text!r}")
 
 
-def topk_f1(
-    gt: Sequence[ActionInstance],
-    pred: Sequence[ActionInstance],
-    threshold: float,
+def topk_rows(
+    rows: Sequence[Row],
+    videos: Sequence[tuple[Sequence[ActionInstance], Sequence[ActionInstance]]],
     k: int,
     embedder: Embedder,
     corpus: Sequence[str],
-) -> float:
-    """Optimal-matching F1 with the top-k description constraint."""
+) -> list[Row]:
+    """The matched rows whose ground-truth description ranks within the
+    top k for the matched prediction's description. Each row is ranked
+    once; predictions are embedded one video at a time."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not corpus:
         raise ValueError("empty description corpus")
-    if not gt and not pred:
-        return EMPTY_VS_EMPTY_F1
-
-    matched = hungarian_match(
-        [g.interval for g in gt], [p.interval for p in pred]
-    )
-    thr = Fraction(threshold)
-    candidates = [(i, j) for i, j, t in matched if t >= thr]
-
-    tp = 0
-    if candidates:
-        corpus_vectors = embedder.embed(list(corpus))
-        pred_vectors = embedder.embed([pred[j].description for _, j in candidates])
-        for vec, (i, _j) in zip(pred_vectors, candidates):
-            rank = description_rank(vec, corpus_vectors, corpus, gt[i].description)
-            if rank <= k:
-                tp += 1
-    return 2.0 * tp / (len(gt) + len(pred))
+    corpus_vectors = embedder.embed(list(corpus))
+    by_video: dict[int, list[Row]] = {}
+    for row in rows:
+        by_video.setdefault(row[1], []).append(row)
+    hits = []
+    for v, video_rows in by_video.items():
+        gt, pred = videos[v]
+        pred_vectors = embedder.embed([pred[j].description for _, _, _, j in video_rows])
+        hits.extend(
+            row for vec, row in zip(pred_vectors, video_rows)
+            if description_rank(vec, corpus_vectors, corpus, gt[row[2]].description) <= k
+        )
+    return hits
 
 
 def topk_f1_corpus(
@@ -76,26 +74,23 @@ def topk_f1_corpus(
     corpus: Sequence[str],
 ) -> float:
     """Micro-averaged top-k F1 over per-video matchings."""
-    if not corpus:
-        raise ValueError("empty description corpus")
-    corpus_vectors = embedder.embed(list(corpus))
-    thr = Fraction(threshold)
-    total_tp, total_gt, total_pred = 0, 0, 0
-    for gt, pred in videos:
-        total_gt += len(gt)
-        total_pred += len(pred)
-        matched = hungarian_match([g.interval for g in gt], [p.interval for p in pred])
-        candidates = [(i, j) for i, j, t in matched if t >= thr]
-        if not candidates:
-            continue
-        pred_vectors = embedder.embed([pred[j].description for _, j in candidates])
-        for vec, (i, _j) in zip(pred_vectors, candidates):
-            rank = description_rank(vec, corpus_vectors, corpus, gt[i].description)
-            if rank <= k:
-                total_tp += 1
-    if total_gt + total_pred == 0:
-        return EMPTY_VS_EMPTY_F1
-    return 2.0 * total_tp / (total_gt + total_pred)
+    rows = matched_rows(
+        [([g.interval for g in gt], [p.interval for p in pred]) for gt, pred in videos]
+    )
+    hits = topk_rows(rows_at(rows, threshold), videos, k, embedder, corpus)
+    return f1_at(hits, videos, threshold)
+
+
+def topk_f1(
+    gt: Sequence[ActionInstance],
+    pred: Sequence[ActionInstance],
+    threshold: float,
+    k: int,
+    embedder: Embedder,
+    corpus: Sequence[str],
+) -> float:
+    """Optimal-matching F1 with the top-k description constraint."""
+    return topk_f1_corpus([(gt, pred)], threshold, k, embedder, corpus)
 
 
 def goal_accuracy(

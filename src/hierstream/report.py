@@ -1,5 +1,9 @@
 """Corpus-level evaluation: localization F1, description-aware F1, emission
-delay, and goal accuracy assembled into one JSON-friendly report."""
+delay, and goal accuracy assembled into one JSON-friendly report.
+
+Each level is matched once per video (``matching.matched_rows``); F1 at
+every threshold, top-k F1 and emission delay are all read from those rows.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +12,11 @@ from typing import Mapping, Sequence
 from .core import AnnotationSet, HierarchyLevel
 from .detector import Emission
 from .metrics.embedding import Embedder
-from .metrics.matching import aedt_corpus, hungarian_f1_corpus
-from .metrics.semantic import goal_accuracy, topk_f1_corpus
+from .metrics.matching import delay_at, f1_at, matched_rows, rows_at
+from .metrics.semantic import goal_accuracy, topk_rows
+# Unused here; perfbench/spans.py wraps these names on this module.
+from .metrics.matching import aedt_corpus, hungarian_f1_corpus  # noqa: F401
+from .metrics.semantic import topk_f1_corpus  # noqa: F401
 
 LEVEL_KEYS = {HierarchyLevel.SUBSTEP: "substep", HierarchyLevel.STEP: "step"}
 
@@ -25,51 +32,44 @@ def evaluate_corpus(
 ) -> dict:
     """Evaluate predicted emissions against annotations, per level.
 
-    Description-aware F1 is reported only when predictions carry
-    descriptions and an embedder is supplied; goal accuracy only when a
-    goal text exists for every annotated video.
+    At least one tIoU threshold is required. Description-aware F1 is
+    reported only when predictions carry descriptions and an embedder is
+    supplied; goal accuracy only when a goal text exists for every
+    annotated video.
     """
+    if not thresholds:
+        raise ValueError("at least one tIoU threshold is required")
     report: dict = {"thresholds": list(thresholds), "levels": {}}
 
     for level, key in LEVEL_KEYS.items():
         per_video = []
         instance_pairs = []
-        corpus: list[str] = []
-        any_description = False
         for a in annotations:
             gt_instances = list(a.at_level(level))
-            corpus.extend(i.description for i in gt_instances)
             preds = [
                 e for e in emissions_by_video.get(a.video_id, [])
                 if e.instance.level == level
             ]
-            any_description = any_description or any(
-                e.instance.description for e in preds
-            )
             per_video.append(([i.interval for i in gt_instances], preds))
             instance_pairs.append((gt_instances, [e.instance for e in preds]))
+        rows = matched_rows([(g, [e.instance.interval for e in p]) for g, p in per_video])
 
         entry: dict = {
             "gt_instances": sum(len(g) for g, _ in instance_pairs),
             "pred_instances": sum(len(p) for _, p in instance_pairs),
-            "f1_loc": {
-                str(t): hungarian_f1_corpus(
-                    [(g, [e.instance.interval for e in p]) for g, p in per_video], t
-                )
-                for t in thresholds
-            },
+            "f1_loc": {str(t): f1_at(rows, per_video, t) for t in thresholds},
         }
 
+        corpus = [i.description for g, _ in instance_pairs for i in g]
+        any_description = any(i.description for _, p in instance_pairs for i in p)
         if any_description and embedder is not None and corpus:
-            entry["f1_loc_desc"] = {
-                str(t): topk_f1_corpus(instance_pairs, t, k, embedder, corpus)
-                for t in thresholds
-            }
+            hits = topk_rows(rows_at(rows, min(thresholds)), instance_pairs, k, embedder, corpus)
+            entry["f1_loc_desc"] = {str(t): f1_at(hits, per_video, t) for t in thresholds}
             entry["topk"] = k
         else:
             entry["f1_loc_desc"] = None
 
-        delay = aedt_corpus(per_video, aedt_threshold)
+        delay = delay_at(rows, per_video, aedt_threshold)
         entry["aedt"] = (
             None if delay is None else {
                 "threshold": aedt_threshold,

@@ -61,6 +61,6 @@ def histogram_expectation(dist: np.ndarray, cfg: HistogramConfig = HistogramConf
     if dist.shape != (cfg.bins,):
         raise ValueError(f"expected {cfg.bins} bins, got shape {dist.shape}")
     total = float(dist.sum())
-    if abs(total - 1.0) > 1e-6:
+    if not abs(total - 1.0) <= 1e-6:  # NaN fails too
         raise ValueError(f"distribution sums to {total}, expected 1 within 1e-6")
     return float(dist @ cfg.centers)

@@ -9,6 +9,23 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def identity_predictions(tmp_path):
+    """A simulated corpus plus predictions that copy its annotations,
+    descriptions included, emitted at each instance's end."""
+    corpus = tmp_path / "corpus"
+    assert run("simulate", "--seed", 6, "--videos", 2, "--out", corpus) == 0
+    pred_dir = tmp_path / "pred"
+    pred_dir.mkdir()
+    for a in read_annotations(corpus / "annotations.jsonl"):
+        ems = [
+            Emission(inst, inst.interval.end)
+            for inst in a.instances
+            if inst.level != HierarchyLevel.GOAL
+        ]
+        write_emissions(ems, pred_dir / f"{a.video_id}.jsonl")
+    return corpus, pred_dir
+
+
 class TestSimulate:
     def test_writes_corpus(self, tmp_path):
         out = tmp_path / "corpus"
@@ -43,18 +60,7 @@ class TestDetectAndEvaluate:
             assert report["levels"][level]["f1_loc"]["0.7"] >= 0.99
 
     def test_evaluate_identity_predictions(self, tmp_path):
-        corpus = tmp_path / "corpus"
-        assert run("simulate", "--seed", 6, "--videos", 2, "--out", corpus) == 0
-        annotations = read_annotations(corpus / "annotations.jsonl")
-        pred_dir = tmp_path / "pred"
-        pred_dir.mkdir()
-        for a in annotations:
-            ems = [
-                Emission(inst, inst.interval.end)
-                for inst in a.instances
-                if inst.level != HierarchyLevel.GOAL
-            ]
-            write_emissions(ems, pred_dir / f"{a.video_id}.jsonl")
+        corpus, pred_dir = identity_predictions(tmp_path)
         report_path = tmp_path / "report.json"
         assert run(
             "evaluate", "--annotations", corpus / "annotations.jsonl",
@@ -142,6 +148,15 @@ class TestErrors:
     def test_data_error_exit_code(self, tmp_path):
         missing = tmp_path / "nope.jsonl"
         assert run("evaluate", "--annotations", missing, "--pred", missing) == 2
+
+    def test_out_of_range_evaluation_parameters(self, tmp_path):
+        corpus, pred_dir = identity_predictions(tmp_path)
+        base = ["evaluate", "--annotations", corpus / "annotations.jsonl", "--pred", pred_dir,
+                "--out", tmp_path / "report.json"]
+        assert run(*base) == 0
+        assert run(*base, "--aedt-tiou", "0") == 2
+        assert run(*base, "--tiou", "0,0.5") == 2
+        assert run(*base, "--topk", "0") == 2
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -16,6 +16,7 @@ from hierstream.core import (
     validate_annotations,
     write_annotations,
 )
+from hierstream.scoring.streams import read_scores, write_scores
 
 
 def make_set(instances, duration=10.0, fps=2.0):
@@ -114,6 +115,22 @@ class TestFrameScores:
     def test_bad_sum_flagged(self):
         fs = FrameScores(0.0, np.array([0.2, 0.3, 0.4]), np.full(10, 0.1), np.full(10, 0.1))
         assert any("sums to" in p for p in fs.validate())
+
+    def test_nan_flagged(self):
+        fs = FrameScores(0.0, np.full(3, np.nan), np.full(10, 0.1), np.full(10, 0.1))
+        assert any("sums to" in p for p in fs.validate())
+
+    def test_csv_reader_rejects_nan_cell(self, tmp_path):
+        frames = [FrameScores(t, np.array([0.2, 0.3, 0.5]), np.full(10, 0.1), np.full(10, 0.1))
+                  for t in (0.0, 0.25)]
+        path = tmp_path / "scores.csv"
+        write_scores(path, frames)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[5] = "nan"
+        path.write_text("\n".join(lines[:2] + [",".join(cells)]) + "\n")
+        with pytest.raises(ValueError, match="invalid frame at t=0.25"):
+            read_scores(path)
 
     def test_arrays_frozen(self):
         fs = FrameScores(0.0, np.array([0.2, 0.3, 0.5]), np.full(10, 0.1), np.full(10, 0.1))

@@ -50,6 +50,12 @@ class TestHistogramExpectation:
             dist[i] = 1.0
             assert histogram_expectation(dist, CFG) == pytest.approx(CFG.centers[i])
 
+    def test_nan_distribution_rejected(self):
+        dist = np.full(10, 0.1)
+        dist[3] = np.nan
+        with pytest.raises(ValueError, match="sums to nan"):
+            histogram_expectation(dist, CFG)
+
     def test_uniform_gives_half(self):
         assert histogram_expectation(np.full(10, 0.1), CFG) == pytest.approx(0.5)
 

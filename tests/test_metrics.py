@@ -12,12 +12,14 @@ from hierstream.metrics.judge import (
 )
 from hierstream.metrics.matching import (
     aedt,
+    aedt_corpus,
     greedy_match,
     hungarian_f1,
+    hungarian_f1_corpus,
     hungarian_match,
     tiou,
 )
-from hierstream.metrics.semantic import goal_accuracy, topk_f1
+from hierstream.metrics.semantic import goal_accuracy, topk_f1, topk_f1_corpus
 from oracles import brute_force_f1
 
 
@@ -208,6 +210,41 @@ class TestTopkF1:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             topk_f1([], [self.inst(0, 1, "x")], 0.5, 5, self.embedder(), [])
+
+
+    def test_k_below_one_rejected_per_video_and_corpus(self):
+        gt = [self.inst(0, 10, "wash vegetables")]
+        corpus = ["wash vegetables"]
+        with pytest.raises(ValueError, match="k must be"):
+            topk_f1(gt, gt, 0.5, 0, self.embedder(), corpus)
+        with pytest.raises(ValueError, match="k must be"):
+            topk_f1_corpus([(gt, gt)], 0.5, 0, self.embedder(), corpus)
+
+
+class TestThresholdDomain:
+    """Every matched-pair metric takes its threshold from (0, 1]."""
+
+    GT = [iv(0, 10)]
+    SLIVER = iv(9.9, 25)  # tIoU about 0.006
+
+    @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan")])
+    def test_rejected_by_every_metric(self, threshold):
+        inst = ActionInstance(self.SLIVER, "x", HierarchyLevel.SUBSTEP)
+        gt_inst = ActionInstance(self.GT[0], "x", HierarchyLevel.SUBSTEP)
+        emission = Emission(inst, 25.0)
+        embedder = HashedBagOfWordsEmbedder()
+        calls = [
+            lambda: hungarian_f1(self.GT, [self.SLIVER], threshold),
+            lambda: hungarian_f1_corpus([(self.GT, [self.SLIVER])], threshold),
+            lambda: greedy_match(self.GT, [self.SLIVER], threshold),
+            lambda: aedt(self.GT, [emission], threshold),
+            lambda: aedt_corpus([(self.GT, [emission])], threshold),
+            lambda: topk_f1([gt_inst], [inst], threshold, 1, embedder, ["x"]),
+            lambda: topk_f1_corpus([([gt_inst], [inst])], threshold, 1, embedder, ["x"]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="threshold must be"):
+                call()
 
 
 class TestGoalAccuracy:

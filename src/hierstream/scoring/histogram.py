@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,14 +29,19 @@ class HistogramConfig:
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
-    @property
+    # Computed once (decoding reads them every frame), read-only as shared.
+    @cached_property
     def edges(self) -> np.ndarray:
-        return np.arange(self.bins + 1, dtype=np.float64) / self.bins
+        edges = np.arange(self.bins + 1, dtype=np.float64) / self.bins
+        edges.flags.writeable = False
+        return edges
 
-    @property
+    @cached_property
     def centers(self) -> np.ndarray:
         edges = self.edges
-        return (edges[:-1] + edges[1:]) / 2.0
+        centers = (edges[:-1] + edges[1:]) / 2.0
+        centers.flags.writeable = False
+        return centers
 
 
 def _norm_cdf(x: float) -> float:

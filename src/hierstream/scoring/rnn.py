@@ -4,7 +4,9 @@ linear heads (state class, step progress, substep progress).
 All math is plain numpy with hand-written backpropagation; no autodiff.
 The forward pass is strictly causal, so scores for frame t depend only on
 frames 0..t and inference over a prefix equals the prefix of full-sequence
-inference exactly.
+inference exactly. Forward stays per frame (matvecs) because GEMM rows can
+round differently from them, which would break that bit identity; backward
+is layer-major, with one GEMM per weight gradient and window.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from ..core import FrameScores
 from .histogram import HistogramConfig
-from .losses import soft_cross_entropy, softmax
+from .losses import log_softmax, softmax
 
 
 @dataclass(frozen=True)
@@ -171,32 +173,22 @@ class ScorerModel:
         The state head is averaged over every frame; each progress head is
         averaged over the frames inside that level's instances only.
         """
-        cfg = self.cfg
-        T = cache["features"].shape[0]
-        d_state = np.zeros_like(cache["state_logits"])
-        d_step = np.zeros_like(cache["step_logits"])
-        d_sub = np.zeros_like(cache["sub_logits"])
-
-        loss = 0.0
-        eye = np.eye(3)
-        for t in range(T):
-            l, g = soft_cross_entropy(cache["state_logits"][t], eye[state_target[t]])
-            loss += cfg.state_weight * l / T
-            d_state[t] = cfg.state_weight * g / T
-
-        n_step = max(1, int(step_mask.sum()))
-        for t in np.nonzero(step_mask)[0]:
-            l, g = soft_cross_entropy(cache["step_logits"][t], step_target[t])
-            loss += cfg.step_weight * l / n_step
-            d_step[t] = cfg.step_weight * g / n_step
-
-        n_sub = max(1, int(sub_mask.sum()))
-        for t in np.nonzero(sub_mask)[0]:
-            l, g = soft_cross_entropy(cache["sub_logits"][t], sub_target[t])
-            loss += cfg.substep_weight * l / n_sub
-            d_sub[t] = cfg.substep_weight * g / n_sub
-
-        return loss, {"state": d_state, "step": d_step, "sub": d_sub}
+        cfg, T = self.cfg, cache["features"].shape[0]
+        loss, d_logits = 0.0, {}
+        for name, target, mask, weight in (
+            ("state", np.eye(3)[state_target], np.ones(T, dtype=bool), cfg.state_weight),
+            ("step", step_target, step_mask, cfg.step_weight),
+            ("sub", sub_target, sub_mask, cfg.substep_weight),
+        ):
+            logits, mask = cache[f"{name}_logits"], np.asarray(mask, dtype=bool)
+            if target.shape != logits.shape or mask.shape != (T,):
+                raise ValueError(f"{name} head: target {target.shape}, mask {mask.shape}, logits {logits.shape}")
+            n = max(1, int(mask.sum()))
+            lsm = log_softmax(logits[mask])
+            loss += float((weight * -(target[mask] * lsm).sum(axis=1) / n).sum())
+            d_logits[name] = np.zeros_like(logits)
+            d_logits[name][mask] = weight * (np.exp(lsm) - target[mask]) / n
+        return loss, d_logits
 
     def backward(
         self,
@@ -204,42 +196,33 @@ class ScorerModel:
         d_logits: dict[str, np.ndarray],
         h0: list[np.ndarray] | None = None,
     ) -> dict[str, np.ndarray]:
-        """Backpropagate logit gradients through heads and time.
+        """Backpropagate logit gradients through heads and time, layer-major.
 
+        From the top layer down, only the recurrence runs per frame; each
+        layer's weight gradients and the gradient into the layer below are
+        one GEMM over the window (Appleyard et al., arXiv:1604.01946).
         Gradients stop at the window boundary (truncated BPTT): the incoming
         hidden state h0 is treated as a constant.
         """
-        p = self.params
-        L, H = self.cfg.recurrent_layers, self.cfg.hidden_dim
-        feats = cache["features"]
-        hs = cache["hidden"]
-        T = feats.shape[0]
+        p, hs = self.params, cache["hidden"]
         h_in = h0 or self.zero_state()
-
-        grads = {k: np.zeros_like(v) for k, v in p.items()}
-        top = hs[-1]
-        d_top = np.zeros((T, H))
+        grads, d_h = {}, 0.0
         for name in ("state", "step", "sub"):
             dl = d_logits[name]
-            grads[f"w_{name}"] += dl.T @ top
-            grads[f"b_{name}"] += dl.sum(axis=0)
-            d_top += dl @ p[f"w_{name}"]
-
-        dh_carry = [np.zeros(H) for _ in range(L)]
-        for t in range(T - 1, -1, -1):
-            dh = [np.zeros(H) for _ in range(L)]
-            dh[L - 1] = d_top[t].copy()
-            for layer in range(L - 1, -1, -1):
-                total = dh[layer] + dh_carry[layer]
-                da = total * (1.0 - hs[layer, t] ** 2)
-                h_before = hs[layer, t - 1] if t > 0 else h_in[layer]
-                inp = hs[layer - 1, t] if layer > 0 else feats[t]
-                grads[f"wx{layer}"] += np.outer(da, inp)
-                grads[f"wh{layer}"] += np.outer(da, h_before)
-                grads[f"b{layer}"] += da
-                dh_carry[layer] = p[f"wh{layer}"].T @ da
-                if layer > 0:
-                    dh[layer - 1] += p[f"wx{layer}"].T @ da
+            grads[f"w_{name}"] = dl.T @ hs[-1]
+            grads[f"b_{name}"] = dl.sum(axis=0)
+            d_h = d_h + dl @ p[f"w_{name}"]
+        for layer in range(self.cfg.recurrent_layers - 1, -1, -1):
+            h, wh = hs[layer], p[f"wh{layer}"]
+            dtanh, da, carry = 1.0 - h ** 2, np.empty_like(h), 0.0
+            for t in range(len(h) - 1, -1, -1):
+                da[t] = (d_h[t] + carry) * dtanh[t]
+                carry = da[t] @ wh
+            grads[f"wx{layer}"] = da.T @ (hs[layer - 1] if layer > 0 else cache["features"])
+            grads[f"wh{layer}"] = da.T @ np.vstack([h_in[layer], h])[:-1]  # h[t - 1], h0 first
+            grads[f"b{layer}"] = da.sum(axis=0)
+            if layer > 0:
+                d_h = da @ p[f"wx{layer}"]
         return grads
 
 

@@ -15,6 +15,16 @@ import numpy as np
 from ..core import FrameScores
 
 
+def _check_timestamps(path, ts: np.ndarray) -> None:
+    """Reject a non-finite timestamp or one not strictly after the row before."""
+    bad = ~np.isfinite(ts)
+    bad[1:] |= ~(ts[1:] > ts[:-1])
+    if bad.any():
+        i = int(np.argmax(bad))
+        why = "is not finite" if not np.isfinite(ts[i]) else f"does not follow {float(ts[i - 1])!r}"
+        raise ValueError(f"{path}: data row {i + 1}: timestamp {float(ts[i])!r} {why}")
+
+
 def write_features(path, timestamps: np.ndarray, features: np.ndarray) -> None:
     features = np.asarray(features)
     with open(path, "w", newline="") as fh:
@@ -34,6 +44,7 @@ def read_features(path) -> tuple[np.ndarray, np.ndarray]:
     data = np.array(rows, dtype=np.float64)
     if data.size == 0:
         return np.zeros(0), np.zeros((0, len(header) - 1))
+    _check_timestamps(path, data[:, 0])
     return data[:, 0], data[:, 1:]
 
 
@@ -81,4 +92,5 @@ def read_scores(path) -> list[FrameScores]:
             if problems:
                 raise ValueError(f"{path}: invalid frame at t={vals[0]}: {problems}")
             out.append(fs)
+    _check_timestamps(path, np.array([fs.timestamp for fs in out]))
     return out

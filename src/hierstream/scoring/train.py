@@ -71,13 +71,12 @@ class AdamW:
 
 
 def _video_grads(
-    model: ScorerModel, features: np.ndarray, targets: dict[str, np.ndarray]
-) -> tuple[float, dict[str, np.ndarray], int]:
-    """Windowed forward/backward over one video; hidden state carries across
-    windows but gradients do not (truncated BPTT)."""
+    model: ScorerModel, features: np.ndarray, targets: dict[str, np.ndarray], acc: dict[str, np.ndarray]
+) -> tuple[float, int]:
+    """Windowed forward/backward over one video, gradients added into ``acc``;
+    hidden state carries across windows but gradients do not (truncated BPTT)."""
     W = model.cfg.bptt_window
     T = features.shape[0]
-    total = {k: np.zeros_like(v) for k, v in model.params.items()}
     loss_sum, n_windows = 0.0, 0
     h = model.zero_state()
     for start in range(0, T, W):
@@ -92,12 +91,12 @@ def _video_grads(
             targets["sub_mask"][start:stop],
         )
         grads = model.backward(cache, d_logits, h0=h)
-        for k in total:
-            total[k] += grads[k]
+        for k in acc:
+            acc[k] += grads[k]
         loss_sum += loss
         n_windows += 1
         h = cache["h_last"]
-    return loss_sum, total, n_windows
+    return loss_sum, n_windows
 
 
 def train_scorer(
@@ -137,9 +136,7 @@ def train_scorer(
             acc = {k: np.zeros_like(v) for k, v in model.params.items()}
             batch_windows = 0
             for vid in batch:
-                loss_sum, grads, n_windows = _video_grads(model, feats[vid], targets[vid])
-                for k in acc:
-                    acc[k] += grads[k]
+                loss_sum, n_windows = _video_grads(model, feats[vid], targets[vid], acc)
                 epoch_loss += loss_sum
                 epoch_windows += n_windows
                 batch_windows += n_windows

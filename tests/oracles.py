@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from hierstream.core import Interval
+from hierstream.scoring.losses import soft_cross_entropy
 
 
 def tiou_exact(a: Interval, b: Interval) -> Fraction:
@@ -104,3 +105,65 @@ def numeric_gradient(fn, array: np.ndarray, h: float = 1e-5) -> np.ndarray:
 def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-12)
     return float(np.linalg.norm(analytic - numeric) / denom)
+
+
+def time_major_backward(model, cache, d_logits, h0=None) -> dict[str, np.ndarray]:
+    """Truncated BPTT frame by frame, newest first, with one outer product
+    per frame and layer for each weight gradient; the reference for the
+    layer-major ``ScorerModel.backward``."""
+    p = model.params
+    L, H = model.cfg.recurrent_layers, model.cfg.hidden_dim
+    feats = cache["features"]
+    hs = cache["hidden"]
+    T = feats.shape[0]
+    h_in = h0 or model.zero_state()
+
+    grads = {k: np.zeros_like(v) for k, v in p.items()}
+    top = hs[-1]
+    d_top = np.zeros((T, H))
+    for name in ("state", "step", "sub"):
+        dl = d_logits[name]
+        grads[f"w_{name}"] += dl.T @ top
+        grads[f"b_{name}"] += dl.sum(axis=0)
+        d_top += dl @ p[f"w_{name}"]
+
+    dh_carry = [np.zeros(H) for _ in range(L)]
+    for t in range(T - 1, -1, -1):
+        dh = [np.zeros(H) for _ in range(L)]
+        dh[L - 1] = d_top[t].copy()
+        for layer in range(L - 1, -1, -1):
+            total = dh[layer] + dh_carry[layer]
+            da = total * (1.0 - hs[layer, t] ** 2)
+            h_before = hs[layer, t - 1] if t > 0 else h_in[layer]
+            inp = hs[layer - 1, t] if layer > 0 else feats[t]
+            grads[f"wx{layer}"] += np.outer(da, inp)
+            grads[f"wh{layer}"] += np.outer(da, h_before)
+            grads[f"b{layer}"] += da
+            dh_carry[layer] = p[f"wh{layer}"].T @ da
+            if layer > 0:
+                dh[layer - 1] += p[f"wx{layer}"].T @ da
+    return grads
+
+
+def per_frame_window_loss(model, cache, state_target, step_target, step_mask,
+                          sub_target, sub_mask) -> tuple[float, dict[str, np.ndarray]]:
+    """Window loss and logit gradients with one ``soft_cross_entropy`` call
+    per frame and head; the reference for ``ScorerModel.window_loss``."""
+    cfg = model.cfg
+    T = cache["features"].shape[0]
+    loss = 0.0
+    d_logits = {}
+    for name, target, mask, weight in (
+        ("state", np.eye(3)[state_target], np.ones(T, dtype=bool), cfg.state_weight),
+        ("step", step_target, step_mask, cfg.step_weight),
+        ("sub", sub_target, sub_mask, cfg.substep_weight),
+    ):
+        logits = cache[f"{name}_logits"]
+        n = max(1, int(mask.sum()))
+        d = np.zeros_like(logits)
+        for t in np.nonzero(mask)[0]:
+            l, g = soft_cross_entropy(logits[t], target[t])
+            loss += weight * l / n
+            d[t] = weight * g / n
+        d_logits[name] = d
+    return loss, d_logits

@@ -16,7 +16,7 @@ from hierstream.core import (
     validate_annotations,
     write_annotations,
 )
-from hierstream.scoring.streams import read_scores, write_scores
+from hierstream.scoring.streams import read_features, read_scores, write_features, write_scores
 
 
 def make_set(instances, duration=10.0, fps=2.0):
@@ -136,6 +136,32 @@ class TestFrameScores:
         fs = FrameScores(0.0, np.array([0.2, 0.3, 0.5]), np.full(10, 0.1), np.full(10, 0.1))
         with pytest.raises(ValueError):
             fs.state_probs[0] = 1.0
+
+
+def _write_feature_csv(path, timestamps):
+    write_features(path, np.array(timestamps), np.zeros((len(timestamps), 2)))
+
+
+def _write_score_csv(path, timestamps):
+    write_scores(path, [FrameScores(t, np.array([0.2, 0.3, 0.5]), np.full(10, 0.1), np.full(10, 0.1))
+                        for t in timestamps])
+
+
+class TestCsvTimestamps:
+    READERS = [(read_features, _write_feature_csv), (read_scores, _write_score_csv)]
+
+    @pytest.mark.parametrize("reader,write", READERS)
+    @pytest.mark.parametrize("timestamps,row,why", [
+        ((0.0, float("nan"), 0.1), 2, "timestamp nan is not finite"),
+        ((0.0, 0.5, float("inf")), 3, "timestamp inf is not finite"),
+        ((0.0, 0.5, 0.5), 3, "timestamp 0.5 does not follow 0.5"),
+        ((0.0, 0.5, 0.25), 3, "timestamp 0.25 does not follow 0.5"),
+    ])
+    def test_bad_timestamp_rejected(self, tmp_path, reader, write, timestamps, row, why):
+        path = tmp_path / "stream.csv"
+        write(path, timestamps)
+        with pytest.raises(ValueError, match=f"stream.csv: data row {row}: {why}"):
+            reader(path)
 
 
 def test_frame_timestamps_includes_final_frame():

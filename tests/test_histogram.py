@@ -43,6 +43,20 @@ class TestHistogramTarget:
             assert target[near].sum() >= 0.99
 
 
+class TestHistogramConfig:
+    def test_cached_arrays_match_formula_and_are_read_only(self):
+        for bins in (1, 7, 10):
+            cfg = HistogramConfig(bins=bins)
+            edges = np.arange(bins + 1, dtype=np.float64) / bins
+            np.testing.assert_array_equal(cfg.edges, edges)
+            np.testing.assert_array_equal(cfg.centers, (edges[:-1] + edges[1:]) / 2.0)
+            assert cfg.centers is cfg.centers
+            with pytest.raises(ValueError):
+                cfg.edges[0] = 1.0
+            with pytest.raises(ValueError):
+                cfg.centers[0] = 1.0
+
+
 class TestHistogramExpectation:
     def test_one_hot_gives_center(self):
         for i in range(10):

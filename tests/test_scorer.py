@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from hierstream.scoring.histogram import HistogramConfig
+from hierstream.scoring.losses import softmax
 from hierstream.scoring.rnn import ScorerConfig, ScorerModel, infer_scores
-from oracles import numeric_gradient, relative_error
+from oracles import numeric_gradient, per_frame_window_loss, relative_error, time_major_backward
 
 
 def small_cfg(**overrides):
@@ -56,6 +57,20 @@ class TestForward:
                 np.testing.assert_array_equal(a.step_progress_dist, b.step_progress_dist)
                 np.testing.assert_array_equal(a.substep_progress_dist, b.substep_progress_dist)
 
+    def test_frame_by_frame_equals_infer_scores(self):
+        # The streamed loop scores one frame at a time with a carried hidden
+        # state; it must equal batch inference bit for bit.
+        model = ScorerModel.init(small_cfg(recurrent_layers=3, hidden_dim=64), seed=6)
+        feats = np.random.default_rng(8).normal(0, 1, (40, 3))
+        batch = infer_scores(model, feats, fps=1.0)
+        h = model.zero_state()
+        for t, fs in enumerate(batch):
+            cache = model.forward(feats[t:t + 1], h)
+            h = cache["h_last"]
+            np.testing.assert_array_equal(softmax(cache["state_logits"])[0], fs.state_probs)
+            np.testing.assert_array_equal(softmax(cache["step_logits"])[0], fs.step_progress_dist)
+            np.testing.assert_array_equal(softmax(cache["sub_logits"])[0], fs.substep_progress_dist)
+
     def test_feature_dim_checked(self):
         model = ScorerModel.init(small_cfg(), seed=0)
         with pytest.raises(ValueError):
@@ -102,6 +117,67 @@ class TestGradients:
         _, d_logits = model.window_loss(second, *targets)
         grads = model.backward(second, d_logits, h0=first["h_last"])
         assert all(np.isfinite(g).all() for g in grads.values())
+
+
+class TestAgainstPerFrameOracles:
+    """Layer-major ``backward`` and row-wise ``window_loss`` against the
+    frame-by-frame references in ``oracles``. GEMMs sum in another order
+    than per-frame outer products, so gradients agree to 1e-12 relative to
+    each array's largest entry, not bit for bit."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            L = 1 + trial % 3
+            T = 1 if trial % 5 == 0 else int(rng.integers(2, 20))
+            H, D, bins = int(rng.integers(1, 10)), int(rng.integers(1, 5)), int(rng.integers(2, 7))
+            cfg = ScorerConfig(feature_dim=D, recurrent_layers=L, hidden_dim=H,
+                               histogram=HistogramConfig(bins=bins),
+                               state_weight=0.5, step_weight=2.0, substep_weight=1.5)
+            model = ScorerModel.init(cfg, seed=trial)
+            h0 = [rng.normal(0, 1, H) for _ in range(L)] if trial % 2 else None
+            cache = model.forward(rng.normal(0, 1, (T, D)), h0)
+            state, step, step_mask, sub, sub_mask = random_targets(rng, T, bins)
+            if trial % 4 == 0:
+                step_mask = np.zeros(T, dtype=bool)
+            if trial % 6 == 0:
+                sub_mask = np.zeros(T, dtype=bool)
+            yield model, cache, h0, (state, step, step_mask, sub, sub_mask)
+
+    def test_backward_matches_time_major(self):
+        for model, cache, h0, targets in self.cases():
+            _, d_logits = model.window_loss(cache, *targets)
+            grads = model.backward(cache, d_logits, h0)
+            ref = time_major_backward(model, cache, d_logits, h0)
+            assert grads.keys() == ref.keys()
+            for name in ref:
+                np.testing.assert_allclose(grads[name], ref[name], rtol=1e-12,
+                                           atol=1e-12 * np.abs(ref[name]).max(), err_msg=name)
+
+    def test_window_loss_matches_per_frame(self):
+        for model, cache, _, targets in self.cases():
+            loss, d_logits = model.window_loss(cache, *targets)
+            ref_loss, ref_d = per_frame_window_loss(model, cache, *targets)
+            assert loss == pytest.approx(ref_loss, rel=1e-12)
+            assert d_logits.keys() == ref_d.keys()
+            for name in ref_d:
+                np.testing.assert_allclose(d_logits[name], ref_d[name], rtol=1e-12, err_msg=name)
+
+    def test_window_loss_checks_target_shapes(self):
+        cfg = small_cfg()
+        model = ScorerModel.init(cfg, seed=0)
+        rng = np.random.default_rng(2)
+        cache = model.forward(rng.normal(0, 1, (4, 3)))
+        state, step, step_mask, sub, sub_mask = random_targets(rng, 4, 5)
+        for bad in (
+            (state[:3], step, step_mask, sub, sub_mask),
+            (state, step[:, :4], step_mask, sub, sub_mask),
+            (state, step, step_mask[:3], sub, sub_mask),
+            (state, step, step_mask, sub[:3], sub_mask),
+        ):
+            with pytest.raises(ValueError):
+                model.window_loss(cache, *bad)
 
 
 class TestSerialization:

@@ -50,6 +50,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_TRANSPORT = 3
 
+JOBS_HELP = ("videos run at once, on threads: pays only for the HTTP describer; "
+             "CPU-bound runs (the mock describer) gain nothing")
+
 
 class DataError(Exception):
     pass
@@ -511,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="detect boundaries over score streams")
     p.add_argument("--scores", required=True, help="score CSV file or directory")
-    p.add_argument("--jobs", type=int, default=1, help="videos processed in parallel")
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     _add_detector_args(p)
     p.add_argument("--config", help="JSON file with defaults for any flag")
     p.add_argument("--out", required=True)
@@ -519,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("describe", help="detect and generate descriptions")
     p.add_argument("--scores", required=True, help="score CSV file or directory")
-    p.add_argument("--jobs", type=int, default=1, help="videos processed in parallel")
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     _add_detector_args(p)
     _add_describer_args(p)
     p.add_argument("--config", help="JSON file with defaults for any flag")
@@ -559,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_eval_args(p)
     _add_train_args(p)
     p.add_argument("--train", action="store_true", help="train a scorer instead of oracle streams")
-    p.add_argument("--jobs", type=int, default=1, help="videos processed in parallel")
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--config", help="JSON file with defaults for any flag")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_e2e)

@@ -14,6 +14,11 @@ from typing import Iterable
 
 import numpy as np
 
+# FrameScores distributions: entries within [-PROB_SLACK, 1 + PROB_SLACK],
+# sums within PROB_SUM_TOL of one.
+PROB_SLACK = 1e-12
+PROB_SUM_TOL = 1e-6
+
 
 class HierarchyLevel(IntEnum):
     """The three event granularities, ordered fine to coarse."""
@@ -106,9 +111,9 @@ class FrameScores:
             problems.append(f"state_probs must have 3 entries, got {self.state_probs.shape}")
         for name in ("state_probs", "step_progress_dist", "substep_progress_dist"):
             arr = getattr(self, name)
-            if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12):
+            if np.any(arr < -PROB_SLACK) or np.any(arr > 1 + PROB_SLACK):
                 problems.append(f"{name} has entries outside [0, 1]")
-            if not abs(float(arr.sum()) - 1.0) <= 1e-6:  # NaN fails too
+            if not abs(float(arr.sum()) - 1.0) <= PROB_SUM_TOL:  # NaN fails too
                 problems.append(f"{name} sums to {float(arr.sum())}, expected 1")
         return problems
 

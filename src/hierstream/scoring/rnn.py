@@ -11,6 +11,7 @@ is layer-major, with one GEMM per weight gradient and window.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,35 @@ class ScorerConfig:
                      "batch_size", "epochs", "bptt_window"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+
+
+# The only globals a pickled plain ndarray needs (numpy 1.x and 2.x names).
+_ARRAY_GLOBALS = {
+    ("numpy.core.multiarray", "_reconstruct"), ("numpy._core.multiarray", "_reconstruct"),
+    ("numpy", "ndarray"), ("numpy", "dtype"),
+}
+
+
+class _ArrayUnpickler(pickle.Unpickler):
+    def find_class(self, module, name):
+        if (module, name) not in _ARRAY_GLOBALS:
+            raise ValueError(f"refusing to unpickle {module}.{name}")
+        return super().find_class(module, name)
+
+
+def _unpickle_array(archive, member: str) -> np.ndarray:
+    """Read a pickled object array from an .npz member, admitting nothing but
+    numpy's array reconstruction, so a crafted file cannot run code."""
+    with archive.open(member) as fh:
+        fmt = np.lib.format
+        if fmt.read_magic(fh) == (1, 0):
+            fmt.read_array_header_1_0(fh)
+        else:
+            fmt.read_array_header_2_0(fh)
+        arr = _ArrayUnpickler(fh).load()
+    if not isinstance(arr, np.ndarray):
+        raise ValueError(f"{member} does not hold an array")
+    return arr
 
 
 class ScorerModel:
@@ -82,25 +112,30 @@ class ScorerModel:
 
     def save(self, path) -> None:
         meta = dict(
-            feature_dim=self.cfg.feature_dim,
-            recurrent_layers=self.cfg.recurrent_layers,
-            hidden_dim=self.cfg.hidden_dim,
-            bins=self.cfg.histogram.bins,
-            sigma=self.cfg.histogram.sigma,
+            feature_dim=int(self.cfg.feature_dim),
+            recurrent_layers=int(self.cfg.recurrent_layers),
+            hidden_dim=int(self.cfg.hidden_dim),
+            bins=int(self.cfg.histogram.bins),
+            sigma=float(self.cfg.histogram.sigma),
         )
-        np.savez(path, __meta__=np.array(list(meta.items()), dtype=object), **self.params)
+        # (key, repr(value)) strings: loadable without pickle.
+        np.savez(path, __meta__=np.array([(k, repr(v)) for k, v in meta.items()]), **self.params)
 
     @classmethod
     def load(cls, path) -> "ScorerModel":
-        data = np.load(path, allow_pickle=True)
-        meta = dict(data["__meta__"].tolist())
+        with np.load(path, allow_pickle=False) as data:
+            try:
+                meta = data["__meta__"]
+            except ValueError:  # an object array: files saved before the meta was strings
+                meta = _unpickle_array(data.zip, "__meta__.npy")
+            meta = {str(k): str(v) for k, v in meta.tolist()}
+            params = {k: data[k] for k in data.files if k != "__meta__"}
         cfg = ScorerConfig(
             feature_dim=int(meta["feature_dim"]),
             recurrent_layers=int(meta["recurrent_layers"]),
             hidden_dim=int(meta["hidden_dim"]),
             histogram=HistogramConfig(bins=int(meta["bins"]), sigma=float(meta["sigma"])),
         )
-        params = {k: data[k] for k in data.files if k != "__meta__"}
         return cls(cfg, params)
 
     def zero_state(self) -> list[np.ndarray]:

@@ -4,6 +4,10 @@ Features: one row per frame, ``timestamp,f0,...,f{D-1}``.
 Scores:   one row per frame,
 ``timestamp,bg,step,stepsub,sp0..sp{B-1},ssp0..ssp{B-1}``
 so a detector run never needs the model that produced the stream.
+
+Each reader parses a file once into one float64 array, checks the whole
+array, then slices it. Blank lines are skipped; an error names the file and
+the data row (1-based, blank lines not counted).
 """
 
 from __future__ import annotations
@@ -12,7 +16,44 @@ import csv
 
 import numpy as np
 
-from ..core import FrameScores
+from ..core import PROB_SLACK, PROB_SUM_TOL, FrameScores
+
+
+def _score_header(bins: int) -> list[str]:
+    return (
+        ["timestamp", "bg", "step", "stepsub"]
+        + [f"sp{i}" for i in range(bins)]
+        + [f"ssp{i}" for i in range(bins)]
+    )
+
+
+def _read_text(path) -> tuple[list[str], str]:
+    """The header cells and the text of the data rows."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        return header, fh.read()
+
+
+def _parse(path, text: str, width: int) -> np.ndarray:
+    """The data rows as one (rows, width) float64 array."""
+    if not text.strip("\n"):  # header only; loadtxt would warn
+        return np.zeros((0, width))
+    try:
+        data = np.loadtxt(text.split("\n"), delimiter=",", comments=None, ndmin=2)
+        if data.shape[1] == width:
+            return data
+        failure = None
+    except ValueError as e:
+        failure = e
+    # numpy's row numbers skip blank lines inconsistently: find the row again.
+    for n, line in enumerate((line for line in text.split("\n") if line), 1):
+        try:
+            got = np.loadtxt([line], delimiter=",", comments=None, ndmin=2).shape[1]
+        except ValueError as e:
+            raise ValueError(f"{path}: data row {n}: {str(e).split(' at row ')[0]}") from None
+        if got != width:
+            raise ValueError(f"{path}: data row {n}: {got} values, but the header has {width} columns")
+    raise ValueError(f"{path}: {failure}")
 
 
 def _check_timestamps(path, ts: np.ndarray) -> None:
@@ -35,15 +76,10 @@ def write_features(path, timestamps: np.ndarray, features: np.ndarray) -> None:
 
 
 def read_features(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "timestamp":
-            raise ValueError(f"{path}: not a feature CSV (header {header[:3]}...)")
-        rows = [[float(x) for x in row] for row in reader if row]
-    data = np.array(rows, dtype=np.float64)
-    if data.size == 0:
-        return np.zeros(0), np.zeros((0, len(header) - 1))
+    header, text = _read_text(path)
+    if header[0] != "timestamp":
+        raise ValueError(f"{path}: not a feature CSV (header {header[:3]}...)")
+    data = _parse(path, text, len(header))
     _check_timestamps(path, data[:, 0])
     return data[:, 0], data[:, 1:]
 
@@ -51,15 +87,9 @@ def read_features(path) -> tuple[np.ndarray, np.ndarray]:
 def write_scores(path, scores: list[FrameScores]) -> None:
     if not scores:
         raise ValueError("empty score stream")
-    bins = len(scores[0].step_progress_dist)
-    header = (
-        ["timestamp", "bg", "step", "stepsub"]
-        + [f"sp{i}" for i in range(bins)]
-        + [f"ssp{i}" for i in range(bins)]
-    )
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(_score_header(len(scores[0].step_progress_dist)))
         for fs in scores:
             row = (
                 [fs.timestamp]
@@ -71,26 +101,24 @@ def write_scores(path, scores: list[FrameScores]) -> None:
 
 
 def read_scores(path) -> list[FrameScores]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:4] != ["timestamp", "bg", "step", "stepsub"]:
-            raise ValueError(f"{path}: not a score CSV (header {header[:4]})")
-        bins = sum(1 for name in header if name.startswith("sp"))
-        out = []
-        for row in reader:
-            if not row:
-                continue
-            vals = [float(x) for x in row]
-            fs = FrameScores(
-                timestamp=vals[0],
-                state_probs=np.array(vals[1:4]),
-                step_progress_dist=np.array(vals[4: 4 + bins]),
-                substep_progress_dist=np.array(vals[4 + bins: 4 + 2 * bins]),
-            )
-            problems = fs.validate()
-            if problems:
-                raise ValueError(f"{path}: invalid frame at t={vals[0]}: {problems}")
-            out.append(fs)
-    _check_timestamps(path, np.array([fs.timestamp for fs in out]))
-    return out
+    header, text = _read_text(path)
+    bins = (len(header) - 4) // 2
+    if bins < 1 or header != _score_header(bins):
+        raise ValueError(
+            f"{path}: not a score CSV (header {header[:4]}... with {len(header)} columns; "
+            "expected timestamp,bg,step,stepsub,sp0..sp{B-1},ssp0..ssp{B-1} with B >= 1)"
+        )
+    data = _parse(path, text, len(header))
+    data.setflags(write=False)
+    dists = (data[:, 1:4], data[:, 4: 4 + bins], data[:, 4 + bins:])
+    # FrameScores.validate's rules on every frame at once (the header fixes the state's shape).
+    bad = np.zeros(len(data), dtype=bool)
+    for block in dists:
+        bad |= ((block < -PROB_SLACK) | (block > 1 + PROB_SLACK)).any(axis=1)
+        bad |= ~(np.abs(block.sum(axis=1) - 1.0) <= PROB_SUM_TOL)  # NaN fails too
+    if bad.any():
+        i = int(np.argmax(bad))
+        fs = FrameScores(data[i, 0].item(), *(block[i] for block in dists))
+        raise ValueError(f"{path}: data row {i + 1}: invalid frame at t={fs.timestamp}: {fs.validate()}")
+    _check_timestamps(path, data[:, 0])
+    return [FrameScores(t, s, p, q) for t, s, p, q in zip(data[:, 0].tolist(), *dists)]

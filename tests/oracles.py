@@ -1,18 +1,21 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the library's own algorithms: matching is checked
-by exhaustive enumeration, histogram targets by numeric quadrature, and
-gradients by central finite differences.
+by exhaustive enumeration, histogram targets by numeric quadrature,
+gradients by central finite differences, and the CSV readers by the
+row-at-a-time ``csv`` readers they replaced.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from hierstream.core import Interval
+from hierstream.core import FrameScores, Interval
+from hierstream.scoring.streams import _check_timestamps
 from hierstream.scoring.losses import soft_cross_entropy
 
 
@@ -167,3 +170,45 @@ def per_frame_window_loss(model, cache, state_target, step_target, step_mask,
             d[t] = weight * g / n
         d_logits[name] = d
     return loss, d_logits
+
+
+def row_read_features(path) -> tuple[np.ndarray, np.ndarray]:
+    """``read_features`` as it was: ``float()`` per cell, one row at a time."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if not header or header[0] != "timestamp":
+            raise ValueError(f"{path}: not a feature CSV (header {header[:3]}...)")
+        rows = [[float(x) for x in row] for row in reader if row]
+    data = np.array(rows, dtype=np.float64)
+    if data.size == 0:
+        return np.zeros(0), np.zeros((0, len(header) - 1))
+    _check_timestamps(path, data[:, 0])
+    return data[:, 0], data[:, 1:]
+
+
+def row_read_scores(path) -> list[FrameScores]:
+    """``read_scores`` as it was: one ``FrameScores.validate`` per row."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header[:4] != ["timestamp", "bg", "step", "stepsub"]:
+            raise ValueError(f"{path}: not a score CSV (header {header[:4]})")
+        bins = sum(1 for name in header if name.startswith("sp"))
+        out = []
+        for row in reader:
+            if not row:
+                continue
+            vals = [float(x) for x in row]
+            fs = FrameScores(
+                timestamp=vals[0],
+                state_probs=np.array(vals[1:4]),
+                step_progress_dist=np.array(vals[4: 4 + bins]),
+                substep_progress_dist=np.array(vals[4 + bins: 4 + 2 * bins]),
+            )
+            problems = fs.validate()
+            if problems:
+                raise ValueError(f"{path}: invalid frame at t={vals[0]}: {problems}")
+            out.append(fs)
+    _check_timestamps(path, np.array([fs.timestamp for fs in out]))
+    return out

@@ -196,6 +196,46 @@ class TestSerialization:
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.state_probs, y.state_probs)
 
+    def test_meta_is_plain_strings(self, tmp_path):
+        # Readable without pickle, and by loaders that take dict(meta.tolist()).
+        path = tmp_path / "model.npz"
+        ScorerModel.init(small_cfg(), seed=9).save(path)
+        with np.load(path, allow_pickle=False) as data:
+            assert data["__meta__"].dtype.kind == "U"
+            meta = dict(data["__meta__"].tolist())
+        assert meta == {"feature_dim": "3", "recurrent_layers": "2", "hidden_dim": "6",
+                        "bins": "5", "sigma": repr(HistogramConfig().sigma)}
+
+    def test_loads_pickled_meta_of_older_files(self, tmp_path):
+        model = ScorerModel.init(small_cfg(), seed=9)
+        cfg = model.cfg
+        meta = dict(feature_dim=cfg.feature_dim, recurrent_layers=cfg.recurrent_layers,
+                    hidden_dim=cfg.hidden_dim, bins=cfg.histogram.bins, sigma=cfg.histogram.sigma)
+        path = tmp_path / "model.npz"
+        np.savez(path, __meta__=np.array(list(meta.items()), dtype=object), **model.params)
+        loaded = ScorerModel.load(path)
+        for name in ("feature_dim", "recurrent_layers", "hidden_dim", "histogram"):
+            assert getattr(loaded.cfg, name) == getattr(cfg, name)
+        assert loaded.params.keys() == model.params.keys()
+        for k in model.params:
+            np.testing.assert_array_equal(model.params[k], loaded.params[k])
+
+    def test_crafted_meta_refused_without_running_it(self, tmp_path):
+        marker = tmp_path / "ran"
+
+        class Payload:
+            def __reduce__(self):
+                return exec, (f"open({str(marker)!r}, 'w').close()",)
+
+        path = tmp_path / "model.npz"
+        np.savez(path, __meta__=np.array([Payload()], dtype=object),
+                 **ScorerModel.init(small_cfg()).params)
+        with pytest.raises(ValueError, match="refusing to unpickle builtins.exec"):
+            ScorerModel.load(path)
+        assert not marker.exists()
+        np.load(path, allow_pickle=True)["__meta__"]  # an unrestricted load does run it
+        assert marker.exists()
+
 
 def test_config_rejects_nonpositive_dims():
     with pytest.raises(ValueError):

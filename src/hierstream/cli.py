@@ -11,21 +11,23 @@ Subcommands:
 
 Every run writes its effective configuration next to its outputs, and all
 mock-client paths are deterministic under --seed. Exit codes: 0 ok,
-1 usage, 2 data/validation error, 3 transport error.
+1 usage, 2 data/validation error, 3 transport error, 4 some videos failed
+(listed in failures.json under --out; the others are written as usual).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from ._http import HttpLimits, TransportError
-from .core import read_annotations, validate_annotations, write_annotations
+from .core import FrameScores, read_annotations, validate_annotations, write_annotations
 from .describer.http import DescriberEndpoint
-from .detector import DetectorConfig, read_emissions, run_stream, write_emissions
+from .detector import DetectorConfig, read_emissions, write_emissions
 from .metrics.embedding import HashedBagOfWordsEmbedder, HttpEmbedder
 from .pipeline import (
     HttpChatClient,
@@ -40,7 +42,8 @@ from .pipeline import (
 from .report import evaluate_corpus
 from .runner import http_describer, mock_describer, run_described_stream
 from .scoring.histogram import HistogramConfig
-from .scoring.rnn import ScorerConfig, ScorerModel, infer_scores
+from .scoring.losses import softmax
+from .scoring.rnn import ScorerConfig, ScorerModel
 from .scoring.streams import read_features, read_scores, write_features, write_scores
 from .scoring.train import train_scorer
 from .simulator import SimConfig, gen_annotations, gen_features, gen_scores
@@ -49,6 +52,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_TRANSPORT = 3
+EXIT_PARTIAL = 4  # some videos failed; see failures.json
 
 JOBS_HELP = ("videos run at once, on threads: pays only for the HTTP describer; "
              "CPU-bound runs (the mock describer) gain nothing")
@@ -56,6 +60,10 @@ JOBS_HELP = ("videos run at once, on threads: pays only for the HTTP describer; 
 
 class DataError(Exception):
     pass
+
+
+# What one video's data or describer can raise; it fails that video only.
+VIDEO_ERRORS = (TransportError, DataError, ValueError, OSError)
 
 
 def _dump_json(data, path: Path) -> None:
@@ -185,40 +193,73 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _iter_score_streams(args):
-    scores_path = Path(args.scores)
-    if scores_path.is_dir():
-        for csv_path in sorted(scores_path.glob("*.csv")):
-            yield csv_path.stem, read_scores(csv_path)
+def _score_frames(path: Path):
+    """A video's score stream, read when the loop asks for its first frame."""
+    yield from read_scores(path)
+
+
+def _scored_frames(model: ScorerModel, path: Path):
+    """A video's features, each scored through ``model.step`` when the loop
+    asks for it, with ``infer_scores``' per-row softmax."""
+    ts, feats = read_features(path)
+    h = model.zero_state()
+    for t, x in zip(ts.tolist(), feats):
+        h, *logits = model.step(x, h)
+        yield FrameScores(t, *(softmax(z) for z in logits))
+
+
+def _run_videos(args, videos: list, out: Path, describe=None) -> tuple[dict, dict]:
+    """The online loop over each (video_id, frames) pair, ``--jobs`` videos at
+    a time on threads, writing ``out/<video_id>.jsonl``. Returns (results,
+    failures) by video id in input order, so outputs do not depend on
+    --jobs. A failed video does not stop the others: its error goes to
+    stderr and to ``failures.json`` under ``--out``."""
+    cfg = _detector_config(args)
+    completion = args.completion if describe is not None else 1.0
+
+    def one(item):  # the per-video function
+        video_id, frames = item
+        try:
+            frames = iter(frames)
+            first = next(frames, None)  # its bin count sets the histogram
+            hist = HistogramConfig(bins=len(first.step_progress_dist)) if first else HistogramConfig()
+            frames = itertools.chain([first] if first else [], frames)
+            result = run_described_stream(frames, describe, cfg, hist, completion=completion)
+            write_emissions(result.emissions, out / f"{video_id}.jsonl")
+            return video_id, result, None
+        except VIDEO_ERRORS as exc:
+            print(f"error: {video_id}: {exc}", file=sys.stderr)
+            return video_id, None, f"{type(exc).__name__}: {exc}"
+
+    if args.jobs <= 1 or len(videos) <= 1:
+        done = [one(item) for item in videos]
     else:
-        yield scores_path.stem, read_scores(scores_path)
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            done = list(pool.map(one, videos))
+    failures = {vid: err for vid, _, err in done if err is not None}
+    failures_path = Path(args.out) / "failures.json"
+    if failures:
+        _dump_json(failures, failures_path)
+    else:
+        failures_path.unlink(missing_ok=True)  # from an earlier run
+    return {vid: r for vid, r, err in done if err is None}, failures
 
 
-def _map_videos(fn, items, jobs: int):
-    """Apply fn over (video_id, payload) pairs, optionally on a thread pool.
-    Results come back in input order, so output files and reports stay
-    deterministic regardless of --jobs."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(*item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda item: fn(*item), items))
+def _score_streams(args) -> list:
+    scores_path = Path(args.scores)
+    if not scores_path.exists():  # a usage mistake, not one failed video
+        raise DataError(f"{scores_path}: no such file or directory")
+    paths = sorted(scores_path.glob("*.csv")) if scores_path.is_dir() else [scores_path]
+    return [(p.stem, _score_frames(p)) for p in paths]
 
 
 def cmd_detect(args) -> int:
-    cfg = _detector_config(args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    def one(video_id, stream):
-        hist = HistogramConfig(bins=len(stream[0].step_progress_dist)) if stream else HistogramConfig()
-        emissions = run_stream(stream, cfg, hist)
-        write_emissions(emissions, outdir / f"{video_id}.jsonl")
-
-    done = _map_videos(one, _iter_score_streams(args), args.jobs)
+    results, failures = _run_videos(args, _score_streams(args), outdir)
     _echo_config(args, outdir)
-    print(f"detected over {len(done)} streams into {outdir}")
-    return EXIT_OK
+    print(f"detected over {len(results)} streams into {outdir}")
+    return EXIT_PARTIAL if failures else EXIT_OK
 
 
 def _make_describe_fn(args):
@@ -233,24 +274,13 @@ def _make_describe_fn(args):
 
 
 def cmd_describe(args) -> int:
-    cfg = _detector_config(args)
-    describe = _make_describe_fn(args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    def one(video_id, stream):
-        hist = HistogramConfig(bins=len(stream[0].step_progress_dist)) if stream else HistogramConfig()
-        result = run_described_stream(
-            stream, describe, cfg, hist, completion=args.completion,
-        )
-        write_emissions(result.emissions, outdir / f"{video_id}.jsonl")
-        return video_id, result.goal_text
-
-    goals = dict(_map_videos(one, _iter_score_streams(args), args.jobs))
-    _dump_json(goals, outdir / "goals.json")
+    results, failures = _run_videos(args, _score_streams(args), outdir, _make_describe_fn(args))
+    _dump_json({vid: r.goal_text for vid, r in results.items()}, outdir / "goals.json")
     _echo_config(args, outdir)
-    print(f"described {len(goals)} streams into {outdir}")
-    return EXIT_OK
+    print(f"described {len(results)} streams into {outdir}")
+    return EXIT_PARTIAL if failures else EXIT_OK
 
 
 def _make_embedder(args):
@@ -381,44 +411,36 @@ def cmd_e2e(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     cfg = _sim_config(args)
-    annotations = _write_corpus(cfg, outdir / "sim", with_features=args.train)
+    sim = outdir / "sim"
+    annotations = _write_corpus(cfg, sim, with_features=args.train)
 
-    det_cfg = _detector_config(args)
-    describe = _make_describe_fn(args)
-
-    model = None
     if args.train:
-        features = []
-        for a in annotations:
-            _, feats = read_features(outdir / "sim" / "features" / f"{a.video_id}.csv")
-            features.append(feats)
+        features = [read_features(sim / "features" / f"{a.video_id}.csv")[1] for a in annotations]
         model, _trace = train_scorer(
             features, annotations, _scorer_config(args, cfg.feature_dim), seed=args.seed
         )
         model.save(outdir / "model.npz")
+        videos = [(a.video_id, _scored_frames(model, sim / "features" / f"{a.video_id}.csv"))
+                  for a in annotations]
+    else:
+        videos = [(a.video_id, _score_frames(sim / "scores" / f"{a.video_id}.csv"))
+                  for a in annotations]
 
     emissions_dir = outdir / "emissions"
     emissions_dir.mkdir(exist_ok=True)
-
-    def one(video_id, _none):
-        if model is not None:
-            ts, feats = read_features(outdir / "sim" / "features" / f"{video_id}.csv")
-            stream = infer_scores(model, feats, timestamps=ts)
-        else:
-            stream = read_scores(outdir / "sim" / "scores" / f"{video_id}.csv")
-        result = run_described_stream(stream, describe, det_cfg, cfg.histogram)
-        write_emissions(result.emissions, emissions_dir / f"{video_id}.jsonl")
-        return video_id, result
-
-    results = dict(_map_videos(one, [(a.video_id, None) for a in annotations], args.jobs))
-    emissions_by_video = {vid: r.emissions for vid, r in results.items()}
+    results, failures = _run_videos(args, videos, emissions_dir, _make_describe_fn(args))
     goals = {vid: r.goal_text for vid, r in results.items()}
     _dump_json(goals, emissions_dir / "goals.json")
+    _echo_config(args, outdir)
+    if failures:
+        (outdir / "report.json").unlink(missing_ok=True)  # from an earlier run
+        print(f"{len(failures)} of {len(videos)} videos failed; no report written", file=sys.stderr)
+        return EXIT_PARTIAL
 
     thresholds = [float(t) for t in args.tiou.split(",")]
     report = evaluate_corpus(
         annotations,
-        emissions_by_video,
+        {vid: r.emissions for vid, r in results.items()},
         goals_by_video=goals,
         thresholds=thresholds,
         k=args.topk,
@@ -426,7 +448,6 @@ def cmd_e2e(args) -> int:
         aedt_threshold=args.aedt_tiou,
     )
     _dump_json(report, outdir / "report.json")
-    _echo_config(args, outdir)
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 

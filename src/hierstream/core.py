@@ -8,6 +8,7 @@ video per line).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable
@@ -116,6 +117,28 @@ class FrameScores:
             if not abs(float(arr.sum()) - 1.0) <= PROB_SUM_TOL:  # NaN fails too
                 problems.append(f"{name} sums to {float(arr.sum())}, expected 1")
         return problems
+
+
+def check_timestamp(t: float, last: float | None) -> None:
+    """The rule for every frame source: a timestamp is finite and strictly
+    after the frame before (``last``; None for a stream's first frame)."""
+    if not math.isfinite(t):
+        raise ValueError(f"timestamp {float(t)!r} is not finite")
+    if last is not None and not t > last:
+        raise ValueError(f"timestamp {float(t)!r} does not follow {float(last)!r}")
+
+
+def check_timestamps(ts: np.ndarray, row: str) -> None:
+    """:func:`check_timestamp` over a whole array at once; an error names the
+    first bad entry as ``row`` plus its 1-based index."""
+    bad = ~np.isfinite(ts)
+    bad[1:] |= ~(ts[1:] > ts[:-1])
+    if bad.any():
+        i = int(np.argmax(bad))
+        try:
+            check_timestamp(ts[i], ts[i - 1] if i else None)
+        except ValueError as e:
+            raise ValueError(f"{row} {i + 1}: {e}") from None
 
 
 def validate_annotations(a: AnnotationSet, strict_nesting: bool = False) -> list[str]:

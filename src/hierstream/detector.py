@@ -10,6 +10,10 @@ Per frame and per level the order is end-check first, then start-check.
 A drop-triggered end closes the instance at the previous frame and marks
 the current frame as background for that level, so the follow-up instance
 can open no earlier than the next frame.
+
+The detector only produces events. Turning them into :class:`Emission`
+records is the online loop's job (``runner.run_described_stream``);
+:func:`run_stream` is that loop with no describer.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .core import (
     STATE_STEP,
@@ -25,6 +30,7 @@ from .core import (
     FrameScores,
     HierarchyLevel,
     Interval,
+    check_timestamp,
 )
 from .scoring.histogram import HistogramConfig, histogram_expectation
 
@@ -133,8 +139,7 @@ class StreamDetector:
         if self._finished:
             raise RuntimeError("detector already finished")
         t = fs.timestamp
-        if self._last_ts is not None and t <= self._last_ts:
-            raise ValueError(f"non-monotonic timestamp {t} after {self._last_ts}")
+        check_timestamp(t, self._last_ts)
 
         events: list[DetectionEvent] = []
         for level in self.LEVELS:
@@ -201,26 +206,15 @@ class StreamDetector:
 
 
 def run_stream(
-    scores: list[FrameScores],
+    scores: Iterable[FrameScores],
     cfg: DetectorConfig = DetectorConfig(),
     histogram: HistogramConfig = HistogramConfig(),
 ) -> list[Emission]:
-    """Fold a whole score stream through the detector and return every
-    completed instance in emission order (descriptions left empty)."""
-    det = StreamDetector(cfg, histogram)
-    emissions: list[Emission] = []
-    for fs in scores:
-        for ev in det.step(fs):
-            if ev.kind == EventKind.INSTANCE_ENDED:
-                emissions.append(Emission(
-                    ActionInstance(ev.interval, "", ev.level), ev.timestamp,
-                ))
-    for ev in det.finish():
-        if ev.kind == EventKind.INSTANCE_ENDED:
-            emissions.append(Emission(
-                ActionInstance(ev.interval, "", ev.level), ev.timestamp,
-            ))
-    return emissions
+    """The online loop with no describer: every completed instance in
+    emission order, descriptions left empty."""
+    from .runner import run_described_stream  # the runner imports this module
+
+    return run_described_stream(scores, None, cfg, histogram).emissions
 
 
 # ----------------------------------------------------------------------

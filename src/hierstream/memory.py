@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core import ActionInstance, HierarchyLevel, Interval
+from .core import ActionInstance, HierarchyLevel, Interval, check_timestamp
 
 SUBSTEP_FRAME_SPACING = 1.0
 STEP_FRAME_SPACING = 3.3
@@ -87,8 +87,7 @@ class ContextMemory:
     def insert_frame(
         self, timestamp: float, member_levels: set[HierarchyLevel], handle: str
     ) -> None:
-        if self._last_seen is not None and timestamp <= self._last_seen:
-            raise ValueError(f"out-of-order insert at {timestamp} after {self._last_seen}")
+        check_timestamp(timestamp, self._last_seen)
         self._last_seen = timestamp
 
         if HierarchyLevel.STEP in member_levels:

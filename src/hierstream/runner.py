@@ -1,16 +1,18 @@
-"""The full streaming loop: detector events drive memory writes and
+"""The online loop: detector events drive emissions, memory writes and
 describer calls.
 
-Every frame goes through the detector and is offered to the context
-memory with its current hierarchy membership. The describer runs exactly
-once per completed instance plus once for the goal at stream end; no
-other code path may invoke it.
+:func:`run_described_stream` is the only code that turns an ended instance
+into an :class:`Emission`. With a describer, every frame is also offered
+to the context memory with its current hierarchy membership, and the
+describer runs exactly once per completed instance plus once for the goal
+at stream end. With ``describe=None`` (``detector.run_stream``) the loop
+is detection alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 from .core import ActionInstance, FrameScores, HierarchyLevel, Interval
 from .describer.http import DescriberEndpoint, HttpDescriber
@@ -34,10 +36,9 @@ def http_describer(endpoint: DescriberEndpoint, limits=None) -> DescribeFn:
 
 @dataclass
 class StreamResult:
-    emissions: list[Emission]  # described, in emission order
+    emissions: list[Emission]  # in emission order; described if a describer ran
     goal_text: str
     describe_calls: int
-    memory: ContextMemory
 
 
 def _default_handle(timestamp: float) -> str:
@@ -45,8 +46,8 @@ def _default_handle(timestamp: float) -> str:
 
 
 def run_described_stream(
-    scores: Sequence[FrameScores],
-    describe: DescribeFn,
+    scores: Iterable[FrameScores],
+    describe: DescribeFn | None,
     detector_cfg: DetectorConfig = DetectorConfig(),
     histogram: HistogramConfig = HistogramConfig(),
     frame_handle: Callable[[float], str] = _default_handle,
@@ -54,6 +55,9 @@ def run_described_stream(
 ) -> StreamResult:
     """Stream scores through detection, retrieval, and description.
 
+    ``scores`` may be lazy: each frame is pulled only after the previous
+    one's events are handled. With ``describe=None`` this is detection
+    alone: memory stays empty and emissions carry no description.
     ``completion`` below 1.0 truncates each instance's retrieval window to
     its leading fraction before the describer sees it, for describing
     still-incomplete instances; emitted intervals are unaffected.
@@ -66,7 +70,7 @@ def run_described_stream(
     emissions: list[Emission] = []
     calls = 0
 
-    def describe_instance(instance: ActionInstance, emit_time: float) -> DescriberResponse:
+    def describe_instance(instance: ActionInstance, emit_time: float) -> str:
         nonlocal calls
         query_iv = instance.interval
         if completion < 1.0 and instance.level != HierarchyLevel.GOAL:
@@ -85,38 +89,36 @@ def run_described_stream(
             long_form=response.long_form_after or response.short_form,
             created_at=emit_time,
         ))
-        return response
+        return response.short_form
 
     def handle_events(events) -> None:
         for ev in events:
             if ev.kind != EventKind.INSTANCE_ENDED:
                 continue
             instance = ActionInstance(ev.interval, "", ev.level)
-            response = describe_instance(instance, ev.timestamp)
-            emissions.append(Emission(
-                ActionInstance(ev.interval, response.short_form, ev.level),
-                ev.timestamp,
-            ))
+            if describe is not None:
+                text = describe_instance(instance, ev.timestamp)
+                instance = ActionInstance(ev.interval, text, ev.level)
+            emissions.append(Emission(instance, ev.timestamp))
 
     last_ts = 0.0
     for fs in scores:
         events = detector.step(fs)
-        memory.insert_frame(fs.timestamp, detector.ongoing_levels(), frame_handle(fs.timestamp))
+        if describe is not None:
+            memory.insert_frame(fs.timestamp, detector.ongoing_levels(), frame_handle(fs.timestamp))
         handle_events(events)
         last_ts = fs.timestamp
 
-    final_events = detector.finish()
-    handle_events([ev for ev in final_events if ev.kind == EventKind.INSTANCE_ENDED])
+    final_events = detector.finish()  # end-of-stream closes, then GOAL_DUE
+    handle_events(final_events)
 
     goal_text = ""
-    for ev in final_events:
-        if ev.kind == EventKind.GOAL_DUE:
-            goal_instance = ActionInstance(Interval(0.0, last_ts), "", HierarchyLevel.GOAL)
-            goal_text = describe_instance(goal_instance, ev.timestamp).short_form
+    if describe is not None:
+        goal_instance = ActionInstance(Interval(0.0, last_ts), "", HierarchyLevel.GOAL)
+        goal_text = describe_instance(goal_instance, final_events[-1].timestamp)
 
     return StreamResult(
         emissions=emissions,
         goal_text=goal_text,
         describe_calls=calls,
-        memory=memory,
     )

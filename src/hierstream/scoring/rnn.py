@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import FrameScores
+from ..core import FrameScores, check_timestamps
 from .histogram import HistogramConfig
 from .losses import log_softmax, softmax
 
@@ -145,10 +145,24 @@ class ScorerModel:
     # forward
     # ------------------------------------------------------------------
 
+    def step(
+        self, x: np.ndarray, h: list[np.ndarray]
+    ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+        """One frame: features and per-layer hidden states in; new hidden
+        states and the state, step and substep logits out. :meth:`forward`
+        loops over this, so streamed and batch scores agree bit for bit
+        (heads too: batched matmuls can round differently per length)."""
+        p, inp, h_new = self.params, x, []
+        for layer in range(self.cfg.recurrent_layers):
+            inp = np.tanh(p[f"wx{layer}"] @ inp + p[f"wh{layer}"] @ h[layer] + p[f"b{layer}"])
+            h_new.append(inp)
+        return (h_new, p["w_state"] @ inp + p["b_state"],
+                p["w_step"] @ inp + p["b_step"], p["w_sub"] @ inp + p["b_sub"])
+
     def forward(
         self, features: np.ndarray, h0: list[np.ndarray] | None = None
     ) -> dict[str, np.ndarray]:
-        """Run the stack over a (T, D) feature window.
+        """Run :meth:`step` over a (T, D) feature window.
 
         Returns a cache holding hidden states and head logits; the cache
         feeds both inference and the backward pass.
@@ -160,31 +174,20 @@ class ScorerModel:
             )
         T = features.shape[0]
         L, H = self.cfg.recurrent_layers, self.cfg.hidden_dim
-        p = self.params
-        h_prev = [np.array(h, dtype=np.float64) for h in (h0 or self.zero_state())]
+        h = [np.array(x, dtype=np.float64) for x in (h0 or self.zero_state())]
         hs = np.zeros((L, T, H))
         bins = self.cfg.histogram.bins
         state_logits = np.zeros((T, 3))
         step_logits = np.zeros((T, bins))
         sub_logits = np.zeros((T, bins))
         for t in range(T):
-            inp = features[t]
+            h, state_logits[t], step_logits[t], sub_logits[t] = self.step(features[t], h)
             for layer in range(L):
-                a = p[f"wx{layer}"] @ inp + p[f"wh{layer}"] @ h_prev[layer] + p[f"b{layer}"]
-                h = np.tanh(a)
-                hs[layer, t] = h
-                h_prev[layer] = h
-                inp = h
-            # Heads run per frame: batched matmuls can round differently for
-            # different sequence lengths, which would break the exact
-            # prefix property of streaming inference.
-            state_logits[t] = p["w_state"] @ inp + p["b_state"]
-            step_logits[t] = p["w_step"] @ inp + p["b_step"]
-            sub_logits[t] = p["w_sub"] @ inp + p["b_sub"]
+                hs[layer, t] = h[layer]
         return {
             "features": features,
             "hidden": hs,
-            "h_last": [hs[layer, -1].copy() for layer in range(L)] if T else h_prev,
+            "h_last": h,
             "state_logits": state_logits,
             "step_logits": step_logits,
             "sub_logits": sub_logits,
@@ -269,7 +272,8 @@ def infer_scores(
 ) -> list[FrameScores]:
     """Forward a full feature sequence into per-frame score distributions.
 
-    Timestamps default to index / fps. Causality is structural: the
+    Timestamps default to index / fps; given ones must be one per feature
+    row and pass ``core.check_timestamps``. Causality is structural: the
     recurrence never looks ahead.
     """
     features = np.asarray(features, dtype=np.float64)
@@ -279,6 +283,10 @@ def infer_scores(
         if fps is None:
             raise ValueError("provide timestamps or fps")
         timestamps = np.arange(T, dtype=np.float64) / fps
+    timestamps = np.asarray(timestamps, dtype=np.float64)
+    if timestamps.shape != (T,):
+        raise ValueError(f"{len(timestamps)} timestamps for {T} feature rows")
+    check_timestamps(timestamps, "frame")
     state = softmax(cache["state_logits"])
     step = softmax(cache["step_logits"])
     sub = softmax(cache["sub_logits"])

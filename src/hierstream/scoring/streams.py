@@ -16,7 +16,7 @@ import csv
 
 import numpy as np
 
-from ..core import PROB_SLACK, PROB_SUM_TOL, FrameScores
+from ..core import PROB_SLACK, PROB_SUM_TOL, FrameScores, check_timestamps
 
 
 def _score_header(bins: int) -> list[str]:
@@ -56,16 +56,6 @@ def _parse(path, text: str, width: int) -> np.ndarray:
     raise ValueError(f"{path}: {failure}")
 
 
-def _check_timestamps(path, ts: np.ndarray) -> None:
-    """Reject a non-finite timestamp or one not strictly after the row before."""
-    bad = ~np.isfinite(ts)
-    bad[1:] |= ~(ts[1:] > ts[:-1])
-    if bad.any():
-        i = int(np.argmax(bad))
-        why = "is not finite" if not np.isfinite(ts[i]) else f"does not follow {float(ts[i - 1])!r}"
-        raise ValueError(f"{path}: data row {i + 1}: timestamp {float(ts[i])!r} {why}")
-
-
 def write_features(path, timestamps: np.ndarray, features: np.ndarray) -> None:
     features = np.asarray(features)
     with open(path, "w", newline="") as fh:
@@ -80,7 +70,7 @@ def read_features(path) -> tuple[np.ndarray, np.ndarray]:
     if header[0] != "timestamp":
         raise ValueError(f"{path}: not a feature CSV (header {header[:3]}...)")
     data = _parse(path, text, len(header))
-    _check_timestamps(path, data[:, 0])
+    check_timestamps(data[:, 0], f"{path}: data row")
     return data[:, 0], data[:, 1:]
 
 
@@ -120,5 +110,5 @@ def read_scores(path) -> list[FrameScores]:
         i = int(np.argmax(bad))
         fs = FrameScores(data[i, 0].item(), *(block[i] for block in dists))
         raise ValueError(f"{path}: data row {i + 1}: invalid frame at t={fs.timestamp}: {fs.validate()}")
-    _check_timestamps(path, data[:, 0])
+    check_timestamps(data[:, 0], f"{path}: data row")
     return [FrameScores(t, s, p, q) for t, s, p, q in zip(data[:, 0].tolist(), *dists)]

@@ -14,8 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from hierstream.core import FrameScores, Interval
-from hierstream.scoring.streams import _check_timestamps
+from hierstream.core import FrameScores, Interval, check_timestamps
 from hierstream.scoring.losses import soft_cross_entropy
 
 
@@ -183,7 +182,7 @@ def row_read_features(path) -> tuple[np.ndarray, np.ndarray]:
     data = np.array(rows, dtype=np.float64)
     if data.size == 0:
         return np.zeros(0), np.zeros((0, len(header) - 1))
-    _check_timestamps(path, data[:, 0])
+    check_timestamps(data[:, 0], f"{path}: data row")
     return data[:, 0], data[:, 1:]
 
 
@@ -210,5 +209,5 @@ def row_read_scores(path) -> list[FrameScores]:
             if problems:
                 raise ValueError(f"{path}: invalid frame at t={vals[0]}: {problems}")
             out.append(fs)
-    _check_timestamps(path, np.array([fs.timestamp for fs in out]))
+    check_timestamps(np.array([fs.timestamp for fs in out]), f"{path}: data row")
     return out

@@ -1,8 +1,19 @@
 import json
+from pathlib import Path
 
-from hierstream.cli import main
+import numpy as np
+import pytest
+
+from hierstream import cli
+from hierstream._http import TransportError
+from hierstream.cli import EXIT_PARTIAL, main
 from hierstream.core import HierarchyLevel, read_annotations, validate_annotations
 from hierstream.detector import Emission, read_emissions, write_emissions
+from hierstream.runner import mock_describer
+from hierstream.scoring.rnn import ScorerConfig, ScorerModel, infer_scores
+from hierstream.scoring.streams import read_features, read_scores
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(*argv):
@@ -98,6 +109,28 @@ class TestE2E:
         assert report["goal_accuracy"] is not None
         assert report["levels"]["substep"]["f1_loc_desc"] is not None
 
+    def test_report_matches_committed_one(self, tmp_path):
+        # Pins the seeded report across commits, not only across two runs.
+        assert run("e2e", "--seed", 7, "--videos", 5, "--out", tmp_path) == 0
+        expected = (DATA / "e2e_seed7_videos5_report.json").read_bytes()
+        assert (tmp_path / "report.json").read_bytes() == expected
+
+    def test_training_arm_scores_frames_through_step(self, tmp_path):
+        # e2e --train feeds the loop frames scored one at a time; they must
+        # equal batch inference bit for bit.
+        assert run("simulate", "--seed", 2, "--videos", 1, "--features", "--out", tmp_path) == 0
+        (path,) = (tmp_path / "features").glob("*.csv")
+        ts, feats = read_features(path)
+        model = ScorerModel.init(ScorerConfig(feature_dim=feats.shape[1], recurrent_layers=2,
+                                              hidden_dim=8), seed=3)
+        streamed = list(cli._scored_frames(model, path))
+        batch = infer_scores(model, feats, timestamps=ts)
+        assert len(streamed) == len(batch)
+        for a, b in zip(streamed, batch):
+            assert a.timestamp == b.timestamp
+            for name in ("state_probs", "step_progress_dist", "substep_progress_dist"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
     def test_e2e_with_training_arm(self, tmp_path):
         out = tmp_path / "trained"
         code = run(
@@ -149,6 +182,12 @@ class TestErrors:
         missing = tmp_path / "nope.jsonl"
         assert run("evaluate", "--annotations", missing, "--pred", missing) == 2
 
+    def test_missing_scores_path_is_a_data_error(self, tmp_path):
+        for command in ("detect", "describe"):
+            out = tmp_path / command
+            assert run(command, "--scores", tmp_path / "nope", "--out", out) == 2
+            assert not (out / "failures.json").exists()
+
     def test_out_of_range_evaluation_parameters(self, tmp_path):
         corpus, pred_dir = identity_predictions(tmp_path)
         base = ["evaluate", "--annotations", corpus / "annotations.jsonl", "--pred", pred_dir,
@@ -174,3 +213,70 @@ class TestErrors:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"bogus_key": 1}))
         assert run("simulate", "--config", cfg_path, "--out", tmp_path / "x") == 2
+
+
+def failing_on(last_ts):
+    """The mock describer, except that the goal call of the video whose
+    stream ends at ``last_ts`` raises a transport error."""
+    base = mock_describer()
+
+    def describe(bundle, request):
+        if bundle.level == HierarchyLevel.GOAL and bundle.interval.end == last_ts:
+            raise TransportError("endpoint down")
+        return base(bundle, request)
+
+    return describe
+
+
+def corpus_with_failing_video(tmp_path, monkeypatch, seed):
+    """A 3-video corpus and a describer that fails on its second video."""
+    corpus = tmp_path / "corpus"
+    assert run("simulate", "--seed", seed, "--videos", 3, "--out", corpus) == 0
+    ids = [a.video_id for a in read_annotations(corpus / "annotations.jsonl")]
+    last = {vid: read_scores(corpus / "scores" / f"{vid}.csv")[-1].timestamp for vid in ids}
+    assert len(set(last.values())) == len(ids)
+    monkeypatch.setattr(cli, "_make_describe_fn", lambda args: failing_on(last[ids[1]]))
+    return corpus, ids
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+class TestPartialFailure:
+    def test_describe_finishes_other_videos(self, tmp_path, monkeypatch, jobs):
+        corpus, ids = corpus_with_failing_video(tmp_path, monkeypatch, seed=4)
+        out = tmp_path / "described"
+        code = run("describe", "--scores", corpus / "scores", "--jobs", jobs, "--out", out)
+        assert code == EXIT_PARTIAL
+        failures = json.loads((out / "failures.json").read_text())
+        assert list(failures) == [ids[1]]
+        assert "TransportError: endpoint down" in failures[ids[1]]
+        ok = [ids[0], ids[2]]
+        assert sorted(p.stem for p in out.glob("*.jsonl")) == ok
+        assert sorted(json.loads((out / "goals.json").read_text())) == ok
+
+    def test_e2e_writes_no_report(self, tmp_path, monkeypatch, jobs):
+        out = tmp_path / "e2e"
+        assert run("e2e", "--seed", 7, "--videos", 3, "--out", out) == 0
+        assert (out / "report.json").exists() and not (out / "failures.json").exists()
+        _, ids = corpus_with_failing_video(tmp_path, monkeypatch, seed=7)
+        for p in (out / "emissions").glob("*.jsonl"):
+            p.unlink()
+        assert run("e2e", "--seed", 7, "--videos", 3, "--jobs", jobs, "--out", out) == EXIT_PARTIAL
+        assert not (out / "report.json").exists()  # the earlier run's is gone too
+        assert list(json.loads((out / "failures.json").read_text())) == [ids[1]]
+        assert sorted(p.stem for p in (out / "emissions").glob("*.jsonl")) == [ids[0], ids[2]]
+        monkeypatch.undo()
+        assert run("e2e", "--seed", 7, "--videos", 3, "--out", out) == 0
+        assert (out / "report.json").exists() and not (out / "failures.json").exists()
+
+    def test_detect_finishes_past_unreadable_stream(self, tmp_path, jobs):
+        corpus = tmp_path / "corpus"
+        assert run("simulate", "--seed", 5, "--videos", 3, "--out", corpus) == 0
+        paths = sorted((corpus / "scores").glob("*.csv"))
+        with open(paths[0], "a") as fh:
+            fh.write("not,a,row\n")
+        out = tmp_path / "emissions"
+        assert run("detect", "--scores", corpus / "scores", "--jobs", jobs, "--out", out) == EXIT_PARTIAL
+        failures = json.loads((out / "failures.json").read_text())
+        assert list(failures) == [paths[0].stem]
+        assert "ValueError" in failures[paths[0].stem]
+        assert sorted(p.stem for p in out.glob("*.jsonl")) == [p.stem for p in paths[1:]]

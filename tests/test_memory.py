@@ -47,6 +47,15 @@ class TestInsert:
         with pytest.raises(ValueError):
             mem.insert_frame(1.0, {STEP}, "h1")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_insert_rejected(self, bad):
+        mem = ContextMemory()
+        mem.insert_frame(1.0, {STEP}, "h0")
+        with pytest.raises(ValueError, match="is not finite"):
+            mem.insert_frame(bad, {STEP}, "h1")
+        with pytest.raises(ValueError, match="is not finite"):
+            ContextMemory().insert_frame(bad, {STEP}, "h0")
+
     def test_background_only_stream_yields_empty_queries(self):
         mem = ContextMemory()
         for t in range(100):

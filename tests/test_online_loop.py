@@ -1,0 +1,157 @@
+"""The one online loop (``runner.run_described_stream``): detection alone
+without a describer, the timestamp rule at its input, and the online
+invariants on random valid score streams."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hierstream.core import FrameScores, HierarchyLevel
+from hierstream.detector import DetectorConfig, run_stream
+from hierstream.memory import ContextMemory
+from hierstream.runner import mock_describer, run_described_stream
+from hierstream.scoring.histogram import HistogramConfig, histogram_target
+from hierstream.simulator import SimConfig, gen_annotations, gen_scores
+
+HIST = HistogramConfig()
+NO_EOS = DetectorConfig(close_incomplete_at_eos=False)
+
+
+def sim_stream(seed, noise=1.0):
+    cfg = SimConfig(seed=seed, videos=1, noise_sigma=noise)
+    (video,) = gen_annotations(cfg)
+    return gen_scores(video, cfg.noise_sigma, cfg.fps, seed=seed)
+
+
+def counting(calls: list):
+    base = mock_describer()
+
+    def describe(bundle, request):
+        calls.append((bundle.level, bundle.interval))
+        return base(bundle, request)
+
+    return describe
+
+
+def key(emissions):
+    return [(e.instance.level, e.instance.interval, e.emit_time) for e in emissions]
+
+
+class TestNoDescriber:
+    def test_detection_only(self, monkeypatch):
+        stream = sim_stream(seed=1)
+        described = run_described_stream(stream, mock_describer())
+        for name in ("insert_frame", "query", "commit_prediction"):
+            monkeypatch.setattr(ContextMemory, name, lambda *a, **k: pytest.fail("memory used"))
+        result = run_described_stream(iter(stream), None)
+        assert result.emissions
+        assert result.describe_calls == 0
+        assert result.goal_text == ""
+        assert all(e.instance.description == "" for e in result.emissions)
+        assert key(result.emissions) == key(described.emissions)
+
+    def test_run_stream_is_the_loop_without_describer(self):
+        stream = sim_stream(seed=2)
+        assert run_stream(stream) == run_described_stream(stream, None).emissions
+
+    def test_frames_pulled_one_at_a_time(self):
+        stream = sim_stream(seed=3)
+        pulled, calls = [], []
+
+        def frames():
+            for fs in stream:
+                # Every earlier frame's emissions were described before this pull.
+                pulled.append(len(calls))
+                yield fs
+
+        result = run_described_stream(frames(), counting(calls))
+        assert len(pulled) == len(stream)
+        assert pulled[-1] == len([e for e in result.emissions if e.emit_time < stream[-1].timestamp])
+
+
+def frames_at(timestamps):
+    step = histogram_target(0.5, HIST)
+    return [FrameScores(t, np.array([0.0, 0.0, 1.0]), step, step) for t in timestamps]
+
+
+BAD_TIMESTAMPS = [
+    ((0.0, math.nan, 1.0, 2.0), "timestamp nan is not finite"),
+    ((0.0, 1.0, 2.0, math.inf), "timestamp inf is not finite"),
+    ((0.0, 1.0, 1.0, 2.0), "timestamp 1.0 does not follow 1.0"),
+]
+
+
+@pytest.mark.parametrize("timestamps,why", BAD_TIMESTAMPS)
+def test_run_stream_rejects_bad_timestamp(timestamps, why):
+    with pytest.raises(ValueError, match=why):
+        run_stream(frames_at(timestamps))
+
+
+@pytest.mark.parametrize("timestamps,why", BAD_TIMESTAMPS)
+def test_runner_rejects_bad_timestamp(timestamps, why):
+    calls = []
+    with pytest.raises(ValueError, match=why):
+        run_described_stream(frames_at(timestamps), counting(calls))
+    assert all(level != HierarchyLevel.GOAL for level, _ in calls)
+
+
+# ----------------------------------------------------------------------
+# properties on random valid score streams
+# ----------------------------------------------------------------------
+
+def _dist(weights):
+    w = np.asarray(weights, dtype=np.float64) + 1e-3
+    return w / w.sum()
+
+
+@st.composite
+def score_streams(draw):
+    n = draw(st.integers(1, 40))
+    gaps = draw(st.lists(st.floats(0.05, 2.0), min_size=n, max_size=n))
+    unit = st.floats(0.0, 1.0)
+    stream, t = [], 0.0
+    for i in range(n):
+        state = _dist(draw(st.lists(unit, min_size=3, max_size=3)))
+        step_p, sub_p = draw(unit), draw(unit)
+        stream.append(FrameScores(t, state, histogram_target(step_p, HIST), histogram_target(sub_p, HIST)))
+        t += gaps[i]
+    return stream
+
+
+PROPERTY = settings(max_examples=150, deadline=None)
+
+
+@PROPERTY
+@given(stream=score_streams(), data=st.data())
+def test_emissions_never_revised(stream, data):
+    cut = data.draw(st.integers(1, len(stream)))
+    full = run_described_stream(stream, mock_describer())
+    head = run_described_stream(stream[:cut], mock_describer(), NO_EOS)
+    assert head.emissions == full.emissions[:len(head.emissions)]
+    # With end-of-stream closes on, the prefix run adds only those, at its end.
+    closed = run_stream(stream[:cut])
+    last = stream[cut - 1].timestamp
+    assert key(closed[:len(head.emissions)]) == key(head.emissions)
+    assert all(e.emit_time == e.instance.interval.end == last for e in closed[len(head.emissions):])
+
+
+@PROPERTY
+@given(stream=score_streams(), completion=st.sampled_from([1.0, 0.5]))
+def test_one_describer_call_per_instance_plus_goal(stream, completion):
+    calls = []
+    result = run_described_stream(stream, counting(calls), completion=completion)
+    assert result.describe_calls == len(calls) == len(result.emissions) + 1
+    assert [level for level, _ in calls] == [e.instance.level for e in result.emissions] + [HierarchyLevel.GOAL]
+    if completion == 1.0:
+        assert [iv for _, iv in calls[:-1]] == [e.instance.interval for e in result.emissions]
+
+
+@PROPERTY
+@given(stream=score_streams())
+def test_detection_same_with_or_without_describer(stream):
+    alone = key(run_stream(stream))
+    assert key(run_described_stream(stream, None).emissions) == alone
+    assert key(run_described_stream(stream, mock_describer()).emissions) == alone

@@ -71,10 +71,49 @@ class TestForward:
             np.testing.assert_array_equal(softmax(cache["step_logits"])[0], fs.step_progress_dist)
             np.testing.assert_array_equal(softmax(cache["sub_logits"])[0], fs.substep_progress_dist)
 
+    def test_step_is_the_per_frame_body_of_forward(self):
+        model = ScorerModel.init(small_cfg(recurrent_layers=3, hidden_dim=8), seed=4)
+        feats = np.random.default_rng(5).normal(0, 1, (12, 3))
+        cache = model.forward(feats)
+        h = model.zero_state()
+        for t in range(len(feats)):
+            h, *logits = model.step(feats[t], h)
+            for name, z in zip(("state", "step", "sub"), logits):
+                np.testing.assert_array_equal(z, cache[f"{name}_logits"][t])
+            for layer in range(3):
+                np.testing.assert_array_equal(h[layer], cache["hidden"][layer, t])
+        for a, b in zip(h, cache["h_last"]):
+            np.testing.assert_array_equal(a, b)
+
     def test_feature_dim_checked(self):
         model = ScorerModel.init(small_cfg(), seed=0)
         with pytest.raises(ValueError):
             model.forward(np.zeros((4, 5)))
+
+
+class TestInferTimestamps:
+    def test_one_timestamp_per_feature_row(self):
+        model = ScorerModel.init(small_cfg(), seed=0)
+        with pytest.raises(ValueError, match="10 timestamps for 3 feature rows"):
+            infer_scores(model, np.zeros((3, 3)), timestamps=np.arange(10.0))
+        with pytest.raises(ValueError, match="2 timestamps for 3 feature rows"):
+            infer_scores(model, np.zeros((3, 3)), timestamps=[0.0, 1.0])
+
+    @pytest.mark.parametrize("timestamps,why", [
+        ([2.0, 1.0, np.nan], "frame 2: timestamp 1.0 does not follow 2.0"),
+        ([0.0, np.nan, 1.0], "frame 2: timestamp nan is not finite"),
+        ([0.0, 1.0, np.inf], "frame 3: timestamp inf is not finite"),
+        ([0.0, 1.0, 1.0], "frame 3: timestamp 1.0 does not follow 1.0"),
+    ])
+    def test_readers_timestamp_rule(self, timestamps, why):
+        model = ScorerModel.init(small_cfg(), seed=0)
+        with pytest.raises(ValueError, match=why):
+            infer_scores(model, np.zeros((3, 3)), timestamps=timestamps)
+
+    def test_valid_timestamps_kept(self):
+        model = ScorerModel.init(small_cfg(), seed=0)
+        scores = infer_scores(model, np.zeros((3, 3)), timestamps=[0.5, 0.75, 2.0])
+        assert [fs.timestamp for fs in scores] == [0.5, 0.75, 2.0]
 
 
 class TestGradients:

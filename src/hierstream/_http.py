@@ -1,12 +1,16 @@
-"""Shared JSON-over-HTTP plumbing: one session, retries with exponential
-backoff on transport failures and 5xx replies, an in-flight cap, and call
-counters that tests can assert against."""
+"""The one JSON-over-HTTP path every remote call takes: one session, the
+API key from ``HIERSTREAM_API_KEY``, one retry loop with exponential
+backoff, an in-flight cap, and call counters that tests can assert against."""
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from dataclasses import dataclass
+from typing import Any, Callable
+
+API_KEY_ENV = "HIERSTREAM_API_KEY"
 
 
 class TransportError(Exception):
@@ -24,6 +28,12 @@ class HttpLimits:
     backoff_base: float = 0.5
     max_inflight: int = 4
 
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:  # would send no request at all
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if self.max_inflight < 1:  # a zero cap would block every request forever
+            raise ValueError(f"max_inflight must be >= 1, got {self.max_inflight}")
+
 
 @dataclass
 class CallStats:
@@ -32,33 +42,39 @@ class CallStats:
 
 
 class JsonHttpClient:
-    def __init__(self, base_url: str, api_key: str | None = None,
-                 limits: HttpLimits = HttpLimits()):
+    def __init__(self, base_url: str, limits: HttpLimits = HttpLimits()):
         self.base_url = base_url.rstrip("/")
-        self.api_key = api_key
         self.limits = limits
         self.stats = CallStats()
+        self._stats_lock = threading.Lock()  # one client serves several threads
+        self._headers = {"Content-Type": "application/json"}
+        api_key = os.environ.get(API_KEY_ENV)
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
         import requests  # here, not at the top: that would cost every process ~14 MiB and 0.1 s
         self._session = requests.Session()
         self._retryable = (requests.ConnectionError, requests.Timeout)
         self._inflight = threading.BoundedSemaphore(limits.max_inflight)
 
-    def post_json(self, path: str, payload: dict) -> dict:
+    def post_json(self, path: str, payload: dict, parse: Callable[[Any], Any]) -> Any:
+        """``parse`` of the JSON reply. Transport failures, 5xx replies, non-JSON
+        bodies and replies ``parse`` rejects share one ``max_retries`` budget;
+        a 4xx raises :class:`ClientError` at once. When the budget is spent, a
+        ``ValueError`` from ``parse`` is raised as itself, anything else as
+        :class:`TransportError`."""
         url = f"{self.base_url}{path}"
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-
         last_error: Exception | None = None
         for attempt in range(self.limits.max_retries + 1):
             if attempt > 0:
                 time.sleep(self.limits.backoff_base * (2 ** (attempt - 1)))
-                self.stats.retries += 1
+                with self._stats_lock:
+                    self.stats.retries += 1
             try:
                 with self._inflight:
-                    self.stats.requests += 1
+                    with self._stats_lock:
+                        self.stats.requests += 1
                     resp = self._session.post(
-                        url, json=payload, headers=headers, timeout=self.limits.timeout
+                        url, json=payload, headers=self._headers, timeout=self.limits.timeout
                     )
             except self._retryable as exc:
                 last_error = exc
@@ -68,5 +84,15 @@ class JsonHttpClient:
                 continue
             if resp.status_code >= 400:
                 raise ClientError(f"{url} answered {resp.status_code}: {resp.text[:200]}")
-            return resp.json()
-        raise TransportError(f"{url}: retries exhausted ({last_error})")
+            try:
+                reply = resp.json()
+            except ValueError:
+                last_error = TransportError(f"{url} answered a body that is not JSON")
+                continue
+            try:
+                return parse(reply)
+            except (ValueError, LookupError, TypeError) as exc:
+                last_error = exc
+        if isinstance(last_error, ValueError):
+            raise last_error
+        raise TransportError(f"{url}: retries exhausted ({last_error!r})")

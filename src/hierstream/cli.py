@@ -54,10 +54,6 @@ EXIT_DATA = 2
 EXIT_TRANSPORT = 3
 EXIT_PARTIAL = 4  # some videos failed; see failures.json
 
-JOBS_HELP = ("videos run at once, on threads: pays only for the HTTP describer; "
-             "CPU-bound runs (the mock describer) gain nothing")
-
-
 class DataError(Exception):
     pass
 
@@ -209,11 +205,12 @@ def _scored_frames(model: ScorerModel, path: Path):
 
 
 def _run_videos(args, videos: list, out: Path, describe=None) -> tuple[dict, dict]:
-    """The online loop over each (video_id, frames) pair, ``--jobs`` videos at
-    a time on threads, writing ``out/<video_id>.jsonl``. Returns (results,
-    failures) by video id in input order, so outputs do not depend on
-    --jobs. A failed video does not stop the others: its error goes to
-    stderr and to ``failures.json`` under ``--out``."""
+    """The online loop over each (video_id, frames) pair, one at a time or,
+    with the HTTP describer, whose calls wait on the network, ``--max-inflight``
+    at once on threads, writing ``out/<video_id>.jsonl``. Returns (results,
+    failures) by video id in input order, so outputs do not depend on the
+    thread count. A failed video does not stop the others: its error goes
+    to stderr and to ``failures.json`` under ``--out``."""
     cfg = _detector_config(args)
     completion = args.completion if describe is not None else 1.0
 
@@ -231,10 +228,11 @@ def _run_videos(args, videos: list, out: Path, describe=None) -> tuple[dict, dic
             print(f"error: {video_id}: {exc}", file=sys.stderr)
             return video_id, None, f"{type(exc).__name__}: {exc}"
 
-    if args.jobs <= 1 or len(videos) <= 1:
+    workers = args.max_inflight if describe is not None and args.describer == "http" else 1
+    if workers <= 1 or len(videos) <= 1:
         done = [one(item) for item in videos]
     else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(one, videos))
     failures = {vid: err for vid, _, err in done if err is not None}
     failures_path = Path(args.out) / "failures.json"
@@ -250,6 +248,8 @@ def _score_streams(args) -> list:
     if not scores_path.exists():  # a usage mistake, not one failed video
         raise DataError(f"{scores_path}: no such file or directory")
     paths = sorted(scores_path.glob("*.csv")) if scores_path.is_dir() else [scores_path]
+    if not paths:
+        raise DataError(f"{scores_path}: no *.csv score files in this directory")
     return [(p.stem, _score_frames(p)) for p in paths]
 
 
@@ -498,7 +498,8 @@ def _add_describer_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--image-mode", choices=("base64", "url"), default="base64")
     p.add_argument("--timeout", type=float, default=30.0)
     p.add_argument("--max-retries", type=int, default=3)
-    p.add_argument("--max-inflight", type=int, default=4)
+    p.add_argument("--max-inflight", type=int, default=4,
+                   help="HTTP requests in flight, and videos run at once with --describer http")
     p.add_argument("--completion", type=float, default=1.0,
                    help="fraction of each instance visible to the describer")
 
@@ -535,7 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="detect boundaries over score streams")
     p.add_argument("--scores", required=True, help="score CSV file or directory")
-    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     _add_detector_args(p)
     p.add_argument("--config", help="JSON file with defaults for any flag")
     p.add_argument("--out", required=True)
@@ -543,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("describe", help="detect and generate descriptions")
     p.add_argument("--scores", required=True, help="score CSV file or directory")
-    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     _add_detector_args(p)
     _add_describer_args(p)
     p.add_argument("--config", help="JSON file with defaults for any flag")
@@ -583,7 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_eval_args(p)
     _add_train_args(p)
     p.add_argument("--train", action="store_true", help="train a scorer instead of oracle streams")
-    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--config", help="JSON file with defaults for any flag")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_e2e)

@@ -1,4 +1,5 @@
-from .http import API_KEY_ENV, DescriberEndpoint, HttpDescriber
+from .._http import API_KEY_ENV
+from .http import DescriberEndpoint, HttpDescriber
 from .mock import mock_describe
 from .prompts import GOAL_PROMPT, STEP_PROMPT, SUBSTEP_PROMPT, TEMPLATES
 from .responses import (

@@ -19,6 +19,7 @@ records is the online loop's job (``runner.run_described_stream``);
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -146,6 +147,8 @@ class StreamDetector:
             ls = self._levels[level]
             ls.suppressed_this_frame = False
             act = actionness(fs, level)
+            if not math.isfinite(act):  # NaN would fail both threshold tests below
+                raise ValueError(f"frame at t={t}: {level.name} actionness {act!r} is not finite")
 
             if ls.ongoing:
                 p = self._progress(fs, level)

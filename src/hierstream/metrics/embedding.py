@@ -16,8 +16,6 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
 class Embedder(Protocol):
-    dim: int
-
     def embed(self, texts: Sequence[str]) -> np.ndarray: ...
 
 
@@ -48,23 +46,23 @@ class HttpEmbedder:
     """Embeddings via an OpenAI-compatible endpoint; vectors are normalized
     on arrival."""
 
-    def __init__(self, base_url: str, model: str, api_key: str | None = None,
-                 limits: HttpLimits = HttpLimits(), dim: int | None = None):
+    def __init__(self, base_url: str, model: str, limits: HttpLimits = HttpLimits()):
         self.model = model
-        self.dim = dim or 0
-        self._client = JsonHttpClient(base_url, api_key=api_key, limits=limits)
+        self._client = JsonHttpClient(base_url, limits)
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        reply = self._client.post_json(
-            "/embeddings", {"model": self.model, "input": list(texts)}
+        def parse(reply) -> np.ndarray:
+            rows = sorted(reply["data"], key=lambda d: d["index"])
+            vectors = np.array([r["embedding"] for r in rows], dtype=np.float64)
+            if vectors.shape[0] != len(texts):
+                raise ValueError(
+                    f"endpoint returned {vectors.shape[0]} embeddings for {len(texts)} texts"
+                )
+            return vectors
+
+        vectors = self._client.post_json(
+            "/embeddings", {"model": self.model, "input": list(texts)}, parse=parse
         )
-        rows = sorted(reply["data"], key=lambda d: d["index"])
-        vectors = np.array([r["embedding"] for r in rows], dtype=np.float64)
-        if vectors.shape[0] != len(texts):
-            raise ValueError(
-                f"endpoint returned {vectors.shape[0]} embeddings for {len(texts)} texts"
-            )
-        self.dim = vectors.shape[1]
         norms = np.linalg.norm(vectors, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         return vectors / norms

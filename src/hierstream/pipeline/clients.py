@@ -62,16 +62,13 @@ class MockGroupingClient:
 class HttpChatClient:
     """Text-only chat completion against an OpenAI-compatible endpoint."""
 
-    def __init__(self, base_url: str, model: str, api_key: str | None = None,
-                 limits: HttpLimits = HttpLimits(), temperature: float = 0.0):
+    def __init__(self, base_url: str, model: str, limits: HttpLimits = HttpLimits()):
         self.model = model
-        self.temperature = temperature
-        self._client = JsonHttpClient(base_url, api_key=api_key, limits=limits)
+        self._client = JsonHttpClient(base_url, limits)
 
     def complete(self, prompt: str) -> str:
-        reply = self._client.post_json("/chat/completions", {
+        return self._client.post_json("/chat/completions", {
             "model": self.model,
-            "temperature": self.temperature,
+            "temperature": 0.0,
             "messages": [{"role": "user", "content": prompt}],
-        })
-        return reply["choices"][0]["message"]["content"]
+        }, parse=lambda reply: reply["choices"][0]["message"]["content"])

@@ -70,6 +70,10 @@ def read_features(path) -> tuple[np.ndarray, np.ndarray]:
     if header[0] != "timestamp":
         raise ValueError(f"{path}: not a feature CSV (header {header[:3]}...)")
     data = _parse(path, text, len(header))
+    finite = np.isfinite(data[:, 1:])
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(f"{path}: data row {i + 1}: feature f{j} is {float(data[i, j + 1])!r}, not finite")
     check_timestamps(data[:, 0], f"{path}: data row")
     return data[:, 0], data[:, 1:]
 

@@ -1,4 +1,5 @@
 import json
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hierstream.detector import Emission, read_emissions, write_emissions
 from hierstream.runner import mock_describer
 from hierstream.scoring.rnn import ScorerConfig, ScorerModel, infer_scores
 from hierstream.scoring.streams import read_features, read_scores
+from test_describer import _StubHandler, chat_reply, stub_server  # noqa: F401 (a fixture)
 
 DATA = Path(__file__).parent / "data"
 
@@ -95,6 +97,41 @@ class TestDescribe:
         for jsonl in out.glob("*.jsonl"):
             for e in read_emissions(jsonl):
                 assert e.instance.description
+
+
+def echo_answer(body):
+    """A stub reply that depends on everything the request carries, so a
+    reply given to the wrong video or instance changes the outputs."""
+    parts = body["messages"][0]["content"]
+    urls = [part["image_url"]["url"] for part in parts[1:]]
+    text = f"{len(urls)} frames from {urls[0] if urls else '-'}, prompt {zlib.crc32(parts[0]['text'].encode()):08x}"
+    return 200, chat_reply(
+        f"Answer:\nshort form response: {text}\n"
+        f"long form response (before revision): {text}\n"
+        f"long form response (after revision): {text}, revised"
+    )
+
+
+def http_args(url, inflight):
+    return ["--describer", "http", "--image-mode", "url", "--endpoint", url,
+            "--max-inflight", inflight]
+
+
+class TestHttpDescribe:
+    def test_same_outputs_at_any_inflight(self, tmp_path, stub_server):
+        corpus = tmp_path / "corpus"
+        assert run("simulate", "--seed", 8, "--videos", 4, "--out", corpus) == 0
+        _StubHandler.answer = echo_answer
+        outputs = []
+        for inflight in (1, 4):
+            out = tmp_path / f"inflight{inflight}"
+            assert run("describe", "--scores", corpus / "scores", *http_args(stub_server, inflight),
+                       "--out", out) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.glob("*.json*") if p.name != "run_config.json"})
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) == 4 + 1  # emissions per video, and goals.json
+        goals = json.loads(outputs[0]["goals.json"])
+        assert all("frames from" in g for g in goals.values())
 
 
 class TestE2E:
@@ -188,6 +225,22 @@ class TestErrors:
             assert run(command, "--scores", tmp_path / "nope", "--out", out) == 2
             assert not (out / "failures.json").exists()
 
+    @pytest.mark.parametrize("command", ["detect", "describe"])
+    def test_empty_scores_directory_is_a_data_error(self, tmp_path, capsys, command):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert run(command, "--scores", empty, "--out", tmp_path / "out") == 2
+        assert f"{empty}: no *.csv" in capsys.readouterr().err
+
+    def test_jobs_is_not_an_option(self, tmp_path):
+        out = tmp_path / "out"
+        for command in ("detect", "describe"):
+            assert run(command, "--scores", tmp_path, "--jobs", 2, "--out", out) == 1
+        assert run("e2e", "--jobs", 2, "--out", out) == 1
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"jobs": 2}))
+        assert run("e2e", "--config", cfg_path, "--out", out) == 2
+
     def test_out_of_range_evaluation_parameters(self, tmp_path):
         corpus, pred_dir = identity_predictions(tmp_path)
         base = ["evaluate", "--annotations", corpus / "annotations.jsonl", "--pred", pred_dir,
@@ -228,55 +281,88 @@ def failing_on(last_ts):
     return describe
 
 
-def corpus_with_failing_video(tmp_path, monkeypatch, seed):
-    """A 3-video corpus and a describer that fails on its second video."""
+def frame_times(body):
+    """Stream times of the frames a describer request carries (``frame@<t>``)."""
+    parts = body["messages"][0]["content"][1:]
+    return [float(part["image_url"]["url"].split("@")[1]) for part in parts]
+
+
+def corpus_with_failing_video(tmp_path, monkeypatch, seed, path, url):
+    """A 3-video corpus, the id of one video whose describer calls fail, and
+    the extra arguments that select the describer.
+
+    ``mock``: the mock describer, one video at a time, raising on the second
+    video's goal call. ``http``: the stub endpoint, two videos at a time,
+    answering 400 to any request with a frame later than the other videos'
+    last frames, so only the longest video fails.
+    """
     corpus = tmp_path / "corpus"
     assert run("simulate", "--seed", seed, "--videos", 3, "--out", corpus) == 0
     ids = [a.video_id for a in read_annotations(corpus / "annotations.jsonl")]
     last = {vid: read_scores(corpus / "scores" / f"{vid}.csv")[-1].timestamp for vid in ids}
     assert len(set(last.values())) == len(ids)
-    monkeypatch.setattr(cli, "_make_describe_fn", lambda args: failing_on(last[ids[1]]))
-    return corpus, ids
+    if path == "mock":
+        monkeypatch.setattr(cli, "_make_describe_fn", lambda args: failing_on(last[ids[1]]))
+        return corpus, ids, ids[1], []
+    failing = max(ids, key=last.get)
+    cutoff = max(t for vid, t in last.items() if vid != failing)
+    (longest,) = [a for a in read_annotations(corpus / "annotations.jsonl") if a.video_id == failing]
+    assert any(i.interval.start > cutoff for i in longest.instances)  # so a request has such a frame
+    _StubHandler.answer = lambda body: (
+        (400, {"error": "endpoint down"}) if max(frame_times(body), default=0.0) > cutoff
+        else (200, chat_reply("Answer: done"))
+    )
+    return corpus, ids, failing, http_args(url, 2)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+FAILURE_TYPE = {"mock": "TransportError", "http": "ClientError"}
+E2E_SEED = {"mock": 7, "http": 8}  # seed 7's longest video starts no instance after the others end
+
+
 class TestPartialFailure:
-    def test_describe_finishes_other_videos(self, tmp_path, monkeypatch, jobs):
-        corpus, ids = corpus_with_failing_video(tmp_path, monkeypatch, seed=4)
+    @pytest.mark.parametrize("path", ["mock", "http"])
+    def test_describe_finishes_other_videos(self, tmp_path, monkeypatch, stub_server, path):
+        corpus, ids, failing, args = corpus_with_failing_video(tmp_path, monkeypatch, 4, path, stub_server)
         out = tmp_path / "described"
-        code = run("describe", "--scores", corpus / "scores", "--jobs", jobs, "--out", out)
+        code = run("describe", "--scores", corpus / "scores", *args, "--out", out)
         assert code == EXIT_PARTIAL
         failures = json.loads((out / "failures.json").read_text())
-        assert list(failures) == [ids[1]]
-        assert "TransportError: endpoint down" in failures[ids[1]]
-        ok = [ids[0], ids[2]]
+        assert list(failures) == [failing]
+        assert failures[failing].startswith(f"{FAILURE_TYPE[path]}: ")
+        assert "endpoint down" in failures[failing]
+        ok = [vid for vid in ids if vid != failing]
         assert sorted(p.stem for p in out.glob("*.jsonl")) == ok
         assert sorted(json.loads((out / "goals.json").read_text())) == ok
 
-    def test_e2e_writes_no_report(self, tmp_path, monkeypatch, jobs):
+    @pytest.mark.parametrize("path", ["mock", "http"])
+    def test_e2e_writes_no_report(self, tmp_path, monkeypatch, stub_server, path):
         out = tmp_path / "e2e"
-        assert run("e2e", "--seed", 7, "--videos", 3, "--out", out) == 0
+        seed = E2E_SEED[path]
+        assert run("e2e", "--seed", seed, "--videos", 3, "--out", out) == 0
         assert (out / "report.json").exists() and not (out / "failures.json").exists()
-        _, ids = corpus_with_failing_video(tmp_path, monkeypatch, seed=7)
+        _, ids, failing, args = corpus_with_failing_video(tmp_path, monkeypatch, seed, path, stub_server)
         for p in (out / "emissions").glob("*.jsonl"):
             p.unlink()
-        assert run("e2e", "--seed", 7, "--videos", 3, "--jobs", jobs, "--out", out) == EXIT_PARTIAL
+        assert run("e2e", "--seed", seed, "--videos", 3, *args, "--out", out) == EXIT_PARTIAL
         assert not (out / "report.json").exists()  # the earlier run's is gone too
-        assert list(json.loads((out / "failures.json").read_text())) == [ids[1]]
-        assert sorted(p.stem for p in (out / "emissions").glob("*.jsonl")) == [ids[0], ids[2]]
+        assert list(json.loads((out / "failures.json").read_text())) == [failing]
+        assert sorted(p.stem for p in (out / "emissions").glob("*.jsonl")) == sorted(
+            vid for vid in ids if vid != failing)
         monkeypatch.undo()
-        assert run("e2e", "--seed", 7, "--videos", 3, "--out", out) == 0
+        assert run("e2e", "--seed", seed, "--videos", 3, "--out", out) == 0
         assert (out / "report.json").exists() and not (out / "failures.json").exists()
 
-    def test_detect_finishes_past_unreadable_stream(self, tmp_path, jobs):
+    @pytest.mark.parametrize("bad", [1, 2])  # 1-based position of the unreadable stream
+    def test_detect_finishes_past_unreadable_stream(self, tmp_path, bad):
         corpus = tmp_path / "corpus"
         assert run("simulate", "--seed", 5, "--videos", 3, "--out", corpus) == 0
         paths = sorted((corpus / "scores").glob("*.csv"))
-        with open(paths[0], "a") as fh:
+        broken = paths[bad - 1]
+        with open(broken, "a") as fh:
             fh.write("not,a,row\n")
         out = tmp_path / "emissions"
-        assert run("detect", "--scores", corpus / "scores", "--jobs", jobs, "--out", out) == EXIT_PARTIAL
+        assert run("detect", "--scores", corpus / "scores", "--out", out) == EXIT_PARTIAL
         failures = json.loads((out / "failures.json").read_text())
-        assert list(failures) == [paths[0].stem]
-        assert "ValueError" in failures[paths[0].stem]
-        assert sorted(p.stem for p in out.glob("*.jsonl")) == [p.stem for p in paths[1:]]
+        assert list(failures) == [broken.stem]
+        assert "ValueError" in failures[broken.stem]
+        assert sorted(p.stem for p in out.glob("*.jsonl")) == [p.stem for p in paths if p != broken]

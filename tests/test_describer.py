@@ -1,10 +1,11 @@
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from hierstream._http import HttpLimits, TransportError
+from hierstream._http import API_KEY_ENV, ClientError, HttpLimits, TransportError
 from hierstream.core import HierarchyLevel, Interval
 from hierstream.describer.http import DescriberEndpoint, HttpDescriber, build_chat_payload
 from hierstream.describer.mock import mock_describe
@@ -21,6 +22,8 @@ from hierstream.describer.responses import (
     parse_response,
 )
 from hierstream.memory import FrameRef, RetrievalBundle
+from hierstream.metrics.embedding import HttpEmbedder
+from hierstream.pipeline.clients import HttpChatClient
 
 SUB = HierarchyLevel.SUBSTEP
 STEP = HierarchyLevel.STEP
@@ -150,14 +153,18 @@ class TestMockDescriber:
 # ----------------------------------------------------------------------
 
 class _StubHandler(BaseHTTPRequestHandler):
-    script: list = []  # (status, body) tuples consumed in order
+    script: list = []  # (status, body) tuples consumed in order; bytes bodies go out raw
+    answer = None  # once the script is empty: a function of the request body giving (status, body)
     requests_seen: list = []
+    headers_seen: list = []
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
-        _StubHandler.requests_seen.append(json.loads(self.rfile.read(length)))
-        status, body = _StubHandler.script.pop(0)
-        payload = json.dumps(body).encode()
+        body = json.loads(self.rfile.read(length))
+        _StubHandler.requests_seen.append(body)
+        _StubHandler.headers_seen.append(dict(self.headers))
+        status, reply = _StubHandler.script.pop(0) if _StubHandler.script else _StubHandler.answer(body)
+        payload = reply if isinstance(reply, bytes) else json.dumps(reply).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -171,12 +178,15 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def stub_server():
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     _StubHandler.script = []
+    _StubHandler.answer = None
     _StubHandler.requests_seen = []
+    _StubHandler.headers_seen = []
     yield f"http://127.0.0.1:{server.server_port}/v1"
     server.shutdown()
+    server.server_close()
 
 
 def chat_reply(text):
@@ -237,6 +247,118 @@ class TestHttpDescriber:
         with pytest.raises(TransportError):
             describer.describe(build_request(bundle(SUB)))
         assert describer.stats.requests == 1
+
+
+# ----------------------------------------------------------------------
+# the one HTTP path, shared by the describer, the embedder and the chat client
+# ----------------------------------------------------------------------
+
+def embeddings_reply(n):
+    return {"data": [{"index": i, "embedding": [1.0, float(i)]} for i in range(n)]}
+
+
+# name -> (build(url, limits), one call, a good reply, a malformed reply, what
+# the malformed reply raises once retries run out)
+CLIENTS = {
+    "describer": (
+        lambda url, limits: HttpDescriber(DescriberEndpoint(url, "stub-model", image_mode="url"), limits),
+        lambda client: client.describe(build_request(bundle(SUB))),
+        chat_reply(WELL_FORMED), chat_reply("garbage"), DescribeParseError,
+    ),
+    "embedder": (
+        lambda url, limits: HttpEmbedder(url, "stub-model", limits),
+        lambda client: client.embed(["one text"]),
+        embeddings_reply(1), embeddings_reply(2), ValueError,
+    ),
+    "chat": (
+        lambda url, limits: HttpChatClient(url, "stub-model", limits),
+        lambda client: client.complete("group these"),
+        chat_reply("ok"), {"choices": []}, TransportError,
+    ),
+}
+
+
+@pytest.fixture(params=sorted(CLIENTS))
+def remote(request, stub_server):
+    """(client, call, good reply, malformed reply, error type) for each HTTP
+    client, built against the stub with two retries and a short backoff."""
+    build, call, good, bad, error = CLIENTS[request.param]
+    client = build(stub_server, HttpLimits(timeout=5.0, max_retries=2, backoff_base=0.01))
+    return client, lambda: call(client), good, bad, error
+
+
+class TestOneHttpPath:
+    @pytest.mark.parametrize("key", ["sk-test", None])
+    def test_api_key_sent_when_set(self, monkeypatch, stub_server, key):
+        if key:
+            monkeypatch.setenv(API_KEY_ENV, key)
+        else:
+            monkeypatch.delenv(API_KEY_ENV, raising=False)
+        for name in sorted(CLIENTS):
+            build, call, good, _, _ = CLIENTS[name]
+            _StubHandler.script = [(200, good)]
+            call(build(stub_server, HttpLimits()))
+        want = [f"Bearer {key}" if key else None] * len(CLIENTS)
+        assert [h.get("Authorization") for h in _StubHandler.headers_seen] == want
+
+    def test_5xx_retried_and_counted(self, remote):
+        client, call, good, _, _ = remote
+        _StubHandler.script = [(500, {}), (503, {}), (200, good)]
+        call()
+        assert (client._client.stats.requests, client._client.stats.retries) == (3, 2)
+
+    def test_malformed_reply_retried_then_raised(self, remote):
+        client, call, good, bad, error = remote
+        _StubHandler.script = [(200, bad), (200, good)]
+        call()
+        assert client._client.stats.retries == 1
+        _StubHandler.script = [(200, bad)] * 3
+        with pytest.raises(error) as err:
+            call()
+        # A ValueError is the reply's content (exit 2); anything else is transport (exit 3).
+        assert isinstance(err.value, ValueError) != isinstance(err.value, TransportError)
+        assert client._client.stats.requests == 2 + 3
+
+    def test_body_not_json_retried_then_transport(self, remote):
+        client, call, good, _, _ = remote
+        _StubHandler.script = [(200, b"<html>busy</html>"), (200, good)]
+        call()
+        _StubHandler.script = [(200, b"<html>busy</html>")] * 3
+        with pytest.raises(TransportError):
+            call()
+        assert client._client.stats.retries == 1 + 2
+
+    def test_4xx_sent_once(self, remote):
+        client, call, _, _, _ = remote
+        _StubHandler.script = [(401, {"error": "bad key"})]
+        with pytest.raises(ClientError, match="401"):
+            call()
+        assert client._client.stats.requests == 1
+
+    def test_stats_count_every_request_across_threads(self, stub_server):
+        client = HttpChatClient(stub_server, "stub-model", HttpLimits(max_inflight=8))
+        _StubHandler.answer = lambda body: (200, chat_reply("ok"))
+        threads = [
+            threading.Thread(target=lambda: [client.complete("x") for _ in range(25)])
+            for _ in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert client._client.stats.requests == len(_StubHandler.requests_seen) == 8 * 25
+
+
+@pytest.mark.parametrize("field,value", [("max_retries", -1), ("max_inflight", 0)])
+def test_limits_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        HttpLimits(**{field: value})
 
 
 def test_base64_mode_requires_readable_file(tmp_path):

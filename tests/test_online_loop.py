@@ -98,6 +98,34 @@ def test_runner_rejects_bad_timestamp(timestamps, why):
     assert all(level != HierarchyLevel.GOAL for level, _ in calls)
 
 
+def frames_with_state(state):
+    """Four valid frames, the third carrying ``state`` as its state distribution."""
+    frames = frames_at((0.0, 1.0, 2.0, 3.0))
+    ok = frames[2]
+    frames[2] = FrameScores(2.0, np.array(state), ok.step_progress_dist, ok.substep_progress_dist)
+    return frames
+
+
+NAN_STATES = [
+    ((math.nan,) * 3, "frame at t=2.0: SUBSTEP actionness nan is not finite"),
+    ((0.5, math.nan, 0.5), "frame at t=2.0: STEP actionness nan is not finite"),
+]
+
+
+@pytest.mark.parametrize("state,why", NAN_STATES, ids=["all-nan", "step-nan"])
+def test_run_stream_rejects_nan_actionness(state, why):
+    with pytest.raises(ValueError, match=why):
+        run_stream(frames_with_state(state))
+
+
+@pytest.mark.parametrize("state,why", NAN_STATES, ids=["all-nan", "step-nan"])
+def test_runner_rejects_nan_actionness(state, why):
+    calls = []
+    with pytest.raises(ValueError, match=why):
+        run_described_stream(frames_with_state(state), counting(calls))
+    assert all(level != HierarchyLevel.GOAL for level, _ in calls)
+
+
 # ----------------------------------------------------------------------
 # properties on random valid score streams
 # ----------------------------------------------------------------------

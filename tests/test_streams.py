@@ -157,6 +157,14 @@ class TestMalformedRows:
         with pytest.raises(ValueError, match=re.escape(want.split("data row 3: ")[1])):
             row_read_scores(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_cell(self, tmp_path, cell):
+        path = tmp_path / "features.csv"
+        write_random_features(path, np.random.default_rng(4))
+        _edit_row(path, 3, lambda cells: cells[:2] + [cell] + cells[3:])
+        with pytest.raises(ValueError, match=f"features.csv: data row 3: feature f1 is {cell}, not finite"):
+            read_features(path)
+
     def test_distribution_checked_before_timestamps(self, tmp_path):
         path = tmp_path / "scores.csv"
         ok = (np.array([0.2, 0.3, 0.5]), np.full(10, 0.1), np.full(10, 0.1))

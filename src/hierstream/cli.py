@@ -24,9 +24,9 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from ._http import HttpLimits, TransportError
+from ._http import CallStats, HttpLimits, TransportError
 from .core import FrameScores, read_annotations, validate_annotations, write_annotations
-from .describer.http import DescriberEndpoint
+from .describer.http import DescriberEndpoint, HttpDescriber
 from .detector import DetectorConfig, read_emissions, write_emissions
 from .metrics.embedding import HashedBagOfWordsEmbedder, HttpEmbedder
 from .pipeline import (
@@ -40,7 +40,7 @@ from .pipeline import (
     propose_grouping,
 )
 from .report import evaluate_corpus
-from .runner import http_describer, mock_describer, run_described_stream
+from .runner import mock_describer, run_described_stream
 from .scoring.histogram import HistogramConfig
 from .scoring.losses import softmax
 from .scoring.rnn import ScorerConfig, ScorerModel
@@ -67,6 +67,16 @@ def _dump_json(data, path: Path) -> None:
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_http_stats(path: Path, **clients) -> None:
+    """Request and retry counts of the ``clients`` that call over HTTP, apart
+    from the report; with none, an earlier run's file is removed."""
+    stats = {k: vars(c.stats) for k, c in clients.items() if isinstance(getattr(c, "stats", None), CallStats)}
+    if stats:
+        _dump_json(stats, path)
+    else:
+        path.unlink(missing_ok=True)
 
 
 def _echo_config(args: argparse.Namespace, outdir: Path) -> None:
@@ -270,14 +280,16 @@ def _make_describe_fn(args):
     )
     limits = HttpLimits(timeout=args.timeout, max_retries=args.max_retries,
                         max_inflight=args.max_inflight)
-    return http_describer(endpoint, limits)
+    return HttpDescriber(endpoint, limits)
 
 
 def cmd_describe(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    results, failures = _run_videos(args, _score_streams(args), outdir, _make_describe_fn(args))
+    describe = _make_describe_fn(args)
+    results, failures = _run_videos(args, _score_streams(args), outdir, describe)
     _dump_json({vid: r.goal_text for vid, r in results.items()}, outdir / "goals.json")
+    _write_http_stats(outdir / "http_stats.json", describer=describe)
     _echo_config(args, outdir)
     print(f"described {len(results)} streams into {outdir}")
     return EXIT_PARTIAL if failures else EXIT_OK
@@ -307,13 +319,14 @@ def cmd_evaluate(args) -> int:
         emissions_by_video[annotations[0].video_id] = only
         goals = None
     thresholds = [float(t) for t in args.tiou.split(",")]
+    embedder = _make_embedder(args)
     report = evaluate_corpus(
         annotations,
         emissions_by_video,
         goals_by_video=goals,
         thresholds=thresholds,
         k=args.topk,
-        embedder=_make_embedder(args),
+        embedder=embedder,
         aedt_threshold=args.aedt_tiou,
     )
     if args.report == "json" or args.out:
@@ -321,6 +334,7 @@ def cmd_evaluate(args) -> int:
         if args.out:
             Path(args.out).parent.mkdir(parents=True, exist_ok=True)
             Path(args.out).write_text(payload + "\n")
+            _write_http_stats(Path(args.out).with_suffix(".http_stats.json"), embedder=embedder)
         else:
             print(payload)
     if args.report == "table":
@@ -371,8 +385,8 @@ def cmd_pipeline(args) -> int:
         ))
         all_steps.extend(proposal.step_descriptions)
 
+    embedder = _make_embedder(args) if args.k else None
     if args.k:
-        embedder = _make_embedder(args)
         k = min(args.k, len(set(all_steps)))
         result = kmeans_canonicalize(all_steps, k, embedder, caption_client, seed=args.seed)
         replacement = {desc: result.representatives[c]
@@ -402,6 +416,7 @@ def cmd_pipeline(args) -> int:
         },
         outdir / "consistency.json",
     )
+    _write_http_stats(outdir / "http_stats.json", chat=client, embedder=embedder)
     _echo_config(args, outdir)
     print(f"grouped {len(hierarchical)} videos into {outdir}")
     return EXIT_OK
@@ -428,15 +443,18 @@ def cmd_e2e(args) -> int:
 
     emissions_dir = outdir / "emissions"
     emissions_dir.mkdir(exist_ok=True)
-    results, failures = _run_videos(args, videos, emissions_dir, _make_describe_fn(args))
+    describe = _make_describe_fn(args)
+    results, failures = _run_videos(args, videos, emissions_dir, describe)
     goals = {vid: r.goal_text for vid, r in results.items()}
     _dump_json(goals, emissions_dir / "goals.json")
     _echo_config(args, outdir)
     if failures:
+        _write_http_stats(outdir / "http_stats.json", describer=describe)
         (outdir / "report.json").unlink(missing_ok=True)  # from an earlier run
         print(f"{len(failures)} of {len(videos)} videos failed; no report written", file=sys.stderr)
         return EXIT_PARTIAL
 
+    embedder = _make_embedder(args)
     thresholds = [float(t) for t in args.tiou.split(",")]
     report = evaluate_corpus(
         annotations,
@@ -444,9 +462,10 @@ def cmd_e2e(args) -> int:
         goals_by_video=goals,
         thresholds=thresholds,
         k=args.topk,
-        embedder=_make_embedder(args),
+        embedder=embedder,
         aedt_threshold=args.aedt_tiou,
     )
+    _write_http_stats(outdir / "http_stats.json", describer=describe, embedder=embedder)
     _dump_json(report, outdir / "report.json")
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
@@ -495,7 +514,7 @@ def _add_describer_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--describer", choices=("mock", "http"), default="mock")
     p.add_argument("--endpoint", default="http://localhost:8000/v1")
     p.add_argument("--model-name", default="default")
-    p.add_argument("--image-mode", choices=("base64", "url"), default="base64")
+    p.add_argument("--image-mode", choices=("base64", "url"), default="url")  # handles are labels, not files
     p.add_argument("--timeout", type=float, default=30.0)
     p.add_argument("--max-retries", type=int, default=3)
     p.add_argument("--max-inflight", type=int, default=4,

@@ -39,16 +39,14 @@ STATE_NAMES = ("bg", "step", "stepsub")
 
 @dataclass(frozen=True)
 class Interval:
-    """Half-open-by-convention time span in seconds; start <= end enforced."""
+    """Half-open-by-convention time span in seconds; finite, 0 <= start <= end."""
 
     start: float
     end: float
 
     def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError(f"interval start must be >= 0, got {self.start}")
-        if self.start > self.end:
-            raise ValueError(f"interval start {self.start} > end {self.end}")
+        if not 0 <= self.start <= self.end < math.inf:  # NaN fails too
+            raise ValueError(f"interval [{self.start}, {self.end}] is not finite with 0 <= start <= end")
 
     @property
     def length(self) -> float:
@@ -101,10 +99,14 @@ class FrameScores:
     substep_progress_dist: np.ndarray
 
     def __post_init__(self) -> None:
+        # Readers hand in read-only float64 row views: leave those untouched.
         for name in ("state_probs", "step_progress_dist", "substep_progress_dist"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            arr = getattr(self, name)
+            if type(arr) is not np.ndarray or arr.dtype != np.float64:
+                arr = np.asarray(arr, dtype=np.float64)
+                object.__setattr__(self, name, arr)
+            if arr.flags.writeable:
+                arr.setflags(write=False)
 
     def validate(self) -> list[str]:
         problems = []
@@ -244,7 +246,9 @@ def read_annotations(path) -> list[AnnotationSet]:
 
 
 def frame_timestamps(duration: float, fps: float) -> np.ndarray:
-    """Frame grid for a video: one frame per 1/fps step, final frame at the
-    stream end included."""
+    """Frame grid for a video: one frame per 1/fps step, up to and including
+    the last one not after the duration (the stream end, when on the grid)."""
     n = int(round(duration * fps))
+    if n / fps > duration:  # an off-grid duration: stop before it
+        n -= 1
     return np.arange(n + 1, dtype=np.float64) / fps

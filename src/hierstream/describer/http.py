@@ -13,7 +13,7 @@ import mimetypes
 import os
 from dataclasses import dataclass
 
-from .._http import CallStats, HttpLimits, JsonHttpClient
+from .._http import HttpLimits, JsonHttpClient
 from .responses import DescribeRequest, DescriberResponse, parse_response
 
 
@@ -54,10 +54,11 @@ class HttpDescriber:
     def __init__(self, endpoint: DescriberEndpoint, limits: HttpLimits = HttpLimits()):
         self.endpoint = endpoint
         self._client = JsonHttpClient(endpoint.base_url, limits)
+        self.stats = self._client.stats
 
-    @property
-    def stats(self) -> CallStats:
-        return self._client.stats
+    def __call__(self, _bundle, request: DescribeRequest) -> DescriberResponse:
+        """The online loop's describe function; the request carries the bundle."""
+        return self.describe(request)
 
     def describe(self, request: DescribeRequest) -> DescriberResponse:
         return self._client.post_json(

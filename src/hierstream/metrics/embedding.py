@@ -49,6 +49,7 @@ class HttpEmbedder:
     def __init__(self, base_url: str, model: str, limits: HttpLimits = HttpLimits()):
         self.model = model
         self._client = JsonHttpClient(base_url, limits)
+        self.stats = self._client.stats
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         def parse(reply) -> np.ndarray:

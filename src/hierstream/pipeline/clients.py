@@ -65,6 +65,7 @@ class HttpChatClient:
     def __init__(self, base_url: str, model: str, limits: HttpLimits = HttpLimits()):
         self.model = model
         self._client = JsonHttpClient(base_url, limits)
+        self.stats = self._client.stats
 
     def complete(self, prompt: str) -> str:
         return self._client.post_json("/chat/completions", {

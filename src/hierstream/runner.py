@@ -14,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from ._http import HttpLimits
 from .core import ActionInstance, FrameScores, HierarchyLevel, Interval
-from .describer.http import DescriberEndpoint, HttpDescriber
 from .describer.mock import mock_describe
 from .describer.responses import DescribeRequest, DescriberResponse, build_request
 from .detector import DetectorConfig, Emission, EventKind, StreamDetector
@@ -28,11 +26,6 @@ DescribeFn = Callable[[RetrievalBundle, DescribeRequest], DescriberResponse]
 
 def mock_describer() -> DescribeFn:
     return lambda bundle, _request: mock_describe(bundle)
-
-
-def http_describer(endpoint: DescriberEndpoint, limits: HttpLimits) -> DescribeFn:
-    client = HttpDescriber(endpoint, limits)
-    return lambda _bundle, request: client.describe(request)
 
 
 @dataclass

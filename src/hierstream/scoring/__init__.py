@@ -1,15 +1,15 @@
-from .histogram import HistogramConfig, histogram_expectation, histogram_target
+from .histogram import HistogramConfig, histogram_expectation, histogram_target, histogram_targets
 from .losses import log_softmax, soft_cross_entropy, softmax
 from .rnn import ScorerConfig, ScorerModel, infer_scores
-from .targets import progress_target, state_target
+from .targets import frame_targets
 from .train import build_frame_targets, train_scorer
 
 __all__ = [
     "HistogramConfig",
     "histogram_target",
+    "histogram_targets",
     "histogram_expectation",
-    "progress_target",
-    "state_target",
+    "frame_targets",
     "softmax",
     "log_softmax",
     "soft_cross_entropy",

@@ -44,21 +44,24 @@ class HistogramConfig:
         return centers
 
 
-def _norm_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+def histogram_targets(p: np.ndarray, cfg: HistogramConfig = HistogramConfig()) -> np.ndarray:
+    """Soft histogram targets, one row per progress value in [0, 1]."""
+    p = np.asarray(p, dtype=np.float64)
+    bad = ~((p >= 0.0) & (p <= 1.0))  # NaN is bad too
+    if bad.any():
+        raise ValueError(f"progress must lie in [0, 1], got {p[bad][0]}")
+    x = (cfg.edges - p[:, None]) / cfg.sigma / math.sqrt(2.0)
+    erf = np.array([math.erf(v) for v in x.ravel().tolist()]).reshape(x.shape)  # numpy has no erf
+    mass = np.diff(0.5 * (1.0 + erf), axis=1)
+    total = mass.sum(axis=1, keepdims=True)
+    if not (total > 0).all():
+        raise ValueError("degenerate histogram target: no mass on [0, 1]")
+    return mass / total
 
 
 def histogram_target(p: float, cfg: HistogramConfig = HistogramConfig()) -> np.ndarray:
     """Soft histogram target for progress p in [0, 1]."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"progress must lie in [0, 1], got {p}")
-    edges = cfg.edges
-    cdf = np.array([_norm_cdf((e - p) / cfg.sigma) for e in edges])
-    mass = np.diff(cdf)
-    total = mass.sum()
-    if total <= 0:
-        raise ValueError("degenerate histogram target: no mass on [0, 1]")
-    return mass / total
+    return histogram_targets(np.array([p], dtype=np.float64), cfg)[0]
 
 
 def histogram_expectation(dist: np.ndarray, cfg: HistogramConfig = HistogramConfig()) -> float:

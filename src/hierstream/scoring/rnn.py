@@ -4,9 +4,9 @@ linear heads (state class, step progress, substep progress).
 All math is plain numpy with hand-written backpropagation; no autodiff.
 The forward pass is strictly causal, so scores for frame t depend only on
 frames 0..t and inference over a prefix equals the prefix of full-sequence
-inference exactly. Forward stays per frame (matvecs) because GEMM rows can
-round differently from them, which would break that bit identity; backward
-is layer-major, with one GEMM per weight gradient and window.
+inference exactly. Forward runs layer by layer (weights stay in cache) but
+one matvec per frame, since GEMM rows can round differently and break that
+bit identity; backward is layer-major, with one GEMM per weight gradient.
 """
 
 from __future__ import annotations
@@ -73,6 +73,11 @@ def _unpickle_array(archive, member: str) -> np.ndarray:
     return arr
 
 
+def _cell(wx: np.ndarray, wh: np.ndarray, b: np.ndarray, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """One recurrent layer at one frame: its new hidden state."""
+    return np.tanh(wx @ x + wh @ h + b)
+
+
 class ScorerModel:
     """Parameter container plus forward/backward passes.
 
@@ -84,6 +89,8 @@ class ScorerModel:
     def __init__(self, cfg: ScorerConfig, params: dict[str, np.ndarray]):
         self.cfg = cfg
         self.params = params
+        # Parameter names per layer, formatted once: step() runs per frame.
+        self._layer_keys = [(f"wx{i}", f"wh{i}", f"b{i}") for i in range(cfg.recurrent_layers)]
 
     # ------------------------------------------------------------------
     # construction / io
@@ -150,19 +157,24 @@ class ScorerModel:
     ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
         """One frame: features and per-layer hidden states in; new hidden
         states and the state, step and substep logits out. :meth:`forward`
-        loops over this, so streamed and batch scores agree bit for bit
-        (heads too: batched matmuls can round differently per length)."""
+        runs the same per-frame arithmetic (``_cell``, ``_heads``), so
+        streamed and batch scores agree bit for bit (heads too: batched
+        matmuls can round differently per length)."""
         p, inp, h_new = self.params, x, []
-        for layer in range(self.cfg.recurrent_layers):
-            inp = np.tanh(p[f"wx{layer}"] @ inp + p[f"wh{layer}"] @ h[layer] + p[f"b{layer}"])
+        for h_prev, (wx, wh, b) in zip(h, self._layer_keys, strict=True):
+            inp = _cell(p[wx], p[wh], p[b], inp, h_prev)
             h_new.append(inp)
-        return (h_new, p["w_state"] @ inp + p["b_state"],
-                p["w_step"] @ inp + p["b_step"], p["w_sub"] @ inp + p["b_sub"])
+        return (h_new, *self._heads(inp))
+
+    def _heads(self, top: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        p = self.params
+        return (p["w_state"] @ top + p["b_state"],
+                p["w_step"] @ top + p["b_step"], p["w_sub"] @ top + p["b_sub"])
 
     def forward(
         self, features: np.ndarray, h0: list[np.ndarray] | None = None
     ) -> dict[str, np.ndarray]:
-        """Run :meth:`step` over a (T, D) feature window.
+        """Run :meth:`step`'s arithmetic over a (T, D) feature window, layer by layer.
 
         Returns a cache holding hidden states and head logits; the cache
         feeds both inference and the backward pass.
@@ -175,19 +187,26 @@ class ScorerModel:
         T = features.shape[0]
         L, H = self.cfg.recurrent_layers, self.cfg.hidden_dim
         h = [np.array(x, dtype=np.float64) for x in (h0 or self.zero_state())]
+        if len(h) != L:
+            raise ValueError(f"expected {L} hidden states, got {len(h)}")
         hs = np.zeros((L, T, H))
         bins = self.cfg.histogram.bins
         state_logits = np.zeros((T, 3))
         step_logits = np.zeros((T, bins))
         sub_logits = np.zeros((T, bins))
+        p, inp, h_last = self.params, features, []
+        for prev, (wx, wh, b), out in zip(h, self._layer_keys, hs):
+            wx, wh, b = p[wx], p[wh], p[b]
+            for t in range(T):
+                prev = out[t] = _cell(wx, wh, b, inp[t], prev)
+            h_last.append(prev)
+            inp = out
         for t in range(T):
-            h, state_logits[t], step_logits[t], sub_logits[t] = self.step(features[t], h)
-            for layer in range(L):
-                hs[layer, t] = h[layer]
+            state_logits[t], step_logits[t], sub_logits[t] = self._heads(inp[t])
         return {
             "features": features,
             "hidden": hs,
-            "h_last": h,
+            "h_last": h_last,
             "state_logits": state_logits,
             "step_logits": step_logits,
             "sub_logits": sub_logits,

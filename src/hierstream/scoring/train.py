@@ -9,40 +9,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import AnnotationSet, HierarchyLevel, frame_timestamps
-from .histogram import histogram_target
+from ..core import AnnotationSet, frame_timestamps
 from .rnn import ScorerConfig, ScorerModel
-from .targets import instance_at, progress_target, state_target
+from .targets import frame_targets
 
 
 def build_frame_targets(a: AnnotationSet, cfg: ScorerConfig) -> dict[str, np.ndarray]:
     """Per-frame training targets for one video at its fps grid."""
     ts = frame_timestamps(a.duration, a.fps)
-    T = len(ts)
-    bins = cfg.histogram.bins
-    state = np.zeros(T, dtype=np.int64)
-    step_target = np.zeros((T, bins))
-    sub_target = np.zeros((T, bins))
-    step_mask = np.zeros(T, dtype=bool)
-    sub_mask = np.zeros(T, dtype=bool)
-    for t_idx, t in enumerate(ts):
-        state[t_idx] = state_target(t, a)
-        for level, mask, target in (
-            (HierarchyLevel.STEP, step_mask, step_target),
-            (HierarchyLevel.SUBSTEP, sub_mask, sub_target),
-        ):
-            iv = instance_at(t, a, level)
-            if iv is not None and iv.end > iv.start:
-                mask[t_idx] = True
-                target[t_idx] = histogram_target(progress_target(t, iv), cfg.histogram)
-    return {
-        "timestamps": ts,
-        "state": state,
-        "step_target": step_target,
-        "step_mask": step_mask,
-        "sub_target": sub_target,
-        "sub_mask": sub_mask,
-    }
+    targets = frame_targets(a, ts, cfg.histogram)
+    keys = ("state", "step_target", "step_mask", "sub_target", "sub_mask")
+    return {"timestamps": ts, **{k: targets[k] for k in keys}}
 
 
 class AdamW:

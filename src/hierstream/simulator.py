@@ -18,12 +18,13 @@ import numpy as np
 from .core import (
     ActionInstance,
     AnnotationSet,
+    FrameScores,
     HierarchyLevel,
     Interval,
     frame_timestamps,
 )
-from .scoring.histogram import HistogramConfig, histogram_target
-from .scoring.targets import instance_at, progress_target, state_target
+from .scoring.histogram import HistogramConfig
+from .scoring.targets import frame_targets
 
 _VERBS = ("chop", "rinse", "stir", "grill", "peel", "whisk", "knead", "slice",
           "measure", "drain", "toast", "simmer")
@@ -155,12 +156,12 @@ def gen_annotations(cfg: SimConfig) -> list[AnnotationSet]:
     return out
 
 
-def _noisy_softmax(logits: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    if sigma > 0:
-        logits = logits + rng.normal(0.0, sigma, logits.shape)
-    shifted = logits - logits.max()
+def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(shifted)
-    return probs / probs.sum()
+    probs /= probs.sum(axis=1, keepdims=True)
+    probs.flags.writeable = False  # frames hand out row views
+    return probs
 
 
 def gen_scores(
@@ -175,34 +176,23 @@ def gen_scores(
     State logits put +10 on the true class; progress logits are the log of
     the histogram target. Frames outside a level's instances get a uniform
     progress base. Noise perturbs logits, so distributions stay valid at
-    any sigma.
+    any sigma; each frame draws its step, substep and state noise in turn.
     """
-    from .core import FrameScores
-
     rng = np.random.default_rng([seed, 1, zlib.crc32(a.video_id.encode())])
-    bins = histogram.bins
-    uniform_logits = np.zeros(bins)
-    frames = []
-    for t in frame_timestamps(a.duration, fps):
-        state = state_target(float(t), a)
-        state_logits = np.zeros(3)
-        state_logits[state] = 10.0
-        dists = {}
-        for key, level in (("step", HierarchyLevel.STEP), ("sub", HierarchyLevel.SUBSTEP)):
-            iv = instance_at(float(t), a, level)
-            if iv is not None and iv.end > iv.start:
-                target = histogram_target(progress_target(float(t), iv), histogram)
-                logits = np.log(target + 1e-12)
-            else:
-                logits = uniform_logits
-            dists[key] = _noisy_softmax(logits, noise_sigma, rng)
-        frames.append(FrameScores(
-            timestamp=float(t),
-            state_probs=_noisy_softmax(state_logits, noise_sigma, rng),
-            step_progress_dist=dists["step"],
-            substep_progress_dist=dists["sub"],
-        ))
-    return frames
+    ts = frame_timestamps(a.duration, fps)
+    targets = frame_targets(a, ts, histogram)
+    T, bins = len(ts), histogram.bins
+    step, sub = (np.zeros((T, bins)) for _ in range(2))
+    for key, logits in (("step", step), ("sub", sub)):
+        mask = targets[f"{key}_mask"]
+        logits[mask] = np.log(targets[f"{key}_target"][mask] + 1e-12)
+    state = np.zeros((T, 3))
+    state[np.arange(T), targets["state"]] = 10.0
+    if noise_sigma > 0:
+        noise = rng.normal(0.0, noise_sigma, (T, 2 * bins + 3))
+        step, sub, state = step + noise[:, :bins], sub + noise[:, bins:-3], state + noise[:, -3:]
+    step, sub, state = _softmax_rows(step), _softmax_rows(sub), _softmax_rows(state)
+    return [FrameScores(t, state[i], step[i], sub[i]) for i, t in enumerate(ts.tolist())]
 
 
 # Prototype coordinates per state class in the first two feature dims.
@@ -219,16 +209,11 @@ def gen_features(a: AnnotationSet, cfg: SimConfig, seed: int = 0) -> tuple[np.nd
     elsewhere. Returns (timestamps, features)."""
     rng = np.random.default_rng([seed, 2, zlib.crc32(a.video_id.encode())])
     ts = frame_timestamps(a.duration, cfg.fps)
+    targets = frame_targets(a, ts)
     feats = np.zeros((len(ts), cfg.feature_dim))
-    for idx, t in enumerate(ts):
-        state = state_target(float(t), a)
-        feats[idx, 0:2] = _STATE_PROTOTYPES[state]
-        step_iv = instance_at(float(t), a, HierarchyLevel.STEP)
-        if step_iv is not None and step_iv.end > step_iv.start:
-            feats[idx, 2] = progress_target(float(t), step_iv)
-        sub_iv = instance_at(float(t), a, HierarchyLevel.SUBSTEP)
-        if sub_iv is not None and sub_iv.end > sub_iv.start:
-            feats[idx, 3] = progress_target(float(t), sub_iv)
+    feats[:, 0:2] = _STATE_PROTOTYPES[targets["state"]]
+    feats[:, 2] = targets["step_progress"]
+    feats[:, 3] = targets["sub_progress"]
     if cfg.noise_sigma > 0:
         feats = feats + rng.normal(0.0, cfg.noise_sigma, feats.shape)
     return ts, feats

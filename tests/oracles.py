@@ -2,19 +2,33 @@
 
 These deliberately avoid the library's own algorithms: matching is checked
 by exhaustive enumeration, histogram targets by numeric quadrature,
-gradients by central finite differences, and the CSV readers by the
-row-at-a-time ``csv`` readers they replaced.
+gradients by central finite differences, the CSV readers by the
+row-at-a-time ``csv`` readers they replaced, and frame targets and the
+simulator's streams by the per-timestamp helpers that scanned every
+instance for each frame.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import zlib
 from fractions import Fraction
 
 import numpy as np
 
-from hierstream.core import FrameScores, Interval, check_timestamps
+from hierstream.core import (
+    STATE_BG,
+    STATE_STEP,
+    STATE_STEP_AND_SUBSTEP,
+    AnnotationSet,
+    FrameScores,
+    HierarchyLevel,
+    Interval,
+    check_timestamps,
+    frame_timestamps,
+)
+from hierstream.scoring.histogram import HistogramConfig
 from hierstream.scoring.losses import soft_cross_entropy
 
 
@@ -211,3 +225,130 @@ def row_read_scores(path) -> list[FrameScores]:
             out.append(fs)
     check_timestamps(np.array([fs.timestamp for fs in out]), f"{path}: data row")
     return out
+
+
+# ----------------------------------------------------------------------
+# per-timestamp targets: every instance scanned for every frame
+# ----------------------------------------------------------------------
+
+def progress_target(t: float, iv: Interval) -> float:
+    """Linear progress of timestamp t through interval iv, in [0, 1]."""
+    if iv.end <= iv.start:
+        raise ValueError(f"zero-length interval [{iv.start}, {iv.end}] has no progress")
+    if not iv.start <= t <= iv.end:
+        raise ValueError(f"timestamp {t} outside interval [{iv.start}, {iv.end}]")
+    return (t - iv.start) / (iv.end - iv.start)
+
+
+def _inside(t: float, iv: Interval, duration: float) -> bool:
+    # Half-open [start, end); the final stream frame exactly at an instance
+    # end that coincides with the video end still counts as inside.
+    if iv.start <= t < iv.end:
+        return True
+    return t == iv.end == duration
+
+
+def state_target(t: float, a: AnnotationSet) -> int:
+    """State class for timestamp t: BG, STEP, or STEP_AND_SUBSTEP."""
+    if not 0 <= t <= a.duration:
+        raise ValueError(f"timestamp {t} outside video [0, {a.duration}]")
+    in_substep = any(
+        _inside(t, inst.interval, a.duration)
+        for inst in a.instances
+        if inst.level == HierarchyLevel.SUBSTEP
+    )
+    if in_substep:
+        return STATE_STEP_AND_SUBSTEP
+    in_step = any(
+        _inside(t, inst.interval, a.duration)
+        for inst in a.instances
+        if inst.level == HierarchyLevel.STEP
+    )
+    return STATE_STEP if in_step else STATE_BG
+
+
+def instance_at(t: float, a: AnnotationSet, level: HierarchyLevel) -> Interval | None:
+    """The level's instance interval covering t, or None."""
+    for inst in a.instances:
+        if inst.level == level and _inside(t, inst.interval, a.duration):
+            return inst.interval
+    return None
+
+
+def _norm_cdf(x: float) -> float:
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def scalar_histogram_target(p: float, cfg: HistogramConfig = HistogramConfig()) -> np.ndarray:
+    """``histogram_target`` as it was: one ``math.erf`` per edge, one value."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"progress must lie in [0, 1], got {p}")
+    cdf = np.array([_norm_cdf((e - p) / cfg.sigma) for e in cfg.edges])
+    mass = np.diff(cdf)
+    return mass / mass.sum()
+
+
+def _covering(t: float, a: AnnotationSet, level: HierarchyLevel) -> Interval | None:
+    """The covering instance of ``level`` when it has positive length."""
+    iv = instance_at(t, a, level)
+    return iv if iv is not None and iv.end > iv.start else None
+
+
+def per_frame_targets(a: AnnotationSet, hist: HistogramConfig) -> dict[str, np.ndarray]:
+    """``build_frame_targets`` as it was: a scan of every instance per frame."""
+    ts = frame_timestamps(a.duration, a.fps)
+    out = {"timestamps": ts, "state": np.zeros(len(ts), dtype=np.int64)}
+    for key in ("step", "sub"):
+        out[f"{key}_target"] = np.zeros((len(ts), hist.bins))
+        out[f"{key}_mask"] = np.zeros(len(ts), dtype=bool)
+    for i, t in enumerate(ts.tolist()):
+        out["state"][i] = state_target(t, a)
+        for key, level in (("step", HierarchyLevel.STEP), ("sub", HierarchyLevel.SUBSTEP)):
+            iv = _covering(t, a, level)
+            if iv is not None:
+                out[f"{key}_mask"][i] = True
+                out[f"{key}_target"][i] = scalar_histogram_target(progress_target(t, iv), hist)
+    return out
+
+
+def _noisy_softmax(logits, sigma, rng):
+    if sigma > 0:
+        logits = logits + rng.normal(0.0, sigma, logits.shape)
+    probs = np.exp(logits - logits.max())
+    return probs / probs.sum()
+
+
+def per_frame_scores(a: AnnotationSet, noise_sigma: float, fps: float,
+                     hist: HistogramConfig = HistogramConfig(), seed: int = 0) -> list[FrameScores]:
+    """``simulator.gen_scores`` as it was: targets and noise frame by frame,
+    drawing step, substep and state noise in turn."""
+    rng = np.random.default_rng([seed, 1, zlib.crc32(a.video_id.encode())])
+    frames = []
+    for t in frame_timestamps(a.duration, fps).tolist():
+        state_logits = np.zeros(3)
+        state_logits[state_target(t, a)] = 10.0
+        dists = []
+        for level in (HierarchyLevel.STEP, HierarchyLevel.SUBSTEP):
+            iv = _covering(t, a, level)
+            logits = (np.zeros(hist.bins) if iv is None
+                      else np.log(scalar_histogram_target(progress_target(t, iv), hist) + 1e-12))
+            dists.append(_noisy_softmax(logits, noise_sigma, rng))
+        frames.append(FrameScores(t, _noisy_softmax(state_logits, noise_sigma, rng), *dists))
+    return frames
+
+
+def per_frame_features(a: AnnotationSet, cfg, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """``simulator.gen_features`` as it was, one frame at a time."""
+    rng = np.random.default_rng([seed, 2, zlib.crc32(a.video_id.encode())])
+    ts = frame_timestamps(a.duration, cfg.fps)
+    prototypes = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0))
+    feats = np.zeros((len(ts), cfg.feature_dim))
+    for i, t in enumerate(ts.tolist()):
+        feats[i, 0:2] = prototypes[state_target(t, a)]
+        for dim, level in ((2, HierarchyLevel.STEP), (3, HierarchyLevel.SUBSTEP)):
+            iv = _covering(t, a, level)
+            if iv is not None:
+                feats[i, dim] = progress_target(t, iv)
+    if cfg.noise_sigma > 0:
+        feats = feats + rng.normal(0.0, cfg.noise_sigma, feats.shape)
+    return ts, feats

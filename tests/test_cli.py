@@ -129,9 +129,62 @@ class TestHttpDescribe:
                        "--out", out) == 0
             outputs.append({p.name: p.read_bytes() for p in out.glob("*.json*") if p.name != "run_config.json"})
         assert outputs[0] == outputs[1]
-        assert len(outputs[0]) == 4 + 1  # emissions per video, and goals.json
+        assert len(outputs[0]) == 4 + 2  # emissions per video, goals.json and http_stats.json
         goals = json.loads(outputs[0]["goals.json"])
         assert all("frames from" in g for g in goals.values())
+        calls = len(_StubHandler.requests_seen) // 2
+        assert json.loads(outputs[0]["http_stats.json"]) == {"describer": {"requests": calls, "retries": 0}}
+
+    def test_default_image_mode_sends_frame_labels_as_urls(self, tmp_path, stub_server):
+        corpus = tmp_path / "corpus"
+        assert run("simulate", "--seed", 8, "--videos", 1, "--out", corpus) == 0
+        _StubHandler.answer = echo_answer
+        assert run("describe", "--scores", corpus / "scores", "--describer", "http",
+                   "--endpoint", stub_server, "--out", tmp_path / "out") == 0
+        urls = [part["image_url"]["url"] for body in _StubHandler.requests_seen
+                for part in body["messages"][0]["content"][1:]]
+        assert urls and all(u.startswith("frame@") for u in urls)
+
+
+def http_answer(body):
+    """Chat completions echo the request; embeddings are two numbers a text."""
+    if "input" in body:
+        return 200, {"data": [{"index": i, "embedding": [1.0 + len(t), float(zlib.crc32(t.encode()) % 7)]}
+                              for i, t in enumerate(body["input"])]}
+    return echo_answer(body)
+
+
+class TestHttpStats:
+    def test_e2e_writes_request_and_retry_counts(self, tmp_path, stub_server):
+        _StubHandler.script = [(500, {})]  # the first request is retried once
+        _StubHandler.answer = http_answer
+        out = tmp_path / "out"
+        assert run("e2e", "--seed", 7, "--videos", 2, *http_args(stub_server, 1),
+                   "--embedder", "http", "--out", out) == 0
+        chat = sum("messages" in body for body in _StubHandler.requests_seen)
+        embed = len(_StubHandler.requests_seen) - chat
+        assert chat > 2 and embed > 0
+        assert json.loads((out / "http_stats.json").read_text()) == {
+            "describer": {"requests": chat, "retries": 1},
+            "embedder": {"requests": embed, "retries": 0},
+        }
+        assert "requests" not in (out / "report.json").read_text()
+
+    def test_mock_runs_write_no_stats(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "http_stats.json").write_text("{}")  # from an earlier HTTP run
+        assert run("e2e", "--seed", 7, "--videos", 2, "--out", out) == 0
+        assert not (out / "http_stats.json").exists()
+
+    def test_evaluate_writes_counts_next_to_its_report(self, tmp_path, stub_server):
+        corpus, pred = identity_predictions(tmp_path)
+        _StubHandler.answer = http_answer
+        report = tmp_path / "eval" / "report.json"
+        assert run("evaluate", "--annotations", corpus / "annotations.jsonl", "--pred", pred,
+                   "--embedder", "http", "--endpoint", stub_server, "--out", report) == 0
+        stats = json.loads((tmp_path / "eval" / "report.http_stats.json").read_text())
+        assert stats == {"embedder": {"requests": len(_StubHandler.requests_seen), "retries": 0}}
 
 
 class TestE2E:
@@ -180,25 +233,29 @@ class TestE2E:
         assert (out / "report.json").exists()
 
 
+def substep_only_input(tmp_path):
+    """A simulated 2-video corpus stripped to its substeps, as pipeline input."""
+    corpus = tmp_path / "corpus"
+    assert run("simulate", "--seed", 9, "--videos", 2, "--out", corpus) == 0
+    atoms_path = tmp_path / "atoms.jsonl"
+    stripped = []
+    for a in read_annotations(corpus / "annotations.jsonl"):
+        stripped.append(json.dumps({
+            "video_id": a.video_id, "duration": a.duration, "fps": a.fps,
+            "goal": "",
+            "instances": [
+                {"start": i.interval.start, "end": i.interval.end,
+                 "level": 1, "description": i.description}
+                for i in a.at_level(HierarchyLevel.SUBSTEP)
+            ],
+        }))
+    atoms_path.write_text("\n".join(stripped) + "\n")
+    return atoms_path
+
+
 class TestPipelineCommand:
     def test_groups_substep_only_input(self, tmp_path):
-        corpus = tmp_path / "corpus"
-        assert run("simulate", "--seed", 9, "--videos", 2, "--out", corpus) == 0
-        # Strip to substeps only.
-        atoms_path = tmp_path / "atoms.jsonl"
-        stripped = []
-        for a in read_annotations(corpus / "annotations.jsonl"):
-            stripped.append(json.dumps({
-                "video_id": a.video_id, "duration": a.duration, "fps": a.fps,
-                "goal": "",
-                "instances": [
-                    {"start": i.interval.start, "end": i.interval.end,
-                     "level": 1, "description": i.description}
-                    for i in a.at_level(HierarchyLevel.SUBSTEP)
-                ],
-            }))
-        atoms_path.write_text("\n".join(stripped) + "\n")
-
+        atoms_path = substep_only_input(tmp_path)
         out = tmp_path / "grouped"
         assert run("pipeline", "--input", atoms_path, "--k", 3, "--out", out) == 0
         grouped = read_annotations(out / "annotations.jsonl")
@@ -209,6 +266,15 @@ class TestPipelineCommand:
             assert a.goal
         consistency = json.loads((out / "consistency.json").read_text())
         assert all(entry["missing"] == [] for entry in consistency.values())
+        assert not (out / "http_stats.json").exists()
+
+    def test_http_embedder_counts_written(self, tmp_path, stub_server):
+        _StubHandler.answer = http_answer
+        out = tmp_path / "grouped"
+        assert run("pipeline", "--input", substep_only_input(tmp_path), "--k", 3,
+                   "--embedder", "http", "--endpoint", stub_server, "--out", out) == 0
+        stats = json.loads((out / "http_stats.json").read_text())
+        assert stats == {"embedder": {"requests": len(_StubHandler.requests_seen), "retries": 0}}
 
 
 class TestErrors:

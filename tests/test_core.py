@@ -137,6 +137,24 @@ class TestFrameScores:
         with pytest.raises(ValueError):
             fs.state_probs[0] = 1.0
 
+    def test_read_only_float64_rows_kept_as_given(self):
+        block = np.full((2, 10), 0.1)
+        block.flags.writeable = False
+        state = np.array([0.2, 0.3, 0.5])
+        state.flags.writeable = False
+        rows = block[0], block[1]  # read-only views, as the CSV reader hands out
+        fs = FrameScores(0.0, state, *rows)
+        assert fs.state_probs is state
+        assert fs.step_progress_dist is rows[0] and fs.substep_progress_dist is rows[1]
+
+    def test_writeable_or_other_dtype_inputs_frozen_as_float64(self):
+        writeable = np.array([0.2, 0.3, 0.5])
+        fs = FrameScores(0.0, writeable, [0.5, 0.5], np.array([1, 0]))
+        assert fs.state_probs is writeable and not writeable.flags.writeable
+        for arr in (fs.step_progress_dist, fs.substep_progress_dist):
+            assert arr.dtype == np.float64 and not arr.flags.writeable
+        np.testing.assert_array_equal(fs.substep_progress_dist, [1.0, 0.0])
+
 
 def _write_feature_csv(path, timestamps):
     write_features(path, np.array(timestamps), np.zeros((len(timestamps), 2)))
@@ -164,6 +182,27 @@ class TestCsvTimestamps:
             reader(path)
 
 
+@pytest.mark.parametrize("start,end", [(-1.0, 2.0), (3.0, 2.0), (1.0, float("nan")),
+                                       (float("nan"), 1.0), (0.0, float("inf"))])
+def test_interval_rejects_bad_endpoints(start, end):
+    with pytest.raises(ValueError, match="not finite with 0 <= start <= end"):
+        Interval(start, end)
+
+
 def test_frame_timestamps_includes_final_frame():
     ts = frame_timestamps(10.0, 2.0)
     assert ts[0] == 0.0 and ts[-1] == 10.0 and len(ts) == 21
+
+
+@pytest.mark.parametrize("duration,fps,last", [
+    (10.2, 4.0, 10.0),  # off the grid: the grid stops before the duration
+    (10.25, 4.0, 10.25),
+    (0.3, 10.0, 0.3),  # 0.3 * 10 rounds below 3 in binary; still on the grid
+    (0.7, 10.0, 0.7),  # and 0.7 * 10 above 7
+    (10.99, 2.0, 10.5),
+    (0.0, 4.0, 0.0),
+])
+def test_frame_timestamps_stop_at_duration(duration, fps, last):
+    ts = frame_timestamps(duration, fps)
+    assert ts[-1] == last and ts[-1] <= duration
+    assert len(ts) == round(last * fps) + 1

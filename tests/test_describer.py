@@ -305,19 +305,19 @@ class TestOneHttpPath:
         client, call, good, _, _ = remote
         _StubHandler.script = [(500, {}), (503, {}), (200, good)]
         call()
-        assert (client._client.stats.requests, client._client.stats.retries) == (3, 2)
+        assert (client.stats.requests, client.stats.retries) == (3, 2)
 
     def test_malformed_reply_retried_then_raised(self, remote):
         client, call, good, bad, error = remote
         _StubHandler.script = [(200, bad), (200, good)]
         call()
-        assert client._client.stats.retries == 1
+        assert client.stats.retries == 1
         _StubHandler.script = [(200, bad)] * 3
         with pytest.raises(error) as err:
             call()
         # A ValueError is the reply's content (exit 2); anything else is transport (exit 3).
         assert isinstance(err.value, ValueError) != isinstance(err.value, TransportError)
-        assert client._client.stats.requests == 2 + 3
+        assert client.stats.requests == 2 + 3
 
     def test_body_not_json_retried_then_transport(self, remote):
         client, call, good, _, _ = remote
@@ -326,14 +326,14 @@ class TestOneHttpPath:
         _StubHandler.script = [(200, b"<html>busy</html>")] * 3
         with pytest.raises(TransportError):
             call()
-        assert client._client.stats.retries == 1 + 2
+        assert client.stats.retries == 1 + 2
 
     def test_4xx_sent_once(self, remote):
         client, call, _, _, _ = remote
         _StubHandler.script = [(401, {"error": "bad key"})]
         with pytest.raises(ClientError, match="401"):
             call()
-        assert client._client.stats.requests == 1
+        assert client.stats.requests == 1
 
     def test_stats_count_every_request_across_threads(self, stub_server):
         client = HttpChatClient(stub_server, "stub-model", HttpLimits(max_inflight=8))
@@ -352,7 +352,7 @@ class TestOneHttpPath:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert client._client.stats.requests == len(_StubHandler.requests_seen) == 8 * 25
+        assert client.stats.requests == len(_StubHandler.requests_seen) == 8 * 25
 
 
 @pytest.mark.parametrize("field,value", [("max_retries", -1), ("max_inflight", 0)])

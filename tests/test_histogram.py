@@ -5,8 +5,9 @@ from hierstream.scoring.histogram import (
     HistogramConfig,
     histogram_expectation,
     histogram_target,
+    histogram_targets,
 )
-from oracles import quadrature_histogram
+from oracles import quadrature_histogram, scalar_histogram_target
 
 CFG = HistogramConfig(bins=10, sigma=0.15)
 
@@ -108,3 +109,23 @@ def test_config_validation():
         HistogramConfig(sigma=0.0)
     edges = HistogramConfig(bins=4).edges
     np.testing.assert_allclose(edges, [0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@pytest.mark.parametrize("cfg", [CFG, HistogramConfig(bins=7, sigma=0.05), HistogramConfig(bins=20, sigma=0.3)])
+def test_rows_equal_scalar_targets_bit_for_bit(cfg):
+    p = np.concatenate([[0.0, 1.0, 0.5], np.random.default_rng(1).uniform(0, 1, 200)])
+    rows = histogram_targets(p, cfg)
+    assert rows.shape == (len(p), cfg.bins)
+    for value, row in zip(p.tolist(), rows):
+        np.testing.assert_array_equal(row, scalar_histogram_target(value, cfg))
+        np.testing.assert_array_equal(histogram_target(value, cfg), row)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1e-9, 1.5])
+def test_rows_reject_progress_outside_unit_interval(bad):
+    with pytest.raises(ValueError, match="progress must lie in"):
+        histogram_targets(np.array([0.2, bad]), CFG)
+
+
+def test_no_rows_for_no_values():
+    assert histogram_targets(np.zeros(0), CFG).shape == (0, CFG.bins)

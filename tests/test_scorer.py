@@ -85,10 +85,33 @@ class TestForward:
         for a, b in zip(h, cache["h_last"]):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("layers,hidden,frames", [(1, 5, 9), (2, 13, 17), (3, 64, 20), (2, 256, 6)])
+    def test_layer_by_layer_forward_equals_stepping(self, layers, hidden, frames):
+        # Odd sizes too: forward feeds row views of its caches to the same
+        # matvecs that step feeds fresh arrays.
+        model = ScorerModel.init(small_cfg(recurrent_layers=layers, hidden_dim=hidden), seed=hidden)
+        rng = np.random.default_rng(layers)
+        feats, h0 = rng.normal(0, 1, (frames, 3)), [rng.normal(0, 0.5, hidden) for _ in range(layers)]
+        cache, h = model.forward(feats, h0), h0
+        for t in range(frames):
+            h, *logits = model.step(feats[t], h)
+            for name, z in zip(("state", "step", "sub"), logits):
+                np.testing.assert_array_equal(z, cache[f"{name}_logits"][t])
+            np.testing.assert_array_equal(np.array(h), cache["hidden"][:, t])
+        np.testing.assert_array_equal(np.array(h), np.array(cache["h_last"]))
+
     def test_feature_dim_checked(self):
         model = ScorerModel.init(small_cfg(), seed=0)
         with pytest.raises(ValueError):
             model.forward(np.zeros((4, 5)))
+
+    def test_step_checks_one_hidden_state_per_layer(self):
+        model = ScorerModel.init(small_cfg(recurrent_layers=2, hidden_dim=8), seed=0)
+        for h in (model.zero_state()[:1], model.zero_state() * 2):
+            with pytest.raises(ValueError):
+                model.step(np.zeros(3), h)
+            with pytest.raises(ValueError, match="expected 2 hidden states"):
+                model.forward(np.zeros((4, 3)), h)
 
 
 class TestInferTimestamps:

@@ -5,8 +5,8 @@ from hierstream.core import HierarchyLevel, validate_annotations
 from hierstream.detector import run_stream
 from hierstream.metrics.matching import hungarian_f1_corpus
 from hierstream.scoring.histogram import histogram_expectation
-from hierstream.scoring.targets import instance_at, progress_target, state_target
 from hierstream.simulator import SimConfig, gen_annotations, gen_features, gen_scores
+from oracles import instance_at, per_frame_features, per_frame_scores, progress_target, state_target
 
 
 class TestGenAnnotations:
@@ -126,3 +126,17 @@ class TestGenFeatures:
     def test_feature_dim_floor(self):
         with pytest.raises(ValueError):
             SimConfig(feature_dim=3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 12])
+@pytest.mark.parametrize("sigma", [0.0, 0.8])
+def test_streams_equal_per_frame_oracles_bit_for_bit(seed, sigma):
+    cfg = SimConfig(seed=seed, videos=3, noise_sigma=sigma, zero_gap_prob=(seed % 5) / 4)
+    for a in gen_annotations(cfg):
+        got, want = gen_scores(a, sigma, cfg.fps, seed=seed), per_frame_scores(a, sigma, cfg.fps, seed=seed)
+        assert [f.timestamp for f in got] == [f.timestamp for f in want]
+        for x, y in zip(got, want):
+            for name in ("state_probs", "step_progress_dist", "substep_progress_dist"):
+                np.testing.assert_array_equal(getattr(x, name), getattr(y, name))
+        for x, y in zip(gen_features(a, cfg, seed=seed), per_frame_features(a, cfg, seed=seed)):
+            np.testing.assert_array_equal(x, y)

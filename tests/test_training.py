@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hierstream.core import HierarchyLevel
+from hierstream.core import ActionInstance, AnnotationSet, HierarchyLevel, Interval, validate_annotations
 from hierstream.detector import run_stream
 from hierstream.metrics.matching import hungarian_f1_corpus
 from hierstream.scoring.histogram import HistogramConfig
@@ -24,6 +24,21 @@ def corpus(seed=3, videos=6, noise=0.1):
     anns = gen_annotations(cfg)
     feats = [gen_features(a, cfg, seed=seed)[1] for a in anns]
     return cfg, anns, feats
+
+
+def test_off_grid_duration_trains():
+    # A valid 10.2 s video at 4 fps: its frame grid ends at 10.0, not 10.25.
+    a = AnnotationSet(video_id="v", duration=10.2, fps=4.0, goal="g", instances=(
+        ActionInstance(Interval(1.0, 10.2), "s", HierarchyLevel.STEP),
+        ActionInstance(Interval(2.0, 5.0), "a", HierarchyLevel.SUBSTEP),
+    ))
+    assert validate_annotations(a) == []
+    cfg = desk_cfg(epochs=1)
+    targets = build_frame_targets(a, cfg)
+    assert targets["timestamps"][-1] == 10.0 and len(targets["state"]) == 41
+    feats = np.random.default_rng(0).normal(0, 1, (41, cfg.feature_dim))
+    _, trace = train_scorer([feats], [a], cfg, seed=0)
+    assert np.isfinite(trace).all()
 
 
 class TestBuildTargets:

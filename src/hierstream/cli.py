@@ -9,10 +9,12 @@ Subcommands:
   pipeline  group atomic substeps into hierarchical annotations
   e2e       simulate -> detect -> describe -> evaluate in one pass
 
-Every run writes its effective configuration next to its outputs, and all
-mock-client paths are deterministic under --seed. Exit codes: 0 ok,
-1 usage, 2 data/validation error, 3 transport error, 4 some videos failed
-(listed in failures.json under --out; the others are written as usual).
+Every subcommand takes ``--config``, a JSON file read as flags (see
+``_Subcommand``). Every run writes its effective configuration next to its
+outputs, and all mock-client paths are deterministic under --seed. Exit
+codes: 0 ok, 1 usage, 2 data/validation error, 3 transport error, 4 some
+videos failed (listed in failures.json under --out; the others are written
+as usual).
 """
 
 from __future__ import annotations
@@ -22,10 +24,17 @@ import itertools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 from ._http import CallStats, HttpLimits, TransportError
-from .core import FrameScores, read_annotations, validate_annotations, write_annotations
+from .core import (
+    FrameScores,
+    HierarchyLevel,
+    read_annotations,
+    validate_annotations,
+    write_annotations,
+)
 from .describer.http import DescriberEndpoint, HttpDescriber
 from .detector import DetectorConfig, read_emissions, write_emissions
 from .metrics.embedding import HashedBagOfWordsEmbedder, HttpEmbedder
@@ -80,28 +89,14 @@ def _write_http_stats(path: Path, **clients) -> None:
 
 
 def _echo_config(args: argparse.Namespace, outdir: Path) -> None:
-    effective = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    effective = {k: (str(v) if isinstance(v, Path) else v) for k, v in effective.items()}
-    _dump_json(effective, outdir / "run_config.json")
+    _dump_json({k: v for k, v in vars(args).items() if k != "func"}, outdir / "run_config.json")
 
 
-def _load_config_file(args: argparse.Namespace, argv: list[str]) -> None:
-    """Fill arguments from a JSON config file; flags given on the command
-    line win over file values."""
-    if not getattr(args, "config", None):
-        return
-    explicit = set()
-    for token in argv:
-        if token.startswith("--"):
-            explicit.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    with open(args.config) as fh:
-        file_cfg = json.load(fh)
-    for key, value in file_cfg.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise DataError(f"unknown config key {key!r}")
-        if attr not in explicit:
-            setattr(args, attr, value)
+def _read_annotations(path) -> list:
+    annotations = read_annotations(path)
+    if not annotations:
+        raise DataError(f"{path}: no annotations found")
+    return annotations
 
 
 def _sim_config(args) -> SimConfig:
@@ -176,26 +171,26 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    annotations = read_annotations(args.annotations)
-    if not annotations:
-        raise DataError("no annotations found")
-    features, kept = [], []
+def _train(args, annotations: list, features_dir: Path) -> tuple[ScorerModel, list[float]]:
+    """The scorer fitted on each video's ``<video_id>.csv`` in ``features_dir``,
+    and its per-epoch loss."""
+    features = []
     for a in annotations:
-        path = Path(args.features) / f"{a.video_id}.csv"
+        path = features_dir / f"{a.video_id}.csv"
         if not path.exists():
             raise DataError(f"missing feature file {path}")
-        _, feats = read_features(path)
-        features.append(feats)
-        kept.append(a)
-    cfg = _scorer_config(args, features[0].shape[1])
-    model, trace = train_scorer(features, kept, cfg, seed=args.seed)
+        features.append(read_features(path)[1])
+    return train_scorer(features, annotations, _scorer_config(args, features[0].shape[1]), seed=args.seed)
+
+
+def cmd_train(args) -> int:
+    model, trace = _train(args, _read_annotations(args.annotations), Path(args.features))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     model.save(outdir / "model.npz")
     _dump_json({"epoch_loss": trace}, outdir / "loss_trace.json")
     _echo_config(args, outdir)
-    print(f"trained {cfg.epochs} epochs; final loss {trace[-1]:.4f}")
+    print(f"trained {args.epochs} epochs; final loss {trace[-1]:.4f}")
     return EXIT_OK
 
 
@@ -263,36 +258,32 @@ def _score_streams(args) -> list:
     return [(p.stem, _score_frames(p)) for p in paths]
 
 
-def cmd_detect(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    results, failures = _run_videos(args, _score_streams(args), outdir)
-    _echo_config(args, outdir)
-    print(f"detected over {len(results)} streams into {outdir}")
-    return EXIT_PARTIAL if failures else EXIT_OK
-
-
 def _make_describe_fn(args):
     if args.describer == "mock":
         return mock_describer()
-    endpoint = DescriberEndpoint(
-        base_url=args.endpoint, model=args.model_name, image_mode=args.image_mode,
-    )
+    # The loop's frame handles are ``frame@<t>`` labels, not image files.
+    endpoint = DescriberEndpoint(base_url=args.endpoint, model=args.model_name, image_mode="url")
     limits = HttpLimits(timeout=args.timeout, max_retries=args.max_retries,
                         max_inflight=args.max_inflight)
     return HttpDescriber(endpoint, limits)
 
 
-def cmd_describe(args) -> int:
+def cmd_detect(args, describe=None) -> int:
+    """The online loop over score streams; with ``describe``, also each
+    video's goal text and the describer's HTTP counts."""
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    describe = _make_describe_fn(args)
     results, failures = _run_videos(args, _score_streams(args), outdir, describe)
-    _dump_json({vid: r.goal_text for vid, r in results.items()}, outdir / "goals.json")
-    _write_http_stats(outdir / "http_stats.json", describer=describe)
+    if describe is not None:
+        _dump_json({vid: r.goal_text for vid, r in results.items()}, outdir / "goals.json")
+        _write_http_stats(outdir / "http_stats.json", describer=describe)
     _echo_config(args, outdir)
-    print(f"described {len(results)} streams into {outdir}")
+    print(f"{'detected over' if describe is None else 'described'} {len(results)} streams into {outdir}")
     return EXIT_PARTIAL if failures else EXIT_OK
+
+
+def cmd_describe(args) -> int:
+    return cmd_detect(args, _make_describe_fn(args))
 
 
 def _make_embedder(args):
@@ -301,42 +292,32 @@ def _make_embedder(args):
     return HttpEmbedder(args.endpoint, args.model_name)
 
 
+def _evaluate(args, annotations: list, emissions_by_video: dict, goals: dict | None):
+    """The report on ``emissions_by_video`` and the embedder it used."""
+    embedder = _make_embedder(args)
+    report = evaluate_corpus(annotations, emissions_by_video, goals_by_video=goals,
+                             thresholds=[float(t) for t in args.tiou.split(",")], k=args.topk,
+                             embedder=embedder, aedt_threshold=args.aedt_tiou)
+    return report, embedder
+
+
 def cmd_evaluate(args) -> int:
-    annotations = read_annotations(args.annotations)
-    if not annotations:
-        raise DataError("no annotations found")
+    annotations = _read_annotations(args.annotations)
     pred_path = Path(args.pred)
-    emissions_by_video = {}
     if pred_path.is_dir():
-        for jsonl in sorted(pred_path.glob("*.jsonl")):
-            emissions_by_video[jsonl.stem] = read_emissions(jsonl)
+        emissions_by_video = {p.stem: read_emissions(p) for p in sorted(pred_path.glob("*.jsonl"))}
         goals_file = pred_path / "goals.json"
         goals = json.loads(goals_file.read_text()) if goals_file.exists() else None
     else:
-        only = read_emissions(pred_path)
         if len(annotations) != 1:
             raise DataError("single emissions file needs a single-video annotation set")
-        emissions_by_video[annotations[0].video_id] = only
-        goals = None
-    thresholds = [float(t) for t in args.tiou.split(",")]
-    embedder = _make_embedder(args)
-    report = evaluate_corpus(
-        annotations,
-        emissions_by_video,
-        goals_by_video=goals,
-        thresholds=thresholds,
-        k=args.topk,
-        embedder=embedder,
-        aedt_threshold=args.aedt_tiou,
-    )
-    if args.report == "json" or args.out:
-        payload = json.dumps(report, indent=2, sort_keys=True)
-        if args.out:
-            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-            Path(args.out).write_text(payload + "\n")
-            _write_http_stats(Path(args.out).with_suffix(".http_stats.json"), embedder=embedder)
-        else:
-            print(payload)
+        emissions_by_video, goals = {annotations[0].video_id: read_emissions(pred_path)}, None
+    report, embedder = _evaluate(args, annotations, emissions_by_video, goals)
+    if args.out:
+        _dump_json(report, Path(args.out))
+        _write_http_stats(Path(args.out).with_suffix(".http_stats.json"), embedder=embedder)
+    elif args.report == "json":
+        print(json.dumps(report, indent=2, sort_keys=True))
     if args.report == "table":
         _print_table(report)
     return EXIT_OK
@@ -357,9 +338,7 @@ def _print_table(report: dict) -> None:
 
 
 def cmd_pipeline(args) -> int:
-    annotations = read_annotations(args.input)
-    if not annotations:
-        raise DataError("no input annotations")
+    annotations = _read_annotations(args.input)
     if args.client == "mock":
         client = MockGroupingClient(window=args.mock_window)
         caption_client = None
@@ -370,8 +349,6 @@ def cmd_pipeline(args) -> int:
     hierarchical = []
     all_steps: list[str] = []
     reports = {}
-    from .core import HierarchyLevel
-
     for a in annotations:
         substeps = list(a.at_level(HierarchyLevel.SUBSTEP))
         if not substeps:
@@ -380,9 +357,7 @@ def cmd_pipeline(args) -> int:
         bounds = (args.bounds_min, args.bounds_max) if args.bounds_min is not None \
             else default_bounds(a.duration)
         reports[a.video_id] = check_consistency(proposal, substeps, bounds)
-        hierarchical.append(proposal_to_annotations(
-            a.video_id, a.duration, a.fps, substeps, proposal,
-        ))
+        hierarchical.append(proposal_to_annotations(a.video_id, a.duration, a.fps, substeps, proposal))
         all_steps.extend(proposal.step_descriptions)
 
     embedder = _make_embedder(args) if args.k else None
@@ -391,31 +366,17 @@ def cmd_pipeline(args) -> int:
         result = kmeans_canonicalize(all_steps, k, embedder, caption_client, seed=args.seed)
         replacement = {desc: result.representatives[c]
                        for desc, c in zip(all_steps, result.assignments)}
-        from .core import ActionInstance
-        canonical = []
-        for a in hierarchical:
-            instances = tuple(
-                ActionInstance(i.interval, replacement.get(i.description, i.description), i.level)
-                if i.level == HierarchyLevel.STEP else i
-                for i in a.instances
-            )
-            canonical.append(type(a)(
-                video_id=a.video_id, duration=a.duration, fps=a.fps,
-                instances=instances, goal=a.goal,
-            ))
-        hierarchical = canonical
+        hierarchical = [replace(a, instances=tuple(
+            replace(i, description=replacement.get(i.description, i.description))
+            if i.level == HierarchyLevel.STEP else i
+            for i in a.instances
+        )) for a in hierarchical]
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_annotations(hierarchical, outdir / "annotations.jsonl")
-    _dump_json(
-        {
-            vid: {"missing": list(r.missing),
-                  "abnormal": [list(x) for x in r.abnormal]}
-            for vid, r in sorted(reports.items())
-        },
-        outdir / "consistency.json",
-    )
+    _dump_json({vid: {"missing": list(r.missing), "abnormal": [list(x) for x in r.abnormal]}
+                for vid, r in reports.items()}, outdir / "consistency.json")
     _write_http_stats(outdir / "http_stats.json", chat=client, embedder=embedder)
     _echo_config(args, outdir)
     print(f"grouped {len(hierarchical)} videos into {outdir}")
@@ -430,10 +391,7 @@ def cmd_e2e(args) -> int:
     annotations = _write_corpus(cfg, sim, with_features=args.train)
 
     if args.train:
-        features = [read_features(sim / "features" / f"{a.video_id}.csv")[1] for a in annotations]
-        model, _trace = train_scorer(
-            features, annotations, _scorer_config(args, cfg.feature_dim), seed=args.seed
-        )
+        model, _ = _train(args, annotations, sim / "features")
         model.save(outdir / "model.npz")
         videos = [(a.video_id, _scored_frames(model, sim / "features" / f"{a.video_id}.csv"))
                   for a in annotations]
@@ -454,17 +412,7 @@ def cmd_e2e(args) -> int:
         print(f"{len(failures)} of {len(videos)} videos failed; no report written", file=sys.stderr)
         return EXIT_PARTIAL
 
-    embedder = _make_embedder(args)
-    thresholds = [float(t) for t in args.tiou.split(",")]
-    report = evaluate_corpus(
-        annotations,
-        {vid: r.emissions for vid, r in results.items()},
-        goals_by_video=goals,
-        thresholds=thresholds,
-        k=args.topk,
-        embedder=embedder,
-        aedt_threshold=args.aedt_tiou,
-    )
+    report, embedder = _evaluate(args, annotations, {vid: r.emissions for vid, r in results.items()}, goals)
     _write_http_stats(outdir / "http_stats.json", describer=describe, embedder=embedder)
     _dump_json(report, outdir / "report.json")
     print(json.dumps(report, indent=2, sort_keys=True))
@@ -474,6 +422,43 @@ def cmd_e2e(args) -> int:
 # ----------------------------------------------------------------------
 # argument wiring
 # ----------------------------------------------------------------------
+
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser, with ``--config``: a JSON object whose entries
+    are read as this subcommand's flags, put before the command-line tokens.
+    The whole list is then parsed again, so the command line wins (argparse
+    keeps a flag's last value) and file values meet the flags' own checks."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.add_argument("--config", help="JSON file of flag values; the command line wins")
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        parsed, extras = super().parse_known_args(args, namespace)
+        if parsed.config is None:
+            return parsed, extras
+        return super().parse_known_args([*self._config_flags(parsed.config), *args], namespace)
+
+    def _config_flags(self, path: str) -> list[str]:
+        with open(path) as fh:
+            entries = json.load(fh)
+        if not isinstance(entries, dict):
+            raise DataError(f"{path}: not a JSON object")
+        flags = {a.dest: a for a in self._actions if a.option_strings and a.dest not in ("help", "config")}
+        tokens = []
+        for key, value in entries.items():
+            action = flags.get(key.replace("-", "_"))
+            if action is None:
+                raise DataError(f"unknown config key {key!r}")
+            switch = action.nargs == 0  # such as --features: true or false
+            if isinstance(value, bool) != switch or not isinstance(value, (str, int, float)):
+                raise DataError(f"config key {key!r} cannot be {value!r}")
+            if value is not False:
+                flag = action.option_strings[0]
+                tokens.append(flag if switch else f"{flag}={value}")  # "=": "-0.5,0.5" is a value, not a flag
+        return tokens
+
 
 def _add_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
@@ -510,11 +495,14 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bptt-window", type=int, default=64)
 
 
-def _add_describer_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--describer", choices=("mock", "http"), default="mock")
+def _add_endpoint_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--endpoint", default="http://localhost:8000/v1")
     p.add_argument("--model-name", default="default")
-    p.add_argument("--image-mode", choices=("base64", "url"), default="url")  # handles are labels, not files
+
+
+def _add_describer_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--describer", choices=("mock", "http"), default="mock")
+    _add_endpoint_args(p)
     p.add_argument("--timeout", type=float, default=30.0)
     p.add_argument("--max-retries", type=int, default=3)
     p.add_argument("--max-inflight", type=int, default=4,
@@ -535,12 +523,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hierstream",
         description="streaming hierarchical event detection and evaluation",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
     p = sub.add_parser("simulate", help="generate a synthetic corpus")
     _add_sim_args(p)
     p.add_argument("--features", action="store_true", help="also write feature CSVs")
-    p.add_argument("--config", help="JSON file with defaults for any flag")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
@@ -549,14 +536,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True, help="directory of feature CSVs")
     _add_train_args(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", help="JSON file with defaults for any flag")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("detect", help="detect boundaries over score streams")
     p.add_argument("--scores", required=True, help="score CSV file or directory")
     _add_detector_args(p)
-    p.add_argument("--config", help="JSON file with defaults for any flag")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_detect)
 
@@ -564,7 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True, help="score CSV file or directory")
     _add_detector_args(p)
     _add_describer_args(p)
-    p.add_argument("--config", help="JSON file with defaults for any flag")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_describe)
 
@@ -572,10 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--annotations", required=True)
     p.add_argument("--pred", required=True, help="emissions JSONL file or directory")
     _add_eval_args(p)
-    p.add_argument("--endpoint", default="http://localhost:8000/v1")
-    p.add_argument("--model-name", default="default")
+    _add_endpoint_args(p)
     p.add_argument("--report", choices=("json", "table"), default="json")
-    p.add_argument("--config", help="JSON file with defaults for any flag")
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 
@@ -583,14 +565,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="JSONL with substep-only annotations")
     p.add_argument("--client", choices=("mock", "http"), default="mock")
     p.add_argument("--mock-window", type=int, default=2)
-    p.add_argument("--endpoint", default="http://localhost:8000/v1")
-    p.add_argument("--model-name", default="default")
+    _add_endpoint_args(p)
     p.add_argument("--embedder", choices=("mock", "http"), default="mock")
     p.add_argument("--k", type=int, default=0, help="canonicalize step captions into k clusters")
     p.add_argument("--bounds-min", type=float)
     p.add_argument("--bounds-max", type=float)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", help="JSON file with defaults for any flag")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pipeline)
 
@@ -601,7 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_eval_args(p)
     _add_train_args(p)
     p.add_argument("--train", action="store_true", help="train a scorer instead of oracle streams")
-    p.add_argument("--config", help="JSON file with defaults for any flag")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_e2e)
 
@@ -609,20 +588,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        _load_config_file(args, argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse: a usage error, or --help
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
-    except (DataError, ValueError, FileNotFoundError, KeyError) as exc:
+    except (DataError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

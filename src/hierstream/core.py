@@ -151,9 +151,13 @@ def validate_annotations(a: AnnotationSet, strict_nesting: bool = False) -> list
     default levels are only checked independently.
     """
     violations: list[str] = []
-    if a.duration < 0:
+    if not math.isfinite(a.duration):
+        violations.append(f"non-finite duration {a.duration}")
+    elif a.duration < 0:
         violations.append(f"negative duration {a.duration}")
-    if a.fps <= 0:
+    if not math.isfinite(a.fps):
+        violations.append(f"non-finite fps {a.fps}")
+    elif a.fps <= 0:
         violations.append(f"non-positive fps {a.fps}")
 
     for idx, inst in enumerate(a.instances):
@@ -248,6 +252,8 @@ def read_annotations(path) -> list[AnnotationSet]:
 def frame_timestamps(duration: float, fps: float) -> np.ndarray:
     """Frame grid for a video: one frame per 1/fps step, up to and including
     the last one not after the duration (the stream end, when on the grid)."""
+    if not (math.isfinite(duration) and math.isfinite(fps) and fps > 0):
+        raise ValueError(f"no frame grid for duration {duration} at fps {fps}")
     n = int(round(duration * fps))
     if n / fps > duration:  # an off-grid duration: stop before it
         n -= 1

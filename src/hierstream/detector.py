@@ -25,6 +25,7 @@ from enum import Enum
 from typing import Iterable
 
 from .core import (
+    PROB_SUM_TOL,
     STATE_STEP,
     STATE_STEP_AND_SUBSTEP,
     ActionInstance,
@@ -142,13 +143,21 @@ class StreamDetector:
         t = fs.timestamp
         check_timestamp(t, self._last_ts)
 
+        # A sum near one also means finite actionness, which the threshold
+        # tests below need (NaN fails both). A failing frame is named by its
+        # first non-finite actionness, else by its sum (a NaN bg included).
+        total = sum(fs.state_probs.tolist())
+        if not abs(total - 1.0) <= PROB_SUM_TOL:
+            for level in self.LEVELS:
+                if not math.isfinite(act := actionness(fs, level)):
+                    raise ValueError(f"frame at t={t}: {level.name} actionness {act!r} is not finite")
+            raise ValueError(f"frame at t={t}: state distribution sums to {total!r}, not 1")
+
         events: list[DetectionEvent] = []
         for level in self.LEVELS:
             ls = self._levels[level]
             ls.suppressed_this_frame = False
             act = actionness(fs, level)
-            if not math.isfinite(act):  # NaN would fail both threshold tests below
-                raise ValueError(f"frame at t={t}: {level.name} actionness {act!r} is not finite")
 
             if ls.ongoing:
                 p = self._progress(fs, level)

@@ -123,10 +123,6 @@ class ContextMemory:
     def frame_count(self) -> int:
         return len(self._frames)
 
-    @property
-    def predictions(self) -> tuple[Prediction, ...]:
-        return tuple(self._predictions)
-
     def _frames_within(self, interval: Interval) -> list[FrameRef]:
         return [f for f in self._frames if interval.start <= f.timestamp <= interval.end]
 

@@ -32,10 +32,6 @@ class ScorerConfig:
     epochs: int = 30
     bptt_window: int = 64
     histogram: HistogramConfig = field(default_factory=HistogramConfig)
-    # Per-head loss weights; defaults keep the three terms unweighted.
-    state_weight: float = 1.0
-    step_weight: float = 1.0
-    substep_weight: float = 1.0
 
     def __post_init__(self) -> None:
         for name in ("feature_dim", "recurrent_layers", "hidden_dim",
@@ -230,21 +226,21 @@ class ScorerModel:
         The state head is averaged over every frame; each progress head is
         averaged over the frames inside that level's instances only.
         """
-        cfg, T = self.cfg, cache["features"].shape[0]
+        T = cache["features"].shape[0]
         loss, d_logits = 0.0, {}
-        for name, target, mask, weight in (
-            ("state", np.eye(3)[state_target], np.ones(T, dtype=bool), cfg.state_weight),
-            ("step", step_target, step_mask, cfg.step_weight),
-            ("sub", sub_target, sub_mask, cfg.substep_weight),
+        for name, target, mask in (
+            ("state", np.eye(3)[state_target], np.ones(T, dtype=bool)),
+            ("step", step_target, step_mask),
+            ("sub", sub_target, sub_mask),
         ):
             logits, mask = cache[f"{name}_logits"], np.asarray(mask, dtype=bool)
             if target.shape != logits.shape or mask.shape != (T,):
                 raise ValueError(f"{name} head: target {target.shape}, mask {mask.shape}, logits {logits.shape}")
             n = max(1, int(mask.sum()))
             lsm = log_softmax(logits[mask])
-            loss += float((weight * -(target[mask] * lsm).sum(axis=1) / n).sum())
+            loss += float((-(target[mask] * lsm).sum(axis=1) / n).sum())
             d_logits[name] = np.zeros_like(logits)
-            d_logits[name][mask] = weight * (np.exp(lsm) - target[mask]) / n
+            d_logits[name][mask] = (np.exp(lsm) - target[mask]) / n
         return loss, d_logits
 
     def backward(

@@ -165,22 +165,21 @@ def per_frame_window_loss(model, cache, state_target, step_target, step_mask,
                           sub_target, sub_mask) -> tuple[float, dict[str, np.ndarray]]:
     """Window loss and logit gradients with one ``soft_cross_entropy`` call
     per frame and head; the reference for ``ScorerModel.window_loss``."""
-    cfg = model.cfg
     T = cache["features"].shape[0]
     loss = 0.0
     d_logits = {}
-    for name, target, mask, weight in (
-        ("state", np.eye(3)[state_target], np.ones(T, dtype=bool), cfg.state_weight),
-        ("step", step_target, step_mask, cfg.step_weight),
-        ("sub", sub_target, sub_mask, cfg.substep_weight),
+    for name, target, mask in (
+        ("state", np.eye(3)[state_target], np.ones(T, dtype=bool)),
+        ("step", step_target, step_mask),
+        ("sub", sub_target, sub_mask),
     ):
         logits = cache[f"{name}_logits"]
         n = max(1, int(mask.sum()))
         d = np.zeros_like(logits)
         for t in np.nonzero(mask)[0]:
             l, g = soft_cross_entropy(logits[t], target[t])
-            loss += weight * l / n
-            d[t] = weight * g / n
+            loss += l / n
+            d[t] = g / n
         d_logits[name] = d
     return loss, d_logits
 

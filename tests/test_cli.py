@@ -1,4 +1,6 @@
+import argparse
 import json
+import math
 import zlib
 from pathlib import Path
 
@@ -113,8 +115,7 @@ def echo_answer(body):
 
 
 def http_args(url, inflight):
-    return ["--describer", "http", "--image-mode", "url", "--endpoint", url,
-            "--max-inflight", inflight]
+    return ["--describer", "http", "--endpoint", url, "--max-inflight", inflight]
 
 
 class TestHttpDescribe:
@@ -285,6 +286,10 @@ class TestErrors:
         missing = tmp_path / "nope.jsonl"
         assert run("evaluate", "--annotations", missing, "--pred", missing) == 2
 
+    def test_directory_as_input_file_is_a_data_error(self, tmp_path, capsys):
+        assert run("evaluate", "--annotations", tmp_path, "--pred", tmp_path) == 2
+        assert capsys.readouterr().err.startswith("error: ")  # a message, not a traceback
+
     def test_missing_scores_path_is_a_data_error(self, tmp_path):
         for command in ("detect", "describe"):
             out = tmp_path / command
@@ -316,6 +321,20 @@ class TestErrors:
         assert run(*base, "--tiou", "0,0.5") == 2
         assert run(*base, "--topk", "0") == 2
 
+    @pytest.mark.parametrize("field,value", [("fps", math.inf), ("duration", math.nan)])
+    def test_non_finite_duration_or_fps_is_a_data_error(self, tmp_path, capsys, field, value):
+        corpus = tmp_path / "corpus"
+        assert run("simulate", "--seed", 2, "--videos", 1, "--features", "--out", corpus) == 0
+        entry = json.loads((corpus / "annotations.jsonl").read_text())
+        entry[field] = value
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(entry) + "\n")
+        out = tmp_path / "model"
+        assert run("train", "--annotations", bad, "--features", corpus / "features",
+                   "--epochs", 1, "--hidden-dim", 4, "--out", out) == 2
+        assert "error: no frame grid for duration" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"videos": 5, "seed": 11}))
@@ -332,6 +351,127 @@ class TestErrors:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"bogus_key": 1}))
         assert run("simulate", "--config", cfg_path, "--out", tmp_path / "x") == 2
+
+
+def write_config(tmp_path, entries):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(entries))
+    return path
+
+
+class TestConfigFile:
+    """A --config file is read as flags put before the command line."""
+
+    @pytest.mark.parametrize("flag", [["--vid", "2"], ["--videos=2"], ["--vi=2"]])
+    def test_command_line_wins_in_any_spelling(self, tmp_path, flag):
+        cfg = write_config(tmp_path, {"videos": 5, "seed": 11})
+        out = tmp_path / "corpus"
+        assert run("simulate", "--config", cfg, *flag, "--out", out) == 0
+        assert len(read_annotations(out / "annotations.jsonl")) == 2
+        run_cfg = json.loads((out / "run_config.json").read_text())
+        assert (run_cfg["videos"], run_cfg["seed"]) == (2, 11)
+
+    def test_file_values_are_typed_and_keys_may_use_hyphens(self, tmp_path):
+        cfg = write_config(tmp_path, {"noise-sigma": 0.1, "noise_sigma": 0.25, "features": True,
+                                      "duration_min": 10, "duration_max": 12.5})
+        out = tmp_path / "corpus"
+        assert run("simulate", "--config", cfg, "--videos", 1, "--out", out) == 0
+        run_cfg = json.loads((out / "run_config.json").read_text())
+        assert run_cfg["noise_sigma"] == 0.25 and run_cfg["features"] is True
+        assert run_cfg["duration_min"] == 10.0 and isinstance(run_cfg["duration_min"], float)
+        assert (out / "features").is_dir()
+
+    def test_value_starting_with_a_dash_arrives(self, tmp_path, capsys):
+        # "--tiou -0.5,0.5" would read "-0.5,0.5" as a flag; "--tiou=-0.5,0.5" does not.
+        corpus, pred_dir = identity_predictions(tmp_path)
+        base = ["evaluate", "--annotations", corpus / "annotations.jsonl", "--pred", pred_dir]
+        assert run(*base, "--tiou=-0.5,0.5") == 2  # rejected by the evaluator, not by argparse
+        as_flag = capsys.readouterr().err
+        assert run(*base, "--config", write_config(tmp_path, {"tiou": "-0.5,0.5"})) == 2
+        assert capsys.readouterr().err == as_flag
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("evaluate", "report", "xml"),
+        ("evaluate", "embedder", "remote"),
+        ("simulate", "videos", "many"),
+    ])
+    def test_bad_values_rejected_as_flags_are(self, tmp_path, capsys, command, key, value):
+        required = {"evaluate": ["--annotations", "a.jsonl", "--pred", "p"],
+                    "simulate": ["--out", tmp_path / "x"]}[command]
+        assert run(command, f"--{key}", value, *required) == 1
+        as_flag = capsys.readouterr().err.splitlines()[-1]
+        assert run(command, "--config", write_config(tmp_path, {key: value}), *required) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == as_flag
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("entries", [{"func": 1}, {"command": "train"}, {"scores": "s"},
+                                         {"config": "other.json"}, {"help": True}])
+    def test_keys_other_than_this_subcommands_flags_rejected(self, tmp_path, capsys, entries):
+        out = tmp_path / "x"
+        assert run("simulate", "--config", write_config(tmp_path, entries), "--out", out) == 2
+        assert f"unknown config key {next(iter(entries))!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entries", [{"features": "yes"}, {"features": 1}, {"videos": True},
+                                         {"videos": None}, {"videos": [2]}])
+    def test_values_no_flag_can_carry_rejected(self, tmp_path, entries):
+        assert run("simulate", "--config", write_config(tmp_path, entries), "--out", tmp_path / "x") == 2
+
+    def test_file_must_hold_an_object(self, tmp_path):
+        assert run("simulate", "--config", write_config(tmp_path, [1, 2]), "--out", tmp_path / "x") == 2
+        assert run("simulate", "--config", tmp_path / "none.json", "--out", tmp_path / "x") == 2
+
+
+SWITCH = False  # a flag without a value
+REQUIRED = "required"
+BACKEND = ("mock", "http")
+SIM = {"--seed": 0, "--videos": 10, "--duration-min": 30.0, "--duration-max": 60.0,
+       "--steps-min": 2, "--steps-max": 4, "--substeps-min": 2, "--substeps-max": 4,
+       "--zero-gap-prob": 0.5, "--gap-min": 1.0, "--gap-max": 3.0, "--noise-sigma": 0.0,
+       "--fps": 4.0, "--feature-dim": 8}
+DETECTOR = {"--start-threshold": 0.5, "--drop-delta": 0.4, "--min-progress-for-drop": 0.5,
+            "--no-eos-close": SWITCH}
+TRAIN = {"--layers": 2, "--hidden-dim": 32, "--learning-rate": 3e-4, "--weight-decay": 0.01,
+         "--batch-size": 16, "--epochs": 30, "--bptt-window": 64}
+ENDPOINT = {"--endpoint": "http://localhost:8000/v1", "--model-name": "default"}
+DESCRIBER = {"--describer": ("mock", BACKEND), **ENDPOINT, "--timeout": 30.0, "--max-retries": 3,
+             "--max-inflight": 4, "--completion": 1.0}
+EVAL = {"--tiou": "0.3,0.5,0.7", "--topk": 5, "--aedt-tiou": 0.5, "--embedder": ("mock", BACKEND)}
+COMMON = {"--config": None, "--out": REQUIRED}
+FLAGS = {
+    "simulate": {**SIM, "--features": SWITCH, **COMMON},
+    "train": {"--annotations": REQUIRED, "--features": REQUIRED, **TRAIN, "--seed": 0, **COMMON},
+    "detect": {"--scores": REQUIRED, **DETECTOR, **COMMON},
+    "describe": {"--scores": REQUIRED, **DETECTOR, **DESCRIBER, **COMMON},
+    "evaluate": {"--annotations": REQUIRED, "--pred": REQUIRED, **EVAL, **ENDPOINT,
+                 "--report": ("json", ("json", "table")), **COMMON, "--out": None},
+    "pipeline": {"--input": REQUIRED, "--client": ("mock", BACKEND), "--mock-window": 2, **ENDPOINT,
+                 "--embedder": ("mock", BACKEND), "--k": 0, "--bounds-min": None, "--bounds-max": None,
+                 "--seed": 0, **COMMON},
+    "e2e": {**SIM, **DETECTOR, **DESCRIBER, **EVAL, **TRAIN, "--train": SWITCH, **COMMON},
+}
+
+
+def flag_table():
+    """Each subcommand's flags as ``build_parser()`` reports them: the
+    default, with the choices where there are some; REQUIRED for a required flag."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    table = {}
+    for command, parser in sub.choices.items():
+        table[command] = {}
+        for a in parser._actions:
+            if a.option_strings and a.dest != "help":
+                value = REQUIRED if a.required else a.default
+                table[command][a.option_strings[0]] = (value, tuple(a.choices)) if a.choices else value
+    return table
+
+
+def test_flag_table_pinned():
+    table = flag_table()
+    assert table == FLAGS
+    for command in table:  # the types too: 0, 0.0 and False compare equal
+        assert {f: type(v) for f, v in table[command].items()} == {f: type(v) for f, v in FLAGS[command].items()}
+    assert sum(map(len, table.values())) == 112
 
 
 def failing_on(last_ts):

@@ -82,6 +82,17 @@ class TestValidateAnnotations:
         a = make_set([sub(1, 4), step(0, 5)])
         assert validate_annotations(a, strict_nesting=True) == []
 
+    @pytest.mark.parametrize("duration,fps,why", [
+        (float("nan"), 2.0, "non-finite duration nan"),
+        (float("inf"), 2.0, "non-finite duration inf"),
+        (10.0, float("inf"), "non-finite fps inf"),
+        (10.0, float("nan"), "non-finite fps nan"),
+        (-1.0, 0.0, "negative duration -1.0"),
+        (10.0, 0.0, "non-positive fps 0.0"),
+    ])
+    def test_bad_duration_and_fps_flagged(self, duration, fps, why):
+        assert why in validate_annotations(make_set([], duration=duration, fps=fps))
+
 
 class TestSerialization:
     def test_round_trip_equality(self):
@@ -206,3 +217,10 @@ def test_frame_timestamps_stop_at_duration(duration, fps, last):
     ts = frame_timestamps(duration, fps)
     assert ts[-1] == last and ts[-1] <= duration
     assert len(ts) == round(last * fps) + 1
+
+
+@pytest.mark.parametrize("duration,fps", [(float("nan"), 4.0), (float("inf"), 4.0),
+                                          (10.0, float("inf")), (10.0, float("nan")), (10.0, 0.0)])
+def test_frame_timestamps_rejects_bad_duration_or_fps(duration, fps):
+    with pytest.raises(ValueError, match="no frame grid for duration"):
+        frame_timestamps(duration, fps)

@@ -126,6 +126,34 @@ def test_runner_rejects_nan_actionness(state, why):
     assert all(level != HierarchyLevel.GOAL for level, _ in calls)
 
 
+# Finite actionness, but not a distribution: the detector never reads bg.
+BAD_STATE_SUMS = [
+    ((math.nan, 0.0, 1.0), "state distribution sums to nan, not 1"),
+    ((math.inf, 0.0, 1.0), "state distribution sums to inf, not 1"),
+    ((0.5, 0.0, 1.0), "state distribution sums to 1.5, not 1"),
+    ((0.0, 0.0, 0.5), "state distribution sums to 0.5, not 1"),
+]
+
+
+@pytest.mark.parametrize("state,why", BAD_STATE_SUMS, ids=["nan-bg", "inf-bg", "over", "under"])
+def test_run_stream_rejects_bad_state_sum(state, why):
+    with pytest.raises(ValueError, match=f"frame at t=2.0: {why}"):
+        run_stream(frames_with_state(state))
+
+
+@pytest.mark.parametrize("state,why", BAD_STATE_SUMS, ids=["nan-bg", "inf-bg", "over", "under"])
+def test_runner_rejects_bad_state_sum(state, why):
+    calls = []
+    with pytest.raises(ValueError, match=f"frame at t=2.0: {why}"):
+        run_described_stream(frames_with_state(state), counting(calls))
+    assert all(level != HierarchyLevel.GOAL for level, _ in calls)
+
+
+def test_state_sum_within_tolerance_accepted():
+    frames = frames_with_state((1e-7, 0.0, 1.0))
+    assert key(run_stream(frames)) == key(run_stream(frames_at((0.0, 1.0, 2.0, 3.0))))
+
+
 # ----------------------------------------------------------------------
 # properties on random valid score streams
 # ----------------------------------------------------------------------

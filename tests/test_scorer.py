@@ -195,8 +195,7 @@ class TestAgainstPerFrameOracles:
             T = 1 if trial % 5 == 0 else int(rng.integers(2, 20))
             H, D, bins = int(rng.integers(1, 10)), int(rng.integers(1, 5)), int(rng.integers(2, 7))
             cfg = ScorerConfig(feature_dim=D, recurrent_layers=L, hidden_dim=H,
-                               histogram=HistogramConfig(bins=bins),
-                               state_weight=0.5, step_weight=2.0, substep_weight=1.5)
+                               histogram=HistogramConfig(bins=bins))
             model = ScorerModel.init(cfg, seed=trial)
             h0 = [rng.normal(0, 1, H) for _ in range(L)] if trial % 2 else None
             cache = model.forward(rng.normal(0, 1, (T, D)), h0)

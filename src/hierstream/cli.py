@@ -307,7 +307,12 @@ def cmd_evaluate(args) -> int:
     if pred_path.is_dir():
         emissions_by_video = {p.stem: read_emissions(p) for p in sorted(pred_path.glob("*.jsonl"))}
         goals_file = pred_path / "goals.json"
-        goals = json.loads(goals_file.read_text()) if goals_file.exists() else None
+        try:
+            goals = json.loads(goals_file.read_text()) if goals_file.exists() else None
+        except ValueError as exc:
+            raise DataError(f"{goals_file}: {exc}") from None
+        if goals is not None and not (isinstance(goals, dict) and all(isinstance(g, str) for g in goals.values())):
+            raise DataError(f"{goals_file}: not a JSON object of goal strings")
     else:
         if len(annotations) != 1:
             raise DataError("single emissions file needs a single-video annotation set")
@@ -338,6 +343,9 @@ def _print_table(report: dict) -> None:
 
 
 def cmd_pipeline(args) -> int:
+    if (args.bounds_min is None) != (args.bounds_max is None):
+        print("error: --bounds-min and --bounds-max go together", file=sys.stderr)
+        return EXIT_USAGE
     annotations = _read_annotations(args.input)
     if args.client == "mock":
         client = MockGroupingClient(window=args.mock_window)
@@ -461,26 +469,26 @@ class _Subcommand(argparse.ArgumentParser):
 
 
 def _add_sim_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--videos", type=int, default=10)
-    p.add_argument("--duration-min", type=float, default=30.0)
-    p.add_argument("--duration-max", type=float, default=60.0)
-    p.add_argument("--steps-min", type=int, default=2)
-    p.add_argument("--steps-max", type=int, default=4)
-    p.add_argument("--substeps-min", type=int, default=2)
-    p.add_argument("--substeps-max", type=int, default=4)
-    p.add_argument("--zero-gap-prob", type=float, default=0.5)
-    p.add_argument("--gap-min", type=float, default=1.0)
-    p.add_argument("--gap-max", type=float, default=3.0)
-    p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--fps", type=float, default=4.0)
-    p.add_argument("--feature-dim", type=int, default=8)
+    p.add_argument("--seed", type=int, default=SimConfig.seed)
+    p.add_argument("--videos", type=int, default=SimConfig.videos)
+    p.add_argument("--duration-min", type=float, default=SimConfig.duration_range[0])
+    p.add_argument("--duration-max", type=float, default=SimConfig.duration_range[1])
+    p.add_argument("--steps-min", type=int, default=SimConfig.steps_per_video[0])
+    p.add_argument("--steps-max", type=int, default=SimConfig.steps_per_video[1])
+    p.add_argument("--substeps-min", type=int, default=SimConfig.substeps_per_step[0])
+    p.add_argument("--substeps-max", type=int, default=SimConfig.substeps_per_step[1])
+    p.add_argument("--zero-gap-prob", type=float, default=SimConfig.zero_gap_prob)
+    p.add_argument("--gap-min", type=float, default=SimConfig.gap_range[0])
+    p.add_argument("--gap-max", type=float, default=SimConfig.gap_range[1])
+    p.add_argument("--noise-sigma", type=float, default=SimConfig.noise_sigma)
+    p.add_argument("--fps", type=float, default=SimConfig.fps)
+    p.add_argument("--feature-dim", type=int, default=SimConfig.feature_dim)
 
 
 def _add_detector_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--start-threshold", type=float, default=0.5)
-    p.add_argument("--drop-delta", type=float, default=0.4)
-    p.add_argument("--min-progress-for-drop", type=float, default=0.5)
+    p.add_argument("--start-threshold", type=float, default=DetectorConfig.start_threshold)
+    p.add_argument("--drop-delta", type=float, default=DetectorConfig.drop_delta)
+    p.add_argument("--min-progress-for-drop", type=float, default=DetectorConfig.min_progress_for_drop)
     p.add_argument("--no-eos-close", action="store_true")
 
 
@@ -488,11 +496,11 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--hidden-dim", type=int, default=32,
                    help="desk-scale default; the full-scale setting is 768")
-    p.add_argument("--learning-rate", type=float, default=3e-4)
-    p.add_argument("--weight-decay", type=float, default=0.01)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--bptt-window", type=int, default=64)
+    p.add_argument("--learning-rate", type=float, default=ScorerConfig.learning_rate)
+    p.add_argument("--weight-decay", type=float, default=ScorerConfig.weight_decay)
+    p.add_argument("--batch-size", type=int, default=ScorerConfig.batch_size)
+    p.add_argument("--epochs", type=int, default=ScorerConfig.epochs)
+    p.add_argument("--bptt-window", type=int, default=ScorerConfig.bptt_window)
 
 
 def _add_endpoint_args(p: argparse.ArgumentParser) -> None:
@@ -503,9 +511,9 @@ def _add_endpoint_args(p: argparse.ArgumentParser) -> None:
 def _add_describer_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--describer", choices=("mock", "http"), default="mock")
     _add_endpoint_args(p)
-    p.add_argument("--timeout", type=float, default=30.0)
-    p.add_argument("--max-retries", type=int, default=3)
-    p.add_argument("--max-inflight", type=int, default=4,
+    p.add_argument("--timeout", type=float, default=HttpLimits.timeout)
+    p.add_argument("--max-retries", type=int, default=HttpLimits.max_retries)
+    p.add_argument("--max-inflight", type=int, default=HttpLimits.max_inflight,
                    help="HTTP requests in flight, and videos run at once with --describer http")
     p.add_argument("--completion", type=float, default=1.0,
                    help="fraction of each instance visible to the describer")

@@ -2,7 +2,7 @@
 
 Everything here is a plain immutable value type, safe to share between
 threads.  Annotations round-trip through a JSON Lines file format (one
-video per line).
+video per line), read by :func:`read_jsonl` like every JSONL format.
 """
 
 from __future__ import annotations
@@ -11,9 +11,11 @@ import json
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
+
+T = TypeVar("T")
 
 # FrameScores distributions: entries within [-PROB_SLACK, 1 + PROB_SLACK],
 # sums within PROB_SUM_TOL of one.
@@ -34,7 +36,6 @@ class HierarchyLevel(IntEnum):
 STATE_BG = 0
 STATE_STEP = 1
 STATE_STEP_AND_SUBSTEP = 2
-STATE_NAMES = ("bg", "step", "stepsub")
 
 
 @dataclass(frozen=True)
@@ -51,9 +52,6 @@ class Interval:
     @property
     def length(self) -> float:
         return self.end - self.start
-
-    def contains(self, t: float) -> bool:
-        return self.start <= t <= self.end
 
 
 @dataclass(frozen=True)
@@ -215,38 +213,55 @@ def annotation_to_dict(a: AnnotationSet) -> dict:
     }
 
 
-def annotation_from_dict(d: dict) -> AnnotationSet:
-    instances = tuple(
-        ActionInstance(
-            interval=Interval(float(i["start"]), float(i["end"])),
-            description=str(i.get("description", "")),
-            level=HierarchyLevel(int(i["level"])),
-        )
-        for i in d["instances"]
+def instance_from_dict(d: dict) -> ActionInstance:
+    return ActionInstance(
+        interval=Interval(float(d["start"]), float(d["end"])),
+        description=str(d.get("description", "")),
+        level=HierarchyLevel(int(d["level"])),
     )
+
+
+def annotation_from_dict(d: dict) -> AnnotationSet:
     return AnnotationSet(
         video_id=str(d["video_id"]),
         duration=float(d["duration"]),
         fps=float(d["fps"]),
-        instances=instances,
+        instances=tuple(instance_from_dict(i) for i in d["instances"]),
         goal=str(d.get("goal", "")),
     )
 
 
-def write_annotations(sets: Iterable[AnnotationSet], path) -> None:
+def write_jsonl(records: Iterable[dict], path) -> None:
     with open(path, "w") as fh:
-        for a in sets:
-            fh.write(json.dumps(annotation_to_dict(a)) + "\n")
+        fh.writelines(json.dumps(r) + "\n" for r in records)
+
+
+def write_annotations(sets: Iterable[AnnotationSet], path) -> None:
+    write_jsonl(map(annotation_to_dict, sets), path)
+
+
+def read_jsonl(path, from_dict: Callable[[dict], T]) -> list[T]:
+    """``from_dict`` of each record of a JSON Lines file; blank lines are
+    skipped. A line that is not a JSON object, or whose object ``from_dict``
+    rejects, raises ``ValueError`` naming the file and the 1-based line."""
+    out = []
+    with open(path) as fh:
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError(f"a JSON {type(record).__name__}, not an object")
+                out.append(from_dict(record))
+            except (ValueError, LookupError, TypeError) as exc:
+                why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                raise ValueError(f"{path}, line {n}: {why}") from None
+    return out
 
 
 def read_annotations(path) -> list[AnnotationSet]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(annotation_from_dict(json.loads(line)))
-    return out
+    return read_jsonl(path, annotation_from_dict)
 
 
 def frame_timestamps(duration: float, fps: float) -> np.ndarray:

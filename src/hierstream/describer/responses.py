@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core import HierarchyLevel
 from ..memory import RetrievalBundle
@@ -25,8 +25,6 @@ class DescribeRequest:
     level: HierarchyLevel
     prompt: str
     frame_handles: tuple[str, ...]
-    # True for a goal request assembled with no step predictions available.
-    empty_history: bool = False
 
 
 @dataclass(frozen=True)
@@ -44,12 +42,7 @@ def build_request(bundle: RetrievalBundle) -> DescribeRequest:
     serialized = json.dumps(list(bundle.prior_predictions))
     prompt = template.replace(placeholder, serialized)
     frames = tuple(f.handle for f in sorted(bundle.frames, key=lambda f: f.timestamp))
-    return DescribeRequest(
-        level=bundle.level,
-        prompt=prompt,
-        frame_handles=frames,
-        empty_history=bundle.level == HierarchyLevel.GOAL and not bundle.prior_predictions,
-    )
+    return DescribeRequest(level=bundle.level, prompt=prompt, frame_handles=frames)
 
 
 _SHORT_RE = re.compile(r"short form response\s*:\s*(.*)", re.IGNORECASE)

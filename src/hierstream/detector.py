@@ -18,13 +18,13 @@ records is the online loop's job (``runner.run_described_stream``);
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
 from .core import (
+    PROB_SLACK,
     PROB_SUM_TOL,
     STATE_STEP,
     STATE_STEP_AND_SUBSTEP,
@@ -33,6 +33,9 @@ from .core import (
     HierarchyLevel,
     Interval,
     check_timestamp,
+    instance_from_dict,
+    read_jsonl,
+    write_jsonl,
 )
 from .scoring.histogram import HistogramConfig, histogram_expectation
 
@@ -146,12 +149,15 @@ class StreamDetector:
         # A sum near one also means finite actionness, which the threshold
         # tests below need (NaN fails both). A failing frame is named by its
         # first non-finite actionness, else by its sum (a NaN bg included).
-        total = sum(fs.state_probs.tolist())
+        probs = fs.state_probs.tolist()
+        total = sum(probs)
         if not abs(total - 1.0) <= PROB_SUM_TOL:
             for level in self.LEVELS:
                 if not math.isfinite(act := actionness(fs, level)):
                     raise ValueError(f"frame at t={t}: {level.name} actionness {act!r} is not finite")
             raise ValueError(f"frame at t={t}: state distribution sums to {total!r}, not 1")
+        if min(probs) < -PROB_SLACK or max(probs) > 1 + PROB_SLACK:
+            raise ValueError(f"frame at t={t}: state distribution {probs} has entries outside [0, 1]")
 
         events: list[DetectionEvent] = []
         for level in self.LEVELS:
@@ -194,12 +200,12 @@ class StreamDetector:
         self._last_ts = t
         return events
 
-    def finish(self, final_timestamp: float | None = None) -> list[DetectionEvent]:
+    def finish(self) -> list[DetectionEvent]:
+        """End-of-stream closes at the last timestamp (0.0 if none), then GOAL_DUE."""
         if self._finished:
             raise RuntimeError("finish() called twice")
         self._finished = True
-        if final_timestamp is None:
-            final_timestamp = self._last_ts if self._last_ts is not None else 0.0
+        t = self._last_ts if self._last_ts is not None else 0.0
 
         events: list[DetectionEvent] = []
         if self.cfg.close_incomplete_at_eos:
@@ -207,13 +213,10 @@ class StreamDetector:
                 ls = self._levels[level]
                 if ls.ongoing:
                     events.append(self._emit(DetectionEvent(
-                        EventKind.INSTANCE_ENDED, level, final_timestamp,
-                        Interval(ls.open_start, final_timestamp),
+                        EventKind.INSTANCE_ENDED, level, t, Interval(ls.open_start, t),
                     )))
                     ls.ongoing = False
-        events.append(self._emit(DetectionEvent(
-            EventKind.GOAL_DUE, HierarchyLevel.GOAL, final_timestamp,
-        )))
+        events.append(self._emit(DetectionEvent(EventKind.GOAL_DUE, HierarchyLevel.GOAL, t)))
         return events
 
 
@@ -246,27 +249,12 @@ def emission_to_dict(e: Emission) -> dict:
 
 
 def emission_from_dict(d: dict) -> Emission:
-    return Emission(
-        instance=ActionInstance(
-            interval=Interval(float(d["start"]), float(d["end"])),
-            description=str(d.get("description", "")),
-            level=HierarchyLevel(int(d["level"])),
-        ),
-        emit_time=float(d["emit_time"]),
-    )
+    return Emission(instance_from_dict(d), float(d["emit_time"]))
 
 
 def write_emissions(emissions: list[Emission], path) -> None:
-    with open(path, "w") as fh:
-        for e in emissions:
-            fh.write(json.dumps(emission_to_dict(e)) + "\n")
+    write_jsonl(map(emission_to_dict, emissions), path)
 
 
 def read_emissions(path) -> list[Emission]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(emission_from_dict(json.loads(line)))
-    return out
+    return read_jsonl(path, emission_from_dict)

@@ -18,7 +18,6 @@ closest to the step midpoint; that representative is what goal queries see.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .core import ActionInstance, HierarchyLevel, Interval, check_timestamp
@@ -105,7 +104,7 @@ class ContextMemory:
             self._prune_to_representative(p.interval)
 
     def _prune_to_representative(self, interval: Interval) -> None:
-        inside = [f for f in self._frames if interval.start <= f.timestamp <= interval.end]
+        inside = self._frames_within(interval)
         if not inside:
             return
         mid = (interval.start + interval.end) / 2.0
@@ -174,35 +173,3 @@ class ContextMemory:
             HierarchyLevel.GOAL,
             Interval(0.0, max(end, 0.0)),
         )
-
-    # ------------------------------------------------------------------
-    # debugging
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """JSON-friendly dump of the store; not a stable format."""
-        return {
-            "frames": [
-                {
-                    "timestamp": f.timestamp,
-                    "levels": sorted(int(l) for l in f.member_levels),
-                    "handle": f.handle,
-                }
-                for f in self._frames
-            ],
-            "predictions": [
-                {
-                    "level": int(p.level),
-                    "start": p.interval.start,
-                    "end": p.interval.end,
-                    "short_form": p.short_form,
-                    "long_form": p.long_form,
-                    "created_at": p.created_at,
-                }
-                for p in self._predictions
-            ],
-        }
-
-    def export_snapshot(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.snapshot(), fh, indent=2, sort_keys=True)

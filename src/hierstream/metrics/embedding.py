@@ -13,6 +13,7 @@ import numpy as np
 from .._http import HttpLimits, JsonHttpClient
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+HASHED_DIM = 256
 
 
 class Embedder(Protocol):
@@ -27,17 +28,14 @@ class HashedBagOfWordsEmbedder:
     always 1.
     """
 
-    def __init__(self, dim: int = 256):
-        self.dim = dim
-
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        out = np.zeros((len(texts), self.dim), dtype=np.float64)
+        out = np.zeros((len(texts), HASHED_DIM), dtype=np.float64)
         for row, text in enumerate(texts):
             tokens = _TOKEN_RE.findall(text.lower())
             if not tokens:
                 tokens = ["<empty>"]
             for tok in tokens:
-                out[row, zlib.crc32(tok.encode("utf-8")) % self.dim] += 1.0
+                out[row, zlib.crc32(tok.encode("utf-8")) % HASHED_DIM] += 1.0
         norms = np.linalg.norm(out, axis=1, keepdims=True)
         return out / norms
 

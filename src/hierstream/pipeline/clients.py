@@ -1,17 +1,20 @@
 """Chat clients for the annotation pipeline: a protocol, a deterministic
 window-grouping mock, and a thin adapter over an OpenAI-compatible chat
-endpoint."""
+endpoint. ``complete(prompt, parse)`` returns ``parse`` of the reply text;
+over HTTP a reply ``parse`` rejects is re-asked within the one retry budget."""
 
 from __future__ import annotations
 
 import json
-from typing import Protocol
+from typing import Callable, Protocol, TypeVar
 
 from .._http import HttpLimits, JsonHttpClient
 
+T = TypeVar("T")
+
 
 class ChatClient(Protocol):
-    def complete(self, prompt: str) -> str: ...
+    def complete(self, prompt: str, parse: Callable[[str], T]) -> T: ...
 
 
 def _find_substep_array(prompt: str) -> list | None:
@@ -44,7 +47,7 @@ class MockGroupingClient:
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = window
 
-    def complete(self, prompt: str) -> str:
+    def complete(self, prompt: str, parse: Callable[[str], T]) -> T:
         substeps = _find_substep_array(prompt)
         if substeps is None:
             raise ValueError("grouping prompt carries no substep array")
@@ -56,7 +59,7 @@ class MockGroupingClient:
                 "description": f"do: {chunk[0]['description']}",
             })
         reply = {"steps": steps, "goal": f"complete {len(steps)} activities"}
-        return json.dumps(reply)
+        return parse(json.dumps(reply))
 
 
 class HttpChatClient:
@@ -67,9 +70,9 @@ class HttpChatClient:
         self._client = JsonHttpClient(base_url, limits)
         self.stats = self._client.stats
 
-    def complete(self, prompt: str) -> str:
+    def complete(self, prompt: str, parse: Callable[[str], T]) -> T:
         return self._client.post_json("/chat/completions", {
             "model": self.model,
             "temperature": 0.0,
             "messages": [{"role": "user", "content": prompt}],
-        }, parse=lambda reply: reply["choices"][0]["message"]["content"])
+        }, parse=lambda reply: parse(reply["choices"][0]["message"]["content"]))

@@ -74,7 +74,9 @@ def _parse_reply(text: str, n_substeps: int) -> GroupingProposal:
         raise GroupingParseError("reply has no steps", text)
     groups, descriptions = [], []
     for entry in steps:
-        indices = entry.get("substep_indices", [])
+        indices = entry.get("substep_indices", []) if isinstance(entry, dict) else None
+        if not isinstance(indices, list):
+            raise GroupingParseError(f"step is not an object with a list of indices: {entry!r}", text)
         if not indices:
             continue
         if any(not isinstance(i, int) or not 0 <= i < n_substeps for i in indices):
@@ -92,9 +94,11 @@ def _parse_reply(text: str, n_substeps: int) -> GroupingProposal:
 
 
 def propose_grouping(
-    substeps: Sequence[ActionInstance], llm_client: ChatClient, max_retries: int = 2
+    substeps: Sequence[ActionInstance], llm_client: ChatClient
 ) -> GroupingProposal:
-    """Ask the client to group chronologically sorted substeps into steps."""
+    """Ask the client to group chronologically sorted substeps into steps. A
+    reply that does not parse raises :class:`GroupingParseError` once the
+    client's retries are spent."""
     if not substeps:
         raise ValueError("no substeps to group")
     starts = [s.interval.start for s in substeps]
@@ -110,14 +114,7 @@ def propose_grouping(
         for i, s in enumerate(substeps)
     ])
     prompt = GROUPING_PROMPT.format(substeps_json=payload)
-    last: GroupingParseError | None = None
-    for _attempt in range(max_retries + 1):
-        reply = llm_client.complete(prompt)
-        try:
-            return _parse_reply(reply, len(substeps))
-        except GroupingParseError as exc:
-            last = exc
-    raise last
+    return llm_client.complete(prompt, lambda reply: _parse_reply(reply, len(substeps)))
 
 
 def group_interval(

@@ -30,6 +30,12 @@ Descriptions:
 Reply with the caption only."""
 
 
+def _caption(reply: str) -> str:
+    if not reply.strip():
+        raise ValueError("empty caption")  # re-asked over HTTP
+    return reply.strip()
+
+
 @dataclass(frozen=True)
 class KMeansResult:
     assignments: tuple[int, ...]
@@ -122,7 +128,7 @@ def kmeans_canonicalize(
         else:
             listing = "\n".join(f"- {step_descriptions[i]}" for i in member_idx)
             representatives.append(
-                llm_client.complete(CAPTION_PROMPT.format(descriptions=listing)).strip()
+                llm_client.complete(CAPTION_PROMPT.format(descriptions=listing), _caption)
             )
 
     return KMeansResult(

@@ -33,6 +33,10 @@ _NOUNS = ("onions", "carrots", "dough", "batter", "beans", "herbs", "noodles",
 _GOALS = ("prepare a stew", "bake flatbread", "assemble a salad", "cook a curry",
           "make soup", "fry rice")
 
+# Shortest instance the generator will produce; keeps boundary erosion
+# (one frame per side at zero-gap boundaries) small relative to length.
+MIN_INSTANCE_SECONDS = 2.0
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -46,9 +50,6 @@ class SimConfig:
     noise_sigma: float = 0.0
     fps: float = 4.0
     feature_dim: int = 8
-    # Shortest instance the generator will produce; keeps boundary erosion
-    # (one frame per side at zero-gap boundaries) small relative to length.
-    min_instance_seconds: float = 2.0
     histogram: HistogramConfig = field(default_factory=HistogramConfig)
 
     def __post_init__(self) -> None:
@@ -77,7 +78,7 @@ def gen_annotations(cfg: SimConfig) -> list[AnnotationSet]:
     lo, hi = cfg.duration_range
     if lo > hi or lo <= 0:
         raise ValueError(f"bad duration range {cfg.duration_range}")
-    min_len = max(cfg.min_instance_seconds, 2.0 / cfg.fps)
+    min_len = max(MIN_INSTANCE_SECONDS, 2.0 / cfg.fps)
     min_subs = cfg.steps_per_video[0] * cfg.substeps_per_step[0]
     if min_subs * min_len > hi:
         raise ValueError(

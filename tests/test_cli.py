@@ -321,6 +321,37 @@ class TestErrors:
         assert run(*base, "--tiou", "0,0.5") == 2
         assert run(*base, "--topk", "0") == 2
 
+    @pytest.mark.parametrize("flag", ["--bounds-min", "--bounds-max"])
+    def test_one_bound_alone_is_a_usage_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "grouped"
+        assert run("pipeline", "--input", substep_only_input(tmp_path), flag, 1, "--out", out) == 1
+        assert "--bounds-min and --bounds-max" in capsys.readouterr().err
+        assert not out.exists()
+        assert run("pipeline", "--input", tmp_path / "atoms.jsonl", "--bounds-min", 1,
+                   "--bounds-max", 2, "--out", out) == 0
+
+    @pytest.mark.parametrize("goals,why", [
+        ('{"video": 5}', "not a JSON object of goal strings"),
+        ('["a goal"]', "not a JSON object of goal strings"),
+        ('{"video": ', "Expecting value"),
+    ], ids=["not-a-string", "a-list", "not-json"])
+    def test_goals_file_must_be_an_object_of_strings(self, tmp_path, capsys, goals, why):
+        corpus, pred_dir = identity_predictions(tmp_path)
+        (pred_dir / "goals.json").write_text(goals)
+        assert run("evaluate", "--annotations", corpus / "annotations.jsonl", "--pred", pred_dir) == 2
+        assert f"error: {pred_dir / 'goals.json'}: {why}" in capsys.readouterr().err
+
+    def test_bad_emissions_record_named_by_file_and_line(self, tmp_path, capsys):
+        corpus, pred_dir = identity_predictions(tmp_path)
+        path = sorted(pred_dir.glob("*.jsonl"))[0]
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        del record["end"]
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        assert run("evaluate", "--annotations", corpus / "annotations.jsonl", "--pred", pred_dir) == 2
+        assert f"error: {path}, line 2: missing key 'end'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field,value", [("fps", math.inf), ("duration", math.nan)])
     def test_non_finite_duration_or_fps_is_a_data_error(self, tmp_path, capsys, field, value):
         corpus = tmp_path / "corpus"

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hierstream.core import (
     validate_annotations,
     write_annotations,
 )
+from hierstream.detector import read_emissions
 from hierstream.scoring.streams import read_features, read_scores, write_features, write_scores
 
 
@@ -42,10 +44,6 @@ class TestInterval:
     def test_rejects_negative_start(self):
         with pytest.raises(ValueError):
             Interval(-1.0, 3.0)
-
-    def test_contains(self):
-        iv = Interval(1.0, 3.0)
-        assert iv.contains(1.0) and iv.contains(3.0) and not iv.contains(3.1)
 
 
 class TestValidateAnnotations:
@@ -116,6 +114,58 @@ class TestSerialization:
         record = json.loads(lines[0])
         assert set(record) == {"video_id", "duration", "fps", "goal", "instances"}
         assert record["instances"][0]["level"] == 1
+
+
+
+ANNOTATION = {"video_id": "v", "duration": 10.0, "fps": 4.0, "goal": "g",
+              "instances": [{"start": 0.0, "end": 2.0, "level": 1, "description": "x"}]}
+EMISSION = {"start": 0.0, "end": 2.0, "level": 1, "emit_time": 2.0}
+
+# format -> (reader, a good record, the record with a backwards interval,
+# a key the reader needs)
+JSONL_FORMATS = {
+    "annotations": (read_annotations, ANNOTATION,
+                    {**ANNOTATION, "instances": [{"start": 3.0, "end": 2.0, "level": 1}]}, "fps"),
+    "emissions": (read_emissions, EMISSION, {**EMISSION, "start": 3.0}, "end"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(JSONL_FORMATS))
+class TestReadJsonl:
+    """Both JSONL formats go through ``core.read_jsonl``: a bad record is a
+    ValueError naming the file and its 1-based line (blank lines count)."""
+
+    def read_with_third_line(self, tmp_path, fmt, line):
+        reader, good, _, _ = JSONL_FORMATS[fmt]
+        path = tmp_path / f"{fmt}.jsonl"
+        path.write_text(f"{json.dumps(good)}\n\n{line}\n")
+        return path, lambda: reader(path)
+
+    def test_bad_json(self, tmp_path, fmt):
+        path, read = self.read_with_third_line(tmp_path, fmt, '{"start": 0.0,')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 3: "):
+            read()
+
+    def test_missing_key(self, tmp_path, fmt):
+        _, good, _, key = JSONL_FORMATS[fmt]
+        record = {k: v for k, v in good.items() if k != key}
+        path, read = self.read_with_third_line(tmp_path, fmt, json.dumps(record))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 3: missing key '{key}'$"):
+            read()
+
+    def test_bad_interval(self, tmp_path, fmt):
+        path, read = self.read_with_third_line(tmp_path, fmt, json.dumps(JSONL_FORMATS[fmt][2]))
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: interval [3.0, 2.0] is not finite")):
+            read()
+
+    def test_not_an_object(self, tmp_path, fmt):
+        path, read = self.read_with_third_line(tmp_path, fmt, "[1, 2]")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: a JSON list, not an object")):
+            read()
+
+    def test_good_records_read(self, tmp_path, fmt):
+        path, read = self.read_with_third_line(tmp_path, fmt, json.dumps(JSONL_FORMATS[fmt][1]))
+        assert len(read()) == 2
 
 
 class TestFrameScores:

@@ -6,7 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from hierstream._http import API_KEY_ENV, ClientError, HttpLimits, TransportError
-from hierstream.core import HierarchyLevel, Interval
+from hierstream.core import ActionInstance, HierarchyLevel, Interval
 from hierstream.describer.http import DescriberEndpoint, HttpDescriber, build_chat_payload
 from hierstream.describer.mock import mock_describe
 from hierstream.describer.prompts import (
@@ -22,7 +22,8 @@ from hierstream.describer.responses import (
     parse_response,
 )
 from hierstream.memory import FrameRef, RetrievalBundle
-from hierstream.metrics.embedding import HttpEmbedder
+from hierstream.metrics.embedding import HashedBagOfWordsEmbedder, HttpEmbedder
+from hierstream.pipeline import GroupingParseError, kmeans_canonicalize, propose_grouping
 from hierstream.pipeline.clients import HttpChatClient
 
 SUB = HierarchyLevel.SUBSTEP
@@ -80,11 +81,9 @@ class TestBuildRequest:
     def test_goal_uses_short_form_placeholder(self):
         req = build_request(bundle(GOAL, history=["a", "b"]))
         assert 'Short form response of step: ["a", "b"]' in req.prompt
-        assert req.empty_history is False
 
     def test_goal_with_no_history_flagged(self):
         req = build_request(bundle(GOAL))
-        assert req.empty_history is True
         assert "Short form response of step: []" in req.prompt
 
     def test_frames_attached_in_timestamp_order(self):
@@ -272,7 +271,7 @@ CLIENTS = {
     ),
     "chat": (
         lambda url, limits: HttpChatClient(url, "stub-model", limits),
-        lambda client: client.complete("group these"),
+        lambda client: client.complete("group these", str),
         chat_reply("ok"), {"choices": []}, TransportError,
     ),
 }
@@ -339,7 +338,7 @@ class TestOneHttpPath:
         client = HttpChatClient(stub_server, "stub-model", HttpLimits(max_inflight=8))
         _StubHandler.answer = lambda body: (200, chat_reply("ok"))
         threads = [
-            threading.Thread(target=lambda: [client.complete("x") for _ in range(25)])
+            threading.Thread(target=lambda: [client.complete("x", str) for _ in range(25)])
             for _ in range(8)
         ]
         interval = sys.getswitchinterval()
@@ -353,6 +352,41 @@ class TestOneHttpPath:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert client.stats.requests == len(_StubHandler.requests_seen) == 8 * 25
+
+
+ATOMS = [ActionInstance(Interval(0.0, 2.0), "chop", SUB), ActionInstance(Interval(2.0, 4.0), "stir", SUB)]
+GROUPING = json.dumps({"steps": [{"substep_indices": [0, 1], "description": "cook"}], "goal": "g"})
+
+
+class TestChatRepliesShareTheBudget:
+    """Grouping and caption replies that do not parse are re-asked by the
+    HTTP layer alone, and counted as its retries."""
+
+    @pytest.fixture
+    def chat(self, stub_server):
+        return HttpChatClient(stub_server, "stub-model", HttpLimits(timeout=5.0, max_retries=2, backoff_base=0.01))
+
+    def test_malformed_grouping_sent_three_times_then_raised(self, chat):
+        _StubHandler.script = [(200, chat_reply("not json at all"))] * 3
+        with pytest.raises(GroupingParseError) as err:
+            propose_grouping(ATOMS, chat)
+        assert err.value.raw == "not json at all"
+        assert (chat.stats.requests, chat.stats.retries) == (3, 2)
+
+    def test_malformed_then_good_grouping(self, chat):
+        _StubHandler.script = [(200, chat_reply('{"steps": []}')), (200, chat_reply(GROUPING))]
+        assert propose_grouping(ATOMS, chat).groups == ((0, 1),)
+        assert (chat.stats.requests, chat.stats.retries) == (2, 1)
+
+    def test_empty_caption_retried(self, chat):
+        _StubHandler.script = [(200, chat_reply(" \n")), (200, chat_reply(" a caption\n"))]
+        result = kmeans_canonicalize(["chop onions", "dice onions"], 1, HashedBagOfWordsEmbedder(), chat)
+        assert result.representatives == ("a caption",)
+        assert (chat.stats.requests, chat.stats.retries) == (2, 1)
+        _StubHandler.script = [(200, chat_reply(""))] * 3
+        with pytest.raises(ValueError, match="empty caption"):
+            kmeans_canonicalize(["chop onions", "dice onions"], 1, HashedBagOfWordsEmbedder(), chat)
+        assert chat.stats.requests == 2 + 3
 
 
 @pytest.mark.parametrize("field,value", [("max_retries", -1), ("max_inflight", 0)])

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from hierstream.core import ActionInstance, HierarchyLevel, Interval
@@ -184,18 +182,6 @@ class TestGoalQuery:
         fill(mem, 0.0, 5.0, {SUB, STEP})
         bundle = mem.query(ActionInstance(Interval(0.0, 5.0), "", GOAL))
         assert bundle.frames == () and bundle.prior_predictions == ()
-
-
-class TestSnapshot:
-    def test_export_round_trips_through_json(self, tmp_path):
-        mem = ContextMemory()
-        fill(mem, 0.0, 3.0, {SUB, STEP})
-        mem.commit_prediction(prediction(SUB, 0.0, 3.0, "a"))
-        path = tmp_path / "snap.json"
-        mem.export_snapshot(path)
-        snap = json.loads(path.read_text())
-        assert snap["predictions"][0]["short_form"] == "short a"
-        assert len(snap["frames"]) == mem.frame_count
 
 
 def test_prediction_created_before_end_rejected():

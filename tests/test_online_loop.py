@@ -211,3 +211,25 @@ def test_detection_same_with_or_without_describer(stream):
     alone = key(run_stream(stream))
     assert key(run_described_stream(stream, None).emissions) == alone
     assert key(run_described_stream(stream, mock_describer()).emissions) == alone
+
+
+# Sums to one, but not a distribution: an entry below 0 or above 1.
+OUT_OF_RANGE_STATES = [(-0.5, 0.5, 1.0), (0.0, 1.5, -0.5)]
+
+
+@pytest.mark.parametrize("state", OUT_OF_RANGE_STATES, ids=["negative-bg", "step-above-one"])
+def test_run_stream_rejects_state_entries_outside_unit_range(state):
+    with pytest.raises(ValueError, match=r"frame at t=2\.0: state distribution \[.*\] has entries outside \[0, 1\]"):
+        run_stream(frames_with_state(state))
+
+
+@pytest.mark.parametrize("state", OUT_OF_RANGE_STATES, ids=["negative-bg", "step-above-one"])
+def test_runner_rejects_state_entries_outside_unit_range(state):
+    calls = []
+    with pytest.raises(ValueError, match=r"frame at t=2\.0: .* has entries outside \[0, 1\]"):
+        run_described_stream(frames_with_state(state), counting(calls))
+    assert all(level != HierarchyLevel.GOAL for level, _ in calls)
+
+
+def test_state_entries_within_slack_accepted():
+    run_stream(frames_with_state((-5e-13, 0.5, 0.5 + 5e-13)))

@@ -43,27 +43,37 @@ class TestProposeGrouping:
         with pytest.raises(ValueError):
             propose_grouping(shuffled, MockGroupingClient())
 
-    def test_unparseable_reply_retries_then_raises_with_raw(self):
+    def test_unparseable_reply_asked_once_then_raises_with_raw(self):
+        # Re-asking is the HTTP layer's job, within its one retry budget
+        # (tests/test_describer.py), so propose_grouping asks once.
         class Garbage:
             calls = 0
 
-            def complete(self, prompt):
+            def complete(self, prompt, parse):
                 Garbage.calls += 1
-                return "not json at all"
+                return parse("not json at all")
 
-        client = Garbage()
         with pytest.raises(GroupingParseError) as err:
-            propose_grouping(FIVE, client, max_retries=2)
-        assert Garbage.calls == 3
+            propose_grouping(FIVE, Garbage())
+        assert Garbage.calls == 1
         assert err.value.raw == "not json at all"
 
     def test_out_of_range_indices_rejected(self):
         class Bad:
-            def complete(self, prompt):
-                return '{"steps": [{"substep_indices": [0, 99], "description": "x"}], "goal": "g"}'
+            def complete(self, prompt, parse):
+                return parse('{"steps": [{"substep_indices": [0, 99], "description": "x"}], "goal": "g"}')
 
         with pytest.raises(GroupingParseError):
-            propose_grouping(FIVE, Bad(), max_retries=0)
+            propose_grouping(FIVE, Bad())
+
+    @pytest.mark.parametrize("step", ["[0, 1]", '{"substep_indices": 3}'])
+    def test_step_without_a_list_of_indices_rejected(self, step):
+        class Bad:
+            def complete(self, prompt, parse):
+                return parse(f'{{"steps": [{step}], "goal": "g"}}')
+
+        with pytest.raises(GroupingParseError, match="not an object with a list of indices"):
+            propose_grouping(FIVE, Bad())
 
 
 class TestPostprocess:

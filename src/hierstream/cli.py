@@ -450,7 +450,10 @@ class _Subcommand(argparse.ArgumentParser):
 
     def _config_flags(self, path: str) -> list[str]:
         with open(path) as fh:
-            entries = json.load(fh)
+            try:
+                entries = json.load(fh)
+            except ValueError as exc:
+                raise DataError(f"{path}: {exc}") from None
         if not isinstance(entries, dict):
             raise DataError(f"{path}: not a JSON object")
         flags = {a.dest: a for a in self._actions if a.option_strings and a.dest not in ("help", "config")}
@@ -458,10 +461,10 @@ class _Subcommand(argparse.ArgumentParser):
         for key, value in entries.items():
             action = flags.get(key.replace("-", "_"))
             if action is None:
-                raise DataError(f"unknown config key {key!r}")
+                raise DataError(f"{path}: unknown config key {key!r}")
             switch = action.nargs == 0  # such as --features: true or false
             if isinstance(value, bool) != switch or not isinstance(value, (str, int, float)):
-                raise DataError(f"config key {key!r} cannot be {value!r}")
+                raise DataError(f"{path}: config key {key!r} cannot be {value!r}")
             if value is not False:
                 flag = action.option_strings[0]
                 tokens.append(flag if switch else f"{flag}={value}")  # "=": "-0.5,0.5" is a value, not a flag

@@ -81,6 +81,10 @@ class AnnotationSet:
         return tuple(i for i in self.instances if i.level == level)
 
 
+_FRAME_ARRAYS = ("state_probs", "step_progress_dist", "substep_progress_dist")
+_F64 = np.dtype(np.float64)
+
+
 @dataclass(frozen=True, eq=False)
 class FrameScores:
     """Per-frame model outputs: a 3-way state distribution plus one progress
@@ -98,9 +102,9 @@ class FrameScores:
 
     def __post_init__(self) -> None:
         # Readers hand in read-only float64 row views: leave those untouched.
-        for name in ("state_probs", "step_progress_dist", "substep_progress_dist"):
-            arr = getattr(self, name)
-            if type(arr) is not np.ndarray or arr.dtype != np.float64:
+        arrays = (self.state_probs, self.step_progress_dist, self.substep_progress_dist)
+        for name, arr in zip(_FRAME_ARRAYS, arrays):
+            if type(arr) is not np.ndarray or arr.dtype is not _F64:
                 arr = np.asarray(arr, dtype=np.float64)
                 object.__setattr__(self, name, arr)
             if arr.flags.writeable:
@@ -110,7 +114,7 @@ class FrameScores:
         problems = []
         if self.state_probs.shape != (3,):
             problems.append(f"state_probs must have 3 entries, got {self.state_probs.shape}")
-        for name in ("state_probs", "step_progress_dist", "substep_progress_dist"):
+        for name in _FRAME_ARRAYS:
             arr = getattr(self, name)
             if np.any(arr < -PROB_SLACK) or np.any(arr > 1 + PROB_SLACK):
                 problems.append(f"{name} has entries outside [0, 1]")

@@ -90,12 +90,11 @@ class Emission:
     emit_time: float
 
 
-@dataclass
+@dataclass(slots=True)
 class _LevelState:
     ongoing: bool = False
     open_start: float = 0.0
     previous_progress: float = 0.0
-    suppressed_this_frame: bool = False
 
 
 def actionness(fs: FrameScores, level: HierarchyLevel) -> float:
@@ -106,6 +105,19 @@ def actionness(fs: FrameScores, level: HierarchyLevel) -> float:
     if level == HierarchyLevel.SUBSTEP:
         return float(fs.state_probs[STATE_STEP_AND_SUBSTEP])
     raise ValueError(f"no actionness for level {level}")
+
+
+# Enum member lookups cost about 0.2 us each, so the per-frame path uses these.
+_SUBSTEP, _STEP = HierarchyLevel.SUBSTEP, HierarchyLevel.STEP
+
+# ongoing_levels() results, keyed by (substep ongoing, step ongoing).
+_MEMBERSHIP = {
+    (sub, step): frozenset(
+        level for level, on in ((_SUBSTEP, sub), (_STEP, step)) if on
+    )
+    for sub in (False, True)
+    for step in (False, True)
+}
 
 
 class StreamDetector:
@@ -123,22 +135,15 @@ class StreamDetector:
         self._finished = False
         self.emission_log: list[DetectionEvent] = []
 
-    def _progress(self, fs: FrameScores, level: HierarchyLevel) -> float:
-        dist = (
-            fs.substep_progress_dist
-            if level == HierarchyLevel.SUBSTEP
-            else fs.step_progress_dist
-        )
-        return histogram_expectation(dist, self.histogram)
-
     def _emit(self, event: DetectionEvent) -> DetectionEvent:
         self.emission_log.append(event)
         return event
 
-    def ongoing_levels(self) -> set[HierarchyLevel]:
+    def ongoing_levels(self) -> frozenset[HierarchyLevel]:
         """Levels with an open instance; the membership a frame stored right
         after :meth:`step` should carry."""
-        return {level for level, ls in self._levels.items() if ls.ongoing}
+        levels = self._levels
+        return _MEMBERSHIP[levels[_SUBSTEP].ongoing, levels[_STEP].ongoing]
 
     def step(self, fs: FrameScores) -> list[DetectionEvent]:
         if self._finished:
@@ -146,30 +151,38 @@ class StreamDetector:
         t = fs.timestamp
         check_timestamp(t, self._last_ts)
 
+        if fs.state_probs.shape != (3,):
+            raise ValueError(
+                f"frame at t={t}: state distribution has shape {fs.state_probs.shape}, not 3 entries"
+            )
+        probs = fs.state_probs.tolist()
+        # actionness() of each level in LEVELS, from plain floats.
+        acts = (probs[STATE_STEP_AND_SUBSTEP], probs[STATE_STEP] + probs[STATE_STEP_AND_SUBSTEP])
         # A sum near one also means finite actionness, which the threshold
         # tests below need (NaN fails both). A failing frame is named by its
         # first non-finite actionness, else by its sum (a NaN bg included).
-        probs = fs.state_probs.tolist()
         total = sum(probs)
         if not abs(total - 1.0) <= PROB_SUM_TOL:
-            for level in self.LEVELS:
-                if not math.isfinite(act := actionness(fs, level)):
+            for level, act in zip(self.LEVELS, acts):
+                if not math.isfinite(act):
                     raise ValueError(f"frame at t={t}: {level.name} actionness {act!r} is not finite")
             raise ValueError(f"frame at t={t}: state distribution sums to {total!r}, not 1")
         if min(probs) < -PROB_SLACK or max(probs) > 1 + PROB_SLACK:
             raise ValueError(f"frame at t={t}: state distribution {probs} has entries outside [0, 1]")
 
+        cfg = self.cfg
         events: list[DetectionEvent] = []
-        for level in self.LEVELS:
+        for level, act, dist in zip(
+            self.LEVELS, acts, (fs.substep_progress_dist, fs.step_progress_dist)
+        ):
             ls = self._levels[level]
-            ls.suppressed_this_frame = False
-            act = actionness(fs, level)
+            suppressed = False
 
             if ls.ongoing:
-                p = self._progress(fs, level)
+                p = histogram_expectation(dist, self.histogram)
                 dropped = (
-                    ls.previous_progress - p >= self.cfg.drop_delta
-                    and ls.previous_progress >= self.cfg.min_progress_for_drop
+                    ls.previous_progress - p >= cfg.drop_delta
+                    and ls.previous_progress >= cfg.min_progress_for_drop
                 )
                 if dropped:
                     # Progress collapsed: the instance ended at the previous
@@ -179,8 +192,8 @@ class StreamDetector:
                         Interval(ls.open_start, self._last_ts),
                     )))
                     ls.ongoing = False
-                    ls.suppressed_this_frame = True
-                elif act < self.cfg.start_threshold:
+                    suppressed = True
+                elif act < cfg.start_threshold:
                     events.append(self._emit(DetectionEvent(
                         EventKind.INSTANCE_ENDED, level, t,
                         Interval(ls.open_start, t),
@@ -189,10 +202,10 @@ class StreamDetector:
                 else:
                     ls.previous_progress = p
 
-            if not ls.ongoing and not ls.suppressed_this_frame and act >= self.cfg.start_threshold:
+            if not ls.ongoing and not suppressed and act >= cfg.start_threshold:
                 ls.ongoing = True
                 ls.open_start = t
-                ls.previous_progress = self._progress(fs, level)
+                ls.previous_progress = histogram_expectation(dist, self.histogram)
                 events.append(self._emit(DetectionEvent(
                     EventKind.INSTANCE_STARTED, level, t,
                 )))

@@ -14,11 +14,18 @@ call needs:
 
 After a step is described, its stored frames collapse to the single frame
 closest to the step midpoint; that representative is what goal queries see.
+
+Stored frames are kept in time order next to a list of their timestamps, so
+every interval lookup bisects: a query costs O(log n + k) for n stored
+frames and k frames in its interval, and nothing per frame grows with the
+stream.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import AbstractSet
 
 from .core import ActionInstance, HierarchyLevel, Interval, check_timestamp
 
@@ -26,8 +33,11 @@ SUBSTEP_FRAME_SPACING = 1.0
 STEP_FRAME_SPACING = 3.3
 MAX_STEP_HISTORY = 10
 
+# Enum member lookups cost about 0.2 us each; these run per frame or per stored frame.
+_SUBSTEP, _STEP = HierarchyLevel.SUBSTEP, HierarchyLevel.STEP
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class FrameRef:
     timestamp: float
     member_levels: frozenset[HierarchyLevel]
@@ -73,46 +83,71 @@ class ContextMemory:
 
     def __init__(self) -> None:
         self._frames: list[FrameRef] = []
+        self._times: list[float] = []  # self._frames' timestamps, for bisection
         self._predictions: list[Prediction] = []
+        self._step_predictions: list[Prediction] = []
         self._last_seen: float | None = None
         # Start of the step instance currently ongoing, derived from the
         # membership of observed frames; None while no step is ongoing.
         self._current_step_start: float | None = None
+        # Index into _predictions of the first one committed since that step
+        # started; no earlier one can lie inside the step.
+        self._step_predictions_from = 0
 
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
 
     def insert_frame(
-        self, timestamp: float, member_levels: set[HierarchyLevel], handle: str
+        self, timestamp: float, member_levels: AbstractSet[HierarchyLevel], handle: str
     ) -> None:
         check_timestamp(timestamp, self._last_seen)
         self._last_seen = timestamp
 
-        if HierarchyLevel.STEP in member_levels:
+        if _STEP in member_levels:
             if self._current_step_start is None:
                 self._current_step_start = timestamp
+                self._step_predictions_from = len(self._predictions)
         else:
             self._current_step_start = None
 
         if member_levels:
             self._frames.append(FrameRef(timestamp, frozenset(member_levels), handle))
+            self._times.append(timestamp)
 
     def commit_prediction(self, p: Prediction) -> None:
+        # A prediction lies in the frames seen so far, so none committed
+        # before a step started can lie inside that step.
+        if p.level != HierarchyLevel.GOAL and (
+            self._last_seen is None or p.interval.end > self._last_seen
+        ):
+            raise ValueError(
+                f"memory covers up to {self._last_seen}, "
+                f"prediction interval ends at {p.interval.end}"
+            )
         self._predictions.append(p)
-        if p.level == HierarchyLevel.STEP:
+        if p.level == _STEP:
+            self._step_predictions.append(p)
             self._prune_to_representative(p.interval)
 
     def _prune_to_representative(self, interval: Interval) -> None:
-        inside = self._frames_within(interval)
-        if not inside:
+        lo, hi = self._span(interval)
+        if lo == hi:
             return
+        times = self._times
         mid = (interval.start + interval.end) / 2.0
-        rep = min(inside, key=lambda f: (abs(f.timestamp - mid), f.timestamp))
-        self._frames = [
-            f for f in self._frames
-            if f is rep or not (interval.start <= f.timestamp <= interval.end)
-        ]
+        # The closest frame is next to where mid would be inserted; an exact
+        # tie goes to the earlier frame. Below mid the rounded distance can
+        # tie with earlier frames too, and the earliest of those wins.
+        at = bisect_left(times, mid, lo, hi)
+        rep = min(
+            range(max(at - 1, lo), min(at + 1, hi)),
+            key=lambda i: (abs(times[i] - mid), times[i]),
+        )
+        while rep > lo and abs(times[rep - 1] - mid) == abs(times[rep] - mid):
+            rep -= 1
+        self._frames[lo:hi] = [self._frames[rep]]
+        self._times[lo:hi] = [times[rep]]
 
     # ------------------------------------------------------------------
     # reads
@@ -122,8 +157,16 @@ class ContextMemory:
     def frame_count(self) -> int:
         return len(self._frames)
 
+    def _span(self, interval: Interval) -> tuple[int, int]:
+        """Index range of the stored frames with start <= timestamp <= end."""
+        return (
+            bisect_left(self._times, interval.start),
+            bisect_right(self._times, interval.end),
+        )
+
     def _frames_within(self, interval: Interval) -> list[FrameRef]:
-        return [f for f in self._frames if interval.start <= f.timestamp <= interval.end]
+        lo, hi = self._span(interval)
+        return self._frames[lo:hi]
 
     def query(self, instance: ActionInstance) -> RetrievalBundle:
         iv = instance.interval
@@ -140,8 +183,8 @@ class ContextMemory:
                 step_iv = Interval(self._current_step_start, self._last_seen)
                 prior = [
                     p.long_form
-                    for p in self._predictions
-                    if p.level == HierarchyLevel.SUBSTEP
+                    for p in self._predictions[self._step_predictions_from:]
+                    if p.level == _SUBSTEP
                     and step_iv.start <= p.interval.start
                     and p.interval.end <= step_iv.end
                 ]
@@ -149,23 +192,20 @@ class ContextMemory:
 
         if instance.level == HierarchyLevel.STEP:
             candidates = [
-                f for f in self._frames_within(iv) if HierarchyLevel.SUBSTEP in f.member_levels
+                f for f in self._frames_within(iv) if _SUBSTEP in f.member_levels
             ]
             frames = _spaced(candidates, STEP_FRAME_SPACING)
-            step_preds = [p for p in self._predictions if p.level == HierarchyLevel.STEP]
-            prior = [p.long_form for p in step_preds[-MAX_STEP_HISTORY:]]
+            prior = [p.long_form for p in self._step_predictions[-MAX_STEP_HISTORY:]]
             return RetrievalBundle(tuple(frames), tuple(prior), instance.level, iv)
 
         # Goal: one representative frame per described step, oldest first.
         frames = []
         prior = []
-        for p in self._predictions:
-            if p.level != HierarchyLevel.STEP:
-                continue
+        for p in self._step_predictions:
             prior.append(p.short_form)
-            inside = self._frames_within(p.interval)
-            if inside:
-                frames.append(inside[0])
+            lo, hi = self._span(p.interval)
+            if lo < hi:
+                frames.append(self._frames[lo])
         end = self._last_seen if self._last_seen is not None else iv.end
         return RetrievalBundle(
             tuple(sorted(frames, key=lambda f: f.timestamp)),

@@ -98,10 +98,13 @@ def run_described_stream(
     last_ts = 0.0
     for fs in scores:
         events = detector.step(fs)
-        if describe is not None:
-            memory.insert_frame(fs.timestamp, detector.ongoing_levels(), frame_handle(fs.timestamp))
-        handle_events(events)
         last_ts = fs.timestamp
+        if describe is not None:
+            levels = detector.ongoing_levels()
+            # The memory stores only frames with some membership; only those need a handle.
+            memory.insert_frame(last_ts, levels, frame_handle(last_ts) if levels else "")
+        if events:
+            handle_events(events)
 
     final_events = detector.finish()  # end-of-stream closes, then GOAL_DUE
     handle_events(final_events)

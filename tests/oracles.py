@@ -5,7 +5,10 @@ by exhaustive enumeration, histogram targets by numeric quadrature,
 gradients by central finite differences, the CSV readers by the
 row-at-a-time ``csv`` readers they replaced, and frame targets and the
 simulator's streams by the per-timestamp helpers that scanned every
-instance for each frame.
+instance for each frame, and the online loop's detector and context memory
+by their earlier forms: actionness from numpy scalars, a fresh membership
+set per frame, and memory lookups that scan every stored frame and
+prediction.
 """
 
 from __future__ import annotations
@@ -13,20 +16,35 @@ from __future__ import annotations
 import csv
 import math
 import zlib
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from hierstream.core import (
+    PROB_SLACK,
+    PROB_SUM_TOL,
     STATE_BG,
     STATE_STEP,
     STATE_STEP_AND_SUBSTEP,
+    ActionInstance,
     AnnotationSet,
     FrameScores,
     HierarchyLevel,
     Interval,
+    check_timestamp,
     check_timestamps,
     frame_timestamps,
+)
+from hierstream.detector import DetectionEvent, DetectorConfig, EventKind
+from hierstream.memory import (
+    MAX_STEP_HISTORY,
+    STEP_FRAME_SPACING,
+    SUBSTEP_FRAME_SPACING,
+    FrameRef,
+    Prediction,
+    RetrievalBundle,
+    _spaced,
 )
 from hierstream.scoring.histogram import HistogramConfig
 from hierstream.scoring.losses import soft_cross_entropy
@@ -351,3 +369,257 @@ def per_frame_features(a: AnnotationSet, cfg, seed: int = 0) -> tuple[np.ndarray
     if cfg.noise_sigma > 0:
         feats = feats + rng.normal(0.0, cfg.noise_sigma, feats.shape)
     return ts, feats
+
+
+# ----------------------------------------------------------------------
+# the online loop's detector and context memory as they were
+# ----------------------------------------------------------------------
+
+def scan_histogram_expectation(dist: np.ndarray, cfg: HistogramConfig = HistogramConfig()) -> float:
+    """``histogram_expectation`` as it was: ``asarray``, ``ndarray.sum`` and ``@``."""
+    dist = np.asarray(dist, dtype=np.float64)
+    if dist.shape != (cfg.bins,):
+        raise ValueError(f"expected {cfg.bins} bins, got shape {dist.shape}")
+    total = float(dist.sum())
+    if not abs(total - 1.0) <= 1e-6:  # NaN fails too
+        raise ValueError(f"distribution sums to {total}, expected 1 within 1e-6")
+    return float(dist @ cfg.centers)
+
+
+@dataclass
+class _ScanLevelState:
+    ongoing: bool = False
+    open_start: float = 0.0
+    previous_progress: float = 0.0
+    suppressed_this_frame: bool = False
+
+
+def actionness(fs: FrameScores, level: HierarchyLevel) -> float:
+    """Probability that an instance of the level is ongoing, marginalized
+    from the 3-state distribution (substeps imply an enclosing step)."""
+    if level == HierarchyLevel.STEP:
+        return float(fs.state_probs[STATE_STEP] + fs.state_probs[STATE_STEP_AND_SUBSTEP])
+    if level == HierarchyLevel.SUBSTEP:
+        return float(fs.state_probs[STATE_STEP_AND_SUBSTEP])
+    raise ValueError(f"no actionness for level {level}")
+
+
+class ScanDetector:
+    """``StreamDetector`` as it was: actionness from numpy scalars through
+    ``actionness``, progress through ``_progress``, and a new set from
+    ``ongoing_levels`` on every call."""
+
+    LEVELS = (HierarchyLevel.SUBSTEP, HierarchyLevel.STEP)
+
+    def __init__(self, cfg: DetectorConfig = DetectorConfig(),
+                 histogram: HistogramConfig = HistogramConfig()):
+        self.cfg = cfg
+        self.histogram = histogram
+        self._levels = {level: _ScanLevelState() for level in self.LEVELS}
+        self._last_ts: float | None = None
+        self._finished = False
+        self.emission_log: list[DetectionEvent] = []
+
+    def _progress(self, fs: FrameScores, level: HierarchyLevel) -> float:
+        dist = (
+            fs.substep_progress_dist
+            if level == HierarchyLevel.SUBSTEP
+            else fs.step_progress_dist
+        )
+        return scan_histogram_expectation(dist, self.histogram)
+
+    def _emit(self, event: DetectionEvent) -> DetectionEvent:
+        self.emission_log.append(event)
+        return event
+
+    def ongoing_levels(self) -> set[HierarchyLevel]:
+        """Levels with an open instance; the membership a frame stored right
+        after :meth:`step` should carry."""
+        return {level for level, ls in self._levels.items() if ls.ongoing}
+
+    def step(self, fs: FrameScores) -> list[DetectionEvent]:
+        if self._finished:
+            raise RuntimeError("detector already finished")
+        t = fs.timestamp
+        check_timestamp(t, self._last_ts)
+
+        # A sum near one also means finite actionness, which the threshold
+        # tests below need (NaN fails both). A failing frame is named by its
+        # first non-finite actionness, else by its sum (a NaN bg included).
+        probs = fs.state_probs.tolist()
+        total = sum(probs)
+        if not abs(total - 1.0) <= PROB_SUM_TOL:
+            for level in self.LEVELS:
+                if not math.isfinite(act := actionness(fs, level)):
+                    raise ValueError(f"frame at t={t}: {level.name} actionness {act!r} is not finite")
+            raise ValueError(f"frame at t={t}: state distribution sums to {total!r}, not 1")
+        if min(probs) < -PROB_SLACK or max(probs) > 1 + PROB_SLACK:
+            raise ValueError(f"frame at t={t}: state distribution {probs} has entries outside [0, 1]")
+
+        events: list[DetectionEvent] = []
+        for level in self.LEVELS:
+            ls = self._levels[level]
+            ls.suppressed_this_frame = False
+            act = actionness(fs, level)
+
+            if ls.ongoing:
+                p = self._progress(fs, level)
+                dropped = (
+                    ls.previous_progress - p >= self.cfg.drop_delta
+                    and ls.previous_progress >= self.cfg.min_progress_for_drop
+                )
+                if dropped:
+                    # Progress collapsed: the instance ended at the previous
+                    # frame and this frame belongs to no instance at this level.
+                    events.append(self._emit(DetectionEvent(
+                        EventKind.INSTANCE_ENDED, level, t,
+                        Interval(ls.open_start, self._last_ts),
+                    )))
+                    ls.ongoing = False
+                    ls.suppressed_this_frame = True
+                elif act < self.cfg.start_threshold:
+                    events.append(self._emit(DetectionEvent(
+                        EventKind.INSTANCE_ENDED, level, t,
+                        Interval(ls.open_start, t),
+                    )))
+                    ls.ongoing = False
+                else:
+                    ls.previous_progress = p
+
+            if not ls.ongoing and not ls.suppressed_this_frame and act >= self.cfg.start_threshold:
+                ls.ongoing = True
+                ls.open_start = t
+                ls.previous_progress = self._progress(fs, level)
+                events.append(self._emit(DetectionEvent(
+                    EventKind.INSTANCE_STARTED, level, t,
+                )))
+
+        self._last_ts = t
+        return events
+
+    def finish(self) -> list[DetectionEvent]:
+        """End-of-stream closes at the last timestamp (0.0 if none), then GOAL_DUE."""
+        if self._finished:
+            raise RuntimeError("finish() called twice")
+        self._finished = True
+        t = self._last_ts if self._last_ts is not None else 0.0
+
+        events: list[DetectionEvent] = []
+        if self.cfg.close_incomplete_at_eos:
+            for level in self.LEVELS:
+                ls = self._levels[level]
+                if ls.ongoing:
+                    events.append(self._emit(DetectionEvent(
+                        EventKind.INSTANCE_ENDED, level, t, Interval(ls.open_start, t),
+                    )))
+                    ls.ongoing = False
+        events.append(self._emit(DetectionEvent(EventKind.GOAL_DUE, HierarchyLevel.GOAL, t)))
+        return events
+
+
+class ScanMemory:
+    """``ContextMemory`` as it was: every interval lookup, prune and prior
+    selection scans all stored frames or predictions."""
+
+    def __init__(self) -> None:
+        self._frames: list[FrameRef] = []
+        self._predictions: list[Prediction] = []
+        self._last_seen: float | None = None
+        # Start of the step instance currently ongoing, derived from the
+        # membership of observed frames; None while no step is ongoing.
+        self._current_step_start: float | None = None
+
+    # ------------------------------------------------------------------
+    # writes
+    # ------------------------------------------------------------------
+
+    def insert_frame(
+        self, timestamp: float, member_levels: set[HierarchyLevel], handle: str
+    ) -> None:
+        check_timestamp(timestamp, self._last_seen)
+        self._last_seen = timestamp
+
+        if HierarchyLevel.STEP in member_levels:
+            if self._current_step_start is None:
+                self._current_step_start = timestamp
+        else:
+            self._current_step_start = None
+
+        if member_levels:
+            self._frames.append(FrameRef(timestamp, frozenset(member_levels), handle))
+
+    def commit_prediction(self, p: Prediction) -> None:
+        self._predictions.append(p)
+        if p.level == HierarchyLevel.STEP:
+            self._prune_to_representative(p.interval)
+
+    def _prune_to_representative(self, interval: Interval) -> None:
+        inside = self._frames_within(interval)
+        if not inside:
+            return
+        mid = (interval.start + interval.end) / 2.0
+        rep = min(inside, key=lambda f: (abs(f.timestamp - mid), f.timestamp))
+        self._frames = [
+            f for f in self._frames
+            if f is rep or not (interval.start <= f.timestamp <= interval.end)
+        ]
+
+    # ------------------------------------------------------------------
+    # reads
+    # ------------------------------------------------------------------
+
+    @property
+    def frame_count(self) -> int:
+        return len(self._frames)
+
+    def _frames_within(self, interval: Interval) -> list[FrameRef]:
+        return [f for f in self._frames if interval.start <= f.timestamp <= interval.end]
+
+    def query(self, instance: ActionInstance) -> RetrievalBundle:
+        iv = instance.interval
+        if instance.level != HierarchyLevel.GOAL:
+            if self._last_seen is None or iv.end > self._last_seen:
+                raise ValueError(
+                    f"memory covers up to {self._last_seen}, queried interval ends at {iv.end}"
+                )
+
+        if instance.level == HierarchyLevel.SUBSTEP:
+            frames = _spaced(self._frames_within(iv), SUBSTEP_FRAME_SPACING)
+            prior: list[str] = []
+            if self._current_step_start is not None:
+                step_iv = Interval(self._current_step_start, self._last_seen)
+                prior = [
+                    p.long_form
+                    for p in self._predictions
+                    if p.level == HierarchyLevel.SUBSTEP
+                    and step_iv.start <= p.interval.start
+                    and p.interval.end <= step_iv.end
+                ]
+            return RetrievalBundle(tuple(frames), tuple(prior), instance.level, iv)
+
+        if instance.level == HierarchyLevel.STEP:
+            candidates = [
+                f for f in self._frames_within(iv) if HierarchyLevel.SUBSTEP in f.member_levels
+            ]
+            frames = _spaced(candidates, STEP_FRAME_SPACING)
+            step_preds = [p for p in self._predictions if p.level == HierarchyLevel.STEP]
+            prior = [p.long_form for p in step_preds[-MAX_STEP_HISTORY:]]
+            return RetrievalBundle(tuple(frames), tuple(prior), instance.level, iv)
+
+        # Goal: one representative frame per described step, oldest first.
+        frames = []
+        prior = []
+        for p in self._predictions:
+            if p.level != HierarchyLevel.STEP:
+                continue
+            prior.append(p.short_form)
+            inside = self._frames_within(p.interval)
+            if inside:
+                frames.append(inside[0])
+        end = self._last_seen if self._last_seen is not None else iv.end
+        return RetrievalBundle(
+            tuple(sorted(frames, key=lambda f: f.timestamp)),
+            tuple(prior),
+            HierarchyLevel.GOAL,
+            Interval(0.0, max(end, 0.0)),
+        )

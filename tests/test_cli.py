@@ -439,14 +439,22 @@ class TestConfigFile:
                                          {"config": "other.json"}, {"help": True}])
     def test_keys_other_than_this_subcommands_flags_rejected(self, tmp_path, capsys, entries):
         out = tmp_path / "x"
-        assert run("simulate", "--config", write_config(tmp_path, entries), "--out", out) == 2
-        assert f"unknown config key {next(iter(entries))!r}" in capsys.readouterr().err
+        cfg = write_config(tmp_path, entries)
+        assert run("simulate", "--config", cfg, "--out", out) == 2
+        assert f"error: {cfg}: unknown config key {next(iter(entries))!r}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("entries", [{"features": "yes"}, {"features": 1}, {"videos": True},
                                          {"videos": None}, {"videos": [2]}])
     def test_values_no_flag_can_carry_rejected(self, tmp_path, entries):
         assert run("simulate", "--config", write_config(tmp_path, entries), "--out", tmp_path / "x") == 2
+
+    def test_file_that_is_not_json_named(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text('{"videos": ')
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "x") == 2
+        assert capsys.readouterr().err.strip() == f"error: {cfg}: Expecting value: line 1 column 12 (char 11)"
+        assert not (tmp_path / "x").exists()
 
     def test_file_must_hold_an_object(self, tmp_path):
         assert run("simulate", "--config", write_config(tmp_path, [1, 2]), "--out", tmp_path / "x") == 2

@@ -184,6 +184,16 @@ class TestGoalQuery:
         assert bundle.frames == () and bundle.prior_predictions == ()
 
 
+def test_prediction_past_the_last_frame_rejected():
+    mem = ContextMemory()
+    with pytest.raises(ValueError, match="memory covers up to None"):
+        mem.commit_prediction(prediction(SUB, 0.0, 1.0, "a"))
+    fill(mem, 0.0, 5.0, {SUB, STEP})
+    with pytest.raises(ValueError, match="covers up to 5.0, prediction interval ends at 6.0"):
+        mem.commit_prediction(prediction(STEP, 0.0, 6.0, "s"))
+    mem.commit_prediction(prediction(GOAL, 0.0, 6.0, "g"))  # the goal spans the whole stream
+
+
 def test_prediction_created_before_end_rejected():
     with pytest.raises(ValueError):
         Prediction(SUB, Interval(0.0, 5.0), "s", "l", created_at=4.0)

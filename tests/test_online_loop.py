@@ -126,22 +126,27 @@ def test_runner_rejects_nan_actionness(state, why):
     assert all(level != HierarchyLevel.GOAL for level, _ in calls)
 
 
-# Finite actionness, but not a distribution: the detector never reads bg.
-BAD_STATE_SUMS = [
+# Finite actionness, but not a distribution (the detector never reads bg),
+# or not the three states the detector reads.
+BAD_STATES = [
     ((math.nan, 0.0, 1.0), "state distribution sums to nan, not 1"),
     ((math.inf, 0.0, 1.0), "state distribution sums to inf, not 1"),
     ((0.5, 0.0, 1.0), "state distribution sums to 1.5, not 1"),
     ((0.0, 0.0, 0.5), "state distribution sums to 0.5, not 1"),
+    ((0.2, 0.1, 0.6, 0.1), r"state distribution has shape \(4,\), not 3 entries"),
+    ((0.5, 0.5), r"state distribution has shape \(2,\), not 3 entries"),
+    (((0.2,), (0.2,), (0.6,)), r"state distribution has shape \(3, 1\), not 3 entries"),
 ]
+BAD_STATE_IDS = ["nan-bg", "inf-bg", "over", "under", "four", "two", "column"]
 
 
-@pytest.mark.parametrize("state,why", BAD_STATE_SUMS, ids=["nan-bg", "inf-bg", "over", "under"])
+@pytest.mark.parametrize("state,why", BAD_STATES, ids=BAD_STATE_IDS)
 def test_run_stream_rejects_bad_state_sum(state, why):
     with pytest.raises(ValueError, match=f"frame at t=2.0: {why}"):
         run_stream(frames_with_state(state))
 
 
-@pytest.mark.parametrize("state,why", BAD_STATE_SUMS, ids=["nan-bg", "inf-bg", "over", "under"])
+@pytest.mark.parametrize("state,why", BAD_STATES, ids=BAD_STATE_IDS)
 def test_runner_rejects_bad_state_sum(state, why):
     calls = []
     with pytest.raises(ValueError, match=f"frame at t=2.0: {why}"):

@@ -10,6 +10,7 @@ loop runnable without any real video data.
 from .core import (
     ActionInstance,
     AnnotationSet,
+    Emission,
     FrameScores,
     HierarchyLevel,
     Interval,
@@ -17,7 +18,7 @@ from .core import (
     validate_annotations,
     write_annotations,
 )
-from .detector import DetectorConfig, Emission, StreamDetector, run_stream
+from .detector import DetectorConfig, StreamDetector, run_stream
 from .memory import ContextMemory, Prediction, RetrievalBundle
 from .runner import run_described_stream
 from .simulator import SimConfig, gen_annotations, gen_features, gen_scores

@@ -4,6 +4,7 @@ backoff, an in-flight cap, and call counters that tests can assert against."""
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -28,7 +29,11 @@ class HttpLimits:
     backoff_base: float = 0.5
     max_inflight: int = 4
 
-    def __post_init__(self) -> None:
+    def __post_init__(self) -> None:  # each check written so that NaN fails it
+        if not 0 < self.timeout < math.inf:  # requests rejects 0 on every call
+            raise ValueError(f"timeout must be positive and finite, got {self.timeout}")
+        if not 0 <= self.backoff_base < math.inf:
+            raise ValueError(f"backoff_base must be >= 0 and finite, got {self.backoff_base}")
         if self.max_retries < 0:  # would send no request at all
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.max_inflight < 1:  # a zero cap would block every request forever

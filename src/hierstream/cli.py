@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -49,7 +50,7 @@ from .pipeline import (
     propose_grouping,
 )
 from .report import evaluate_corpus
-from .runner import mock_describer, run_described_stream
+from .runner import check_completion, mock_describer, run_described_stream
 from .scoring.histogram import HistogramConfig
 from .scoring.losses import softmax
 from .scoring.rnn import ScorerConfig, ScorerModel
@@ -259,6 +260,7 @@ def _score_streams(args) -> list:
 
 
 def _make_describe_fn(args):
+    check_completion(args.completion)  # once for the run, not once per video
     if args.describer == "mock":
         return mock_describer()
     # The loop's frame handles are ``frame@<t>`` labels, not image files.
@@ -346,6 +348,10 @@ def cmd_pipeline(args) -> int:
     if (args.bounds_min is None) != (args.bounds_max is None):
         print("error: --bounds-min and --bounds-max go together", file=sys.stderr)
         return EXIT_USAGE
+    if args.bounds_min is not None and not -math.inf < args.bounds_min <= args.bounds_max < math.inf:
+        print(f"error: --bounds-min {args.bounds_min} and --bounds-max {args.bounds_max} "
+              "must be finite with min <= max", file=sys.stderr)
+        return EXIT_USAGE
     annotations = _read_annotations(args.input)
     if args.client == "mock":
         client = MockGroupingClient(window=args.mock_window)
@@ -392,6 +398,7 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_e2e(args) -> int:
+    describe = _make_describe_fn(args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     cfg = _sim_config(args)
@@ -409,7 +416,6 @@ def cmd_e2e(args) -> int:
 
     emissions_dir = outdir / "emissions"
     emissions_dir.mkdir(exist_ok=True)
-    describe = _make_describe_fn(args)
     results, failures = _run_videos(args, videos, emissions_dir, describe)
     goals = {vid: r.goal_text for vid, r in results.items()}
     _dump_json(goals, emissions_dir / "goals.json")

@@ -81,6 +81,14 @@ class AnnotationSet:
         return tuple(i for i in self.instances if i.level == level)
 
 
+@dataclass(frozen=True)
+class Emission:
+    """A completed instance plus the stream time at which it was emitted."""
+
+    instance: ActionInstance
+    emit_time: float
+
+
 _FRAME_ARRAYS = ("state_probs", "step_progress_dist", "substep_progress_dist")
 _F64 = np.dtype(np.float64)
 

@@ -28,7 +28,7 @@ from .core import (
     PROB_SUM_TOL,
     STATE_STEP,
     STATE_STEP_AND_SUBSTEP,
-    ActionInstance,
+    Emission,
     FrameScores,
     HierarchyLevel,
     Interval,
@@ -63,10 +63,10 @@ class DetectorConfig:
     min_progress_for_drop: float = 0.5
     close_incomplete_at_eos: bool = True
 
-    def __post_init__(self) -> None:
+    def __post_init__(self) -> None:  # each check written so that NaN fails it
         if not 0 < self.start_threshold < 1:
             raise ValueError(f"start_threshold must be in (0,1), got {self.start_threshold}")
-        if self.drop_delta <= 0:
+        if not self.drop_delta > 0:
             raise ValueError(f"drop_delta must be positive, got {self.drop_delta}")
         if not 0 <= self.min_progress_for_drop <= 1:
             raise ValueError(
@@ -82,29 +82,11 @@ class DetectionEvent:
     interval: Interval | None = None
 
 
-@dataclass(frozen=True)
-class Emission:
-    """A completed instance plus the stream time at which it was emitted."""
-
-    instance: ActionInstance
-    emit_time: float
-
-
 @dataclass(slots=True)
 class _LevelState:
     ongoing: bool = False
     open_start: float = 0.0
     previous_progress: float = 0.0
-
-
-def actionness(fs: FrameScores, level: HierarchyLevel) -> float:
-    """Probability that an instance of the level is ongoing, marginalized
-    from the 3-state distribution (substeps imply an enclosing step)."""
-    if level == HierarchyLevel.STEP:
-        return float(fs.state_probs[STATE_STEP] + fs.state_probs[STATE_STEP_AND_SUBSTEP])
-    if level == HierarchyLevel.SUBSTEP:
-        return float(fs.state_probs[STATE_STEP_AND_SUBSTEP])
-    raise ValueError(f"no actionness for level {level}")
 
 
 # Enum member lookups cost about 0.2 us each, so the per-frame path uses these.
@@ -133,11 +115,6 @@ class StreamDetector:
         self._levels = {level: _LevelState() for level in self.LEVELS}
         self._last_ts: float | None = None
         self._finished = False
-        self.emission_log: list[DetectionEvent] = []
-
-    def _emit(self, event: DetectionEvent) -> DetectionEvent:
-        self.emission_log.append(event)
-        return event
 
     def ongoing_levels(self) -> frozenset[HierarchyLevel]:
         """Levels with an open instance; the membership a frame stored right
@@ -156,7 +133,8 @@ class StreamDetector:
                 f"frame at t={t}: state distribution has shape {fs.state_probs.shape}, not 3 entries"
             )
         probs = fs.state_probs.tolist()
-        # actionness() of each level in LEVELS, from plain floats.
+        # Each level's actionness in LEVELS order, marginalized from the
+        # 3-state distribution (substeps imply an enclosing step).
         acts = (probs[STATE_STEP_AND_SUBSTEP], probs[STATE_STEP] + probs[STATE_STEP_AND_SUBSTEP])
         # A sum near one also means finite actionness, which the threshold
         # tests below need (NaN fails both). A failing frame is named by its
@@ -187,17 +165,17 @@ class StreamDetector:
                 if dropped:
                     # Progress collapsed: the instance ended at the previous
                     # frame and this frame belongs to no instance at this level.
-                    events.append(self._emit(DetectionEvent(
+                    events.append(DetectionEvent(
                         EventKind.INSTANCE_ENDED, level, t,
                         Interval(ls.open_start, self._last_ts),
-                    )))
+                    ))
                     ls.ongoing = False
                     suppressed = True
                 elif act < cfg.start_threshold:
-                    events.append(self._emit(DetectionEvent(
+                    events.append(DetectionEvent(
                         EventKind.INSTANCE_ENDED, level, t,
                         Interval(ls.open_start, t),
-                    )))
+                    ))
                     ls.ongoing = False
                 else:
                     ls.previous_progress = p
@@ -206,9 +184,7 @@ class StreamDetector:
                 ls.ongoing = True
                 ls.open_start = t
                 ls.previous_progress = histogram_expectation(dist, self.histogram)
-                events.append(self._emit(DetectionEvent(
-                    EventKind.INSTANCE_STARTED, level, t,
-                )))
+                events.append(DetectionEvent(EventKind.INSTANCE_STARTED, level, t))
 
         self._last_ts = t
         return events
@@ -225,11 +201,11 @@ class StreamDetector:
             for level in self.LEVELS:
                 ls = self._levels[level]
                 if ls.ongoing:
-                    events.append(self._emit(DetectionEvent(
+                    events.append(DetectionEvent(
                         EventKind.INSTANCE_ENDED, level, t, Interval(ls.open_start, t),
-                    )))
+                    ))
                     ls.ongoing = False
-        events.append(self._emit(DetectionEvent(EventKind.GOAL_DUE, HierarchyLevel.GOAL, t)))
+        events.append(DetectionEvent(EventKind.GOAL_DUE, HierarchyLevel.GOAL, t))
         return events
 
 

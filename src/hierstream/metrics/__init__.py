@@ -12,7 +12,6 @@ from .matching import (
     MatchResult,
     aedt,
     aedt_corpus,
-    greedy_match,
     hungarian_f1,
     hungarian_f1_corpus,
     hungarian_match,
@@ -26,7 +25,6 @@ __all__ = [
     "hungarian_match",
     "hungarian_f1",
     "hungarian_f1_corpus",
-    "greedy_match",
     "DelayStats",
     "aedt",
     "aedt_corpus",

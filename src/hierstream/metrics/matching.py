@@ -1,5 +1,5 @@
-"""Interval matching metrics: tIoU, optimal-matching F1, greedy matching,
-and emission-delay statistics.
+"""Interval matching metrics: exact tIoU, optimal-matching F1 and
+emission-delay statistics.
 
 F1 follows the optimal one-to-one matching convention: build the full
 gt x pred tIoU profit matrix, take the assignment maximizing total tIoU,
@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ..core import Interval
-from ..detector import Emission
+from ..core import Emission, Interval
 from .assignment import solve_max_profit
 
 # F1 when both sides are empty; Algorithm-style 2*tp/(a+p) would divide by
@@ -35,16 +34,9 @@ def _threshold(threshold: float) -> Fraction:
     return Fraction(threshold)
 
 
-def tiou(a: Interval, b: Interval) -> float:
-    """Temporal intersection over union; 0 when the union has zero length."""
-    inter = max(0.0, min(a.end, b.end) - max(a.start, b.start))
-    union = a.length + b.length - inter
-    if union <= 0:
-        return 0.0
-    return inter / union
-
-
-def _tiou_fraction(a: Interval, b: Interval) -> Fraction:
+def tiou(a: Interval, b: Interval) -> Fraction:
+    """Temporal intersection over union, exact; 0 when the union has zero
+    length."""
     a_s, a_e = Fraction(a.start), Fraction(a.end)
     b_s, b_e = Fraction(b.start), Fraction(b.end)
     inter = max(Fraction(0), min(a_e, b_e) - max(a_s, b_s))
@@ -56,11 +48,8 @@ def _tiou_fraction(a: Interval, b: Interval) -> Fraction:
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Matched (gt, pred, tIoU) pairs plus threshold-dependent counts.
-
-    In optimal-matching mode the pairs form a partial bijection; in greedy
-    mode several predictions may share one ground-truth index.
-    """
+    """Matched (gt, pred, tIoU) pairs, a partial bijection, plus
+    threshold-dependent counts."""
 
     pairs: tuple[tuple[int, int, float], ...]
     tp: int
@@ -73,7 +62,7 @@ def hungarian_match(gt: Sequence[Interval], pred: Sequence[Interval]) -> list[tu
     Only pairs with positive overlap are returned."""
     if not gt or not pred:
         return []
-    profit = [[_tiou_fraction(g, p) for p in pred] for g in gt]
+    profit = [[tiou(g, p) for p in pred] for g in gt]
     pairs = solve_max_profit(profit)
     return [(i, j, profit[i][j]) for i, j in pairs]
 
@@ -123,31 +112,6 @@ def hungarian_f1_corpus(
 ) -> float:
     """Micro-averaged F1 over per-video matchings."""
     return f1_at(matched_rows(videos), videos, threshold)
-
-
-def greedy_match(
-    gt: Sequence[Interval], pred: Sequence[Interval], threshold: float
-) -> MatchResult:
-    """Each prediction takes the ground truth with the highest tIoU (ties go
-    to the earliest), kept when it clears the threshold. Several predictions
-    may claim the same ground truth."""
-    _threshold(threshold)
-    pairs = []
-    matched_gt = set()
-    for j, p in enumerate(pred):
-        if not gt:
-            continue
-        best_i = max(range(len(gt)), key=lambda i: (tiou(gt[i], p), -i))
-        best = tiou(gt[best_i], p)
-        if best >= threshold:
-            pairs.append((best_i, j, best))
-            matched_gt.add(best_i)
-    return MatchResult(
-        pairs=tuple(pairs),
-        tp=len(pairs),
-        fn=len(gt) - len(matched_gt),
-        fp=len(pred) - len(pairs),
-    )
 
 
 @dataclass(frozen=True)

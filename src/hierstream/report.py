@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .core import AnnotationSet, HierarchyLevel
-from .detector import Emission
+from .core import AnnotationSet, Emission, HierarchyLevel
 from .metrics.embedding import Embedder
 from .metrics.matching import delay_at, f1_at, matched_rows, rows_at
 from .metrics.semantic import goal_accuracy, topk_rows

@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .core import ActionInstance, FrameScores, HierarchyLevel, Interval
+from .core import ActionInstance, Emission, FrameScores, HierarchyLevel, Interval
 from .describer.mock import mock_describe
 from .describer.responses import DescribeRequest, DescriberResponse, build_request
-from .detector import DetectorConfig, Emission, EventKind, StreamDetector
+from .detector import DetectorConfig, EventKind, StreamDetector
 from .memory import ContextMemory, Prediction, RetrievalBundle
 from .scoring.histogram import HistogramConfig
 
@@ -33,6 +33,12 @@ class StreamResult:
     emissions: list[Emission]  # in emission order; described if a describer ran
     goal_text: str
     describe_calls: int
+
+
+def check_completion(completion: float) -> None:
+    """The rule for the describer's visible fraction of an instance."""
+    if not 0 < completion <= 1.0:  # NaN fails too
+        raise ValueError(f"completion must be in (0, 1], got {completion}")
 
 
 def _default_handle(timestamp: float) -> str:
@@ -56,9 +62,7 @@ def run_described_stream(
     its leading fraction before the describer sees it, for describing
     still-incomplete instances; emitted intervals are unaffected.
     """
-    if not 0 < completion <= 1.0:
-        raise ValueError(f"completion must be in (0, 1], got {completion}")
-
+    check_completion(completion)
     detector = StreamDetector(detector_cfg, histogram)
     memory = ContextMemory()
     emissions: list[Emission] = []

@@ -15,6 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
+from ..core import PROB_SUM_TOL
+
 _F64 = np.dtype(np.float64)
 
 
@@ -78,6 +80,6 @@ def histogram_expectation(dist: np.ndarray, cfg: HistogramConfig = HistogramConf
         dist = np.asarray(dist, dtype=np.float64)
     if dist.shape != (cfg.bins,):
         raise ValueError(f"expected {cfg.bins} bins, got shape {dist.shape}")
-    if not abs(sum(dist.tolist()) - 1.0) <= 1e-6:  # NaN fails too
+    if not abs(sum(dist.tolist()) - 1.0) <= PROB_SUM_TOL:  # NaN fails too
         raise ValueError(f"distribution sums to {float(dist.sum())}, expected 1 within 1e-6")
     return float(dist.dot(cfg.centers))

@@ -11,6 +11,7 @@ bit identity; backward is layer-major, with one GEMM per weight gradient.
 
 from __future__ import annotations
 
+import math
 import pickle
 from dataclasses import dataclass, field
 
@@ -33,11 +34,15 @@ class ScorerConfig:
     bptt_window: int = 64
     histogram: HistogramConfig = field(default_factory=HistogramConfig)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self) -> None:  # each check written so that NaN fails it
         for name in ("feature_dim", "recurrent_layers", "hidden_dim",
                      "batch_size", "epochs", "bptt_window"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
 
 
 # The only globals a pickled plain ndarray needs (numpy 1.x and 2.x names).
@@ -106,12 +111,6 @@ class ScorerModel:
             params[f"w_{name}"] = rng.normal(0, 1.0 / np.sqrt(h), (out_dim, h))
             params[f"b_{name}"] = np.zeros(out_dim)
         return cls(cfg, params)
-
-    @classmethod
-    def zeros(cls, cfg: ScorerConfig) -> "ScorerModel":
-        model = cls.init(cfg, seed=0)
-        model.params = {k: np.zeros_like(v) for k, v in model.params.items()}
-        return model
 
     def save(self, path) -> None:
         meta = dict(
@@ -279,25 +278,16 @@ class ScorerModel:
         return grads
 
 
-def infer_scores(
-    model: ScorerModel,
-    features: np.ndarray,
-    timestamps: np.ndarray | None = None,
-    fps: float | None = None,
-) -> list[FrameScores]:
+def infer_scores(model: ScorerModel, features: np.ndarray, timestamps: np.ndarray) -> list[FrameScores]:
     """Forward a full feature sequence into per-frame score distributions.
 
-    Timestamps default to index / fps; given ones must be one per feature
-    row and pass ``core.check_timestamps``. Causality is structural: the
-    recurrence never looks ahead.
+    Timestamps must be one per feature row and pass
+    ``core.check_timestamps``. Causality is structural: the recurrence
+    never looks ahead.
     """
     features = np.asarray(features, dtype=np.float64)
     cache = model.forward(features)
     T = features.shape[0]
-    if timestamps is None:
-        if fps is None:
-            raise ValueError("provide timestamps or fps")
-        timestamps = np.arange(T, dtype=np.float64) / fps
     timestamps = np.asarray(timestamps, dtype=np.float64)
     if timestamps.shape != (T,):
         raise ValueError(f"{len(timestamps)} timestamps for {T} feature rows")

@@ -22,29 +22,31 @@ def build_frame_targets(a: AnnotationSet, cfg: ScorerConfig) -> dict[str, np.nda
     return {"timestamps": ts, **{k: targets[k] for k in keys}}
 
 
-class AdamW:
-    """Decoupled weight decay Adam; bias-corrected, beta1=0.9 beta2=0.999."""
+# AdamW's moment decay rates and denominator guard.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float, weight_decay: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+
+class AdamW:
+    """Decoupled weight decay Adam, bias-corrected."""
+
+    def __init__(self, params: dict[str, np.ndarray], lr: float, weight_decay: float):
         self.lr = lr
         self.wd = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for k in sorted(params):
             g = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
+            self.m[k] = BETA1 * self.m[k] + (1 - BETA1) * g
+            self.v[k] = BETA2 * self.v[k] + (1 - BETA2) * g * g
             m_hat = self.m[k] / bc1
             v_hat = self.v[k] / bc2
-            params[k] -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.wd * params[k])
+            params[k] -= self.lr * (m_hat / (np.sqrt(v_hat) + EPS) + self.wd * params[k])
 
 
 def _video_grads(

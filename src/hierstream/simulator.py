@@ -10,6 +10,7 @@ detector consumes. All timestamps snap to the frame grid.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -52,15 +53,27 @@ class SimConfig:
     feature_dim: int = 8
     histogram: HistogramConfig = field(default_factory=HistogramConfig)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self) -> None:  # each check written so that NaN fails it
+        if not self.videos >= 0:
+            raise ValueError(f"videos must be >= 0, got {self.videos}")
+        lo, hi = self.duration_range
+        if not 0 < lo <= hi < math.inf:
+            raise ValueError(f"duration_range must be finite with 0 < min <= max, got {self.duration_range}")
+        lo, hi = self.gap_range
+        if not 0 <= lo <= hi < math.inf:
+            raise ValueError(f"gap_range must be finite with 0 <= min <= max, got {self.gap_range}")
+        for name in ("steps_per_video", "substeps_per_step"):
+            lo, hi = getattr(self, name)
+            if not 1 <= lo <= hi:
+                raise ValueError(f"{name} must have 1 <= min <= max, got {(lo, hi)}")
         if not 0 <= self.zero_gap_prob <= 1:
             raise ValueError(f"zero_gap_prob must be in [0,1], got {self.zero_gap_prob}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
         if self.feature_dim < 4:
             raise ValueError(f"feature_dim must be >= 4, got {self.feature_dim}")
-        if self.fps <= 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
+        if not 0 < self.fps < math.inf:
+            raise ValueError(f"fps must be positive and finite, got {self.fps}")
 
 
 def _snap(t: float, fps: float) -> float:
@@ -76,8 +89,6 @@ def _draw_gap(rng: np.random.Generator, cfg: SimConfig) -> float:
 def gen_annotations(cfg: SimConfig) -> list[AnnotationSet]:
     """Deterministic synthetic annotation sets; always valid by construction."""
     lo, hi = cfg.duration_range
-    if lo > hi or lo <= 0:
-        raise ValueError(f"bad duration range {cfg.duration_range}")
     min_len = max(MIN_INSTANCE_SECONDS, 2.0 / cfg.fps)
     min_subs = cfg.steps_per_video[0] * cfg.substeps_per_step[0]
     if min_subs * min_len > hi:

@@ -404,6 +404,21 @@ def actionness(fs: FrameScores, level: HierarchyLevel) -> float:
     raise ValueError(f"no actionness for level {level}")
 
 
+def events_never_revised(detector, stream) -> list[DetectionEvent]:
+    """Every event ``detector`` returns over ``stream`` and then ``finish()``,
+    in order, after checking that each list ``step``/``finish`` returned
+    still equals a copy taken when it was returned: the never-revised
+    contract, with no stored log to read."""
+    returned = []
+    for fs in stream:
+        events = detector.step(fs)
+        returned.append((events, list(events)))
+    events = detector.finish()
+    returned.append((events, list(events)))
+    assert all(events == copy for events, copy in returned), "a returned event list was revised"
+    return [e for events, _ in returned for e in events]
+
+
 class ScanDetector:
     """``StreamDetector`` as it was: actionness from numpy scalars through
     ``actionness``, progress through ``_progress``, and a new set from
@@ -418,7 +433,6 @@ class ScanDetector:
         self._levels = {level: _ScanLevelState() for level in self.LEVELS}
         self._last_ts: float | None = None
         self._finished = False
-        self.emission_log: list[DetectionEvent] = []
 
     def _progress(self, fs: FrameScores, level: HierarchyLevel) -> float:
         dist = (
@@ -427,10 +441,6 @@ class ScanDetector:
             else fs.step_progress_dist
         )
         return scan_histogram_expectation(dist, self.histogram)
-
-    def _emit(self, event: DetectionEvent) -> DetectionEvent:
-        self.emission_log.append(event)
-        return event
 
     def ongoing_levels(self) -> set[HierarchyLevel]:
         """Levels with an open instance; the membership a frame stored right
@@ -471,17 +481,17 @@ class ScanDetector:
                 if dropped:
                     # Progress collapsed: the instance ended at the previous
                     # frame and this frame belongs to no instance at this level.
-                    events.append(self._emit(DetectionEvent(
+                    events.append(DetectionEvent(
                         EventKind.INSTANCE_ENDED, level, t,
                         Interval(ls.open_start, self._last_ts),
-                    )))
+                    ))
                     ls.ongoing = False
                     ls.suppressed_this_frame = True
                 elif act < self.cfg.start_threshold:
-                    events.append(self._emit(DetectionEvent(
+                    events.append(DetectionEvent(
                         EventKind.INSTANCE_ENDED, level, t,
                         Interval(ls.open_start, t),
-                    )))
+                    ))
                     ls.ongoing = False
                 else:
                     ls.previous_progress = p
@@ -490,9 +500,9 @@ class ScanDetector:
                 ls.ongoing = True
                 ls.open_start = t
                 ls.previous_progress = self._progress(fs, level)
-                events.append(self._emit(DetectionEvent(
+                events.append(DetectionEvent(
                     EventKind.INSTANCE_STARTED, level, t,
-                )))
+                ))
 
         self._last_ts = t
         return events
@@ -509,11 +519,11 @@ class ScanDetector:
             for level in self.LEVELS:
                 ls = self._levels[level]
                 if ls.ongoing:
-                    events.append(self._emit(DetectionEvent(
+                    events.append(DetectionEvent(
                         EventKind.INSTANCE_ENDED, level, t, Interval(ls.open_start, t),
-                    )))
+                    ))
                     ls.ongoing = False
-        events.append(self._emit(DetectionEvent(EventKind.GOAL_DUE, HierarchyLevel.GOAL, t)))
+        events.append(DetectionEvent(EventKind.GOAL_DUE, HierarchyLevel.GOAL, t))
         return events
 
 

@@ -278,6 +278,28 @@ class TestPipelineCommand:
         assert stats == {"embedder": {"requests": len(_StubHandler.requests_seen), "retries": 0}}
 
 
+# A run-wide value that no video can make right: one error before any video
+# runs, naming the value, with the usage exit code for pipeline bounds.
+BAD_RUN_VALUES = [
+    ("detect", ["--drop-delta", "nan"], 2, "drop_delta must be positive, got nan"),
+    ("train", ["--learning-rate", "nan"], 2, "learning_rate must be positive and finite, got nan"),
+    ("train", ["--weight-decay", "nan"], 2, "weight_decay must be >= 0 and finite, got nan"),
+    ("describe", ["--describer", "http", "--timeout", "0"], 2, "timeout must be positive and finite, got 0.0"),
+    ("simulate", ["--duration-min", "nan"], 2, "duration_range must be finite"),
+    ("simulate", ["--gap-min", "nan"], 2, "gap_range must be finite"),
+    ("simulate", ["--gap-max", "nan"], 2, "gap_range must be finite"),
+    ("simulate", ["--noise-sigma", "nan"], 2, "noise_sigma must be >= 0 and finite, got nan"),
+    ("simulate", ["--videos", "-1"], 2, "videos must be >= 0, got -1"),
+    ("simulate", ["--fps", "nan"], 2, "fps must be positive and finite, got nan"),
+    ("describe", ["--completion", "1.5"], 2, "completion must be in (0, 1], got 1.5"),
+    ("describe", ["--completion", "nan"], 2, "completion must be in (0, 1], got nan"),
+    ("e2e", ["--completion", "1.5"], 2, "completion must be in (0, 1], got 1.5"),
+    ("e2e", ["--completion", "nan"], 2, "completion must be in (0, 1], got nan"),
+    ("pipeline", ["--bounds-min", "nan"], 1, "--bounds-min nan and --bounds-max 5.0 must be finite"),
+    ("pipeline", ["--bounds-min", "6"], 1, "--bounds-min 6.0 and --bounds-max 5.0 must be finite with min <= max"),
+]
+
+
 class TestErrors:
     def test_usage_error_exit_code(self):
         assert run("frobnicate") == 1
@@ -329,6 +351,24 @@ class TestErrors:
         assert not out.exists()
         assert run("pipeline", "--input", tmp_path / "atoms.jsonl", "--bounds-min", 1,
                    "--bounds-max", 2, "--out", out) == 0
+
+    @pytest.mark.parametrize("command,args,code,why", BAD_RUN_VALUES,
+                             ids=[" ".join([c, *a]) for c, a, _, _ in BAD_RUN_VALUES])
+    def test_run_wide_value_rejected_once(self, tmp_path, capsys, command, args, code, why):
+        corpus = tmp_path / "scored"
+        assert run("simulate", "--videos", 2, "--features", "--out", corpus) == 0
+        inputs = {
+            "simulate": ["--videos", 1], "e2e": ["--videos", 1],
+            "train": ["--annotations", corpus / "annotations.jsonl", "--features", corpus / "features",
+                      "--epochs", 1],
+            "detect": ["--scores", corpus / "scores"], "describe": ["--scores", corpus / "scores"],
+        }
+        if command == "pipeline":
+            inputs["pipeline"] = ["--input", substep_only_input(tmp_path), "--bounds-max", 5]
+        capsys.readouterr()
+        assert run(command, *inputs[command], *args, "--out", tmp_path / "out") == code
+        err = capsys.readouterr().err
+        assert why in err and err.count("error") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("goals,why", [
         ('{"video": 5}', "not a JSON object of goal strings"),

@@ -389,7 +389,11 @@ class TestChatRepliesShareTheBudget:
         assert chat.stats.requests == 2 + 3
 
 
-@pytest.mark.parametrize("field,value", [("max_retries", -1), ("max_inflight", 0)])
+@pytest.mark.parametrize("field,value", [
+    ("max_retries", -1), ("max_inflight", 0),
+    ("timeout", 0.0), ("timeout", float("nan")), ("timeout", float("inf")),
+    ("backoff_base", -0.5), ("backoff_base", float("nan")),
+])
 def test_limits_rejected(field, value):
     with pytest.raises(ValueError, match=field):
         HttpLimits(**{field: value})

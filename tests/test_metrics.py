@@ -13,7 +13,6 @@ from hierstream.metrics.judge import (
 from hierstream.metrics.matching import (
     aedt,
     aedt_corpus,
-    greedy_match,
     hungarian_f1,
     hungarian_f1_corpus,
     hungarian_match,
@@ -135,41 +134,6 @@ class TestHungarianF1:
             hungarian_f1([], [], 0.0)
 
 
-class TestGreedyMatch:
-    def test_duplicate_matching_allowed(self):
-        gt = [iv(0, 10)]
-        pred = [iv(0, 9), iv(1, 10)]
-        result = greedy_match(gt, pred, 0.5)
-        assert result.tp == 2
-        assert {i for i, _, _ in result.pairs} == {0}
-
-    def test_below_threshold_is_fp(self):
-        result = greedy_match([iv(0, 10)], [iv(9, 20)], 0.5)
-        assert result.tp == 0 and result.fp == 1 and result.fn == 1
-
-    def test_empty_pred(self):
-        result = greedy_match([iv(0, 10)], [], 0.5)
-        assert result.pairs == () and result.fn == 1
-
-    def test_tie_goes_to_earliest_gt(self):
-        gt = [iv(0, 4), iv(6, 10)]
-        pred = [iv(3, 7)]  # equal overlap with both
-        result = greedy_match(gt, pred, 0.1)
-        assert result.pairs[0][0] == 0
-
-    def test_every_hungarian_tp_prediction_matched_greedily(self):
-        rng = np.random.default_rng(29)
-        for _ in range(50):
-            gt = random_intervals(rng, int(rng.integers(1, 6)))
-            pred = random_intervals(rng, int(rng.integers(1, 6)))
-            _, hung = hungarian_f1(gt, pred, 0.5)
-            greedy = greedy_match(gt, pred, 1e-9)
-            greedy_preds = {j for _, j, _ in greedy.pairs}
-            for i, j, t in hung.pairs:
-                if t >= 0.5:
-                    assert j in greedy_preds
-
-
 class TestTopkF1:
     def embedder(self):
         return HashedBagOfWordsEmbedder()
@@ -236,7 +200,6 @@ class TestThresholdDomain:
         calls = [
             lambda: hungarian_f1(self.GT, [self.SLIVER], threshold),
             lambda: hungarian_f1_corpus([(self.GT, [self.SLIVER])], threshold),
-            lambda: greedy_match(self.GT, [self.SLIVER], threshold),
             lambda: aedt(self.GT, [emission], threshold),
             lambda: aedt_corpus([(self.GT, [emission])], threshold),
             lambda: topk_f1([gt_inst], [inst], threshold, 1, embedder, ["x"]),

@@ -27,21 +27,22 @@ def random_targets(rng, T, bins):
 class TestForward:
     def test_one_output_per_frame(self):
         model = ScorerModel.init(small_cfg(), seed=0)
-        scores = infer_scores(model, np.zeros((7, 3)), fps=2.0)
+        scores = infer_scores(model, np.zeros((7, 3)), np.arange(7) / 2.0)
         assert len(scores) == 7
         assert scores[3].timestamp == pytest.approx(1.5)
 
     def test_distributions_normalized(self):
         model = ScorerModel.init(small_cfg(), seed=1)
         rng = np.random.default_rng(0)
-        for fs in infer_scores(model, rng.normal(0, 1, (9, 3)), fps=1.0):
+        for fs in infer_scores(model, rng.normal(0, 1, (9, 3)), np.arange(9.0)):
             assert abs(fs.state_probs.sum() - 1.0) <= 1e-6
             assert abs(fs.step_progress_dist.sum() - 1.0) <= 1e-6
             assert abs(fs.substep_progress_dist.sum() - 1.0) <= 1e-6
 
     def test_zero_weights_give_uniform_heads(self):
-        model = ScorerModel.zeros(small_cfg())
-        fs = infer_scores(model, np.ones((4, 3)), fps=1.0)[2]
+        model = ScorerModel.init(small_cfg())
+        model.params = {k: np.zeros_like(v) for k, v in model.params.items()}
+        fs = infer_scores(model, np.ones((4, 3)), np.arange(4.0))[2]
         np.testing.assert_allclose(fs.state_probs, 1 / 3, atol=1e-12)
         np.testing.assert_allclose(fs.step_progress_dist, 1 / 5, atol=1e-12)
 
@@ -49,9 +50,9 @@ class TestForward:
         model = ScorerModel.init(small_cfg(), seed=2)
         rng = np.random.default_rng(3)
         feats = rng.normal(0, 1, (20, 3))
-        full = infer_scores(model, feats, fps=1.0)
+        full = infer_scores(model, feats, np.arange(len(feats), dtype=float))
         for cut in (1, 7, 13, 20):
-            prefix = infer_scores(model, feats[:cut], fps=1.0)
+            prefix = infer_scores(model, feats[:cut], np.arange(cut, dtype=float))
             for a, b in zip(prefix, full[:cut]):
                 np.testing.assert_array_equal(a.state_probs, b.state_probs)
                 np.testing.assert_array_equal(a.step_progress_dist, b.step_progress_dist)
@@ -62,7 +63,7 @@ class TestForward:
         # state; it must equal batch inference bit for bit.
         model = ScorerModel.init(small_cfg(recurrent_layers=3, hidden_dim=64), seed=6)
         feats = np.random.default_rng(8).normal(0, 1, (40, 3))
-        batch = infer_scores(model, feats, fps=1.0)
+        batch = infer_scores(model, feats, np.arange(len(feats), dtype=float))
         h = model.zero_state()
         for t, fs in enumerate(batch):
             cache = model.forward(feats[t:t + 1], h)
@@ -252,8 +253,8 @@ class TestSerialization:
         for k in model.params:
             np.testing.assert_array_equal(model.params[k], loaded.params[k])
         feats = np.random.default_rng(1).normal(0, 1, (5, 3))
-        a = infer_scores(model, feats, fps=1.0)
-        b = infer_scores(loaded, feats, fps=1.0)
+        a = infer_scores(model, feats, np.arange(len(feats), dtype=float))
+        b = infer_scores(loaded, feats, np.arange(len(feats), dtype=float))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.state_probs, y.state_probs)
 
@@ -303,3 +304,12 @@ def test_config_rejects_nonpositive_dims():
         ScorerConfig(feature_dim=0)
     with pytest.raises(ValueError):
         ScorerConfig(feature_dim=4, hidden_dim=-1)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("learning_rate", 0.0), ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+    ("weight_decay", -0.01), ("weight_decay", float("nan")),
+])
+def test_config_rejects_bad_rates(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        ScorerConfig(feature_dim=4, **{field: value})

@@ -127,6 +127,20 @@ class TestGenFeatures:
         with pytest.raises(ValueError):
             SimConfig(feature_dim=3)
 
+    @pytest.mark.parametrize("field,value", [
+        ("videos", -1),
+        ("duration_range", (float("nan"), 60.0)), ("duration_range", (0.0, 60.0)),
+        ("duration_range", (30.0, float("inf"))), ("duration_range", (60.0, 30.0)),
+        ("gap_range", (float("nan"), 3.0)), ("gap_range", (1.0, float("nan"))),
+        ("gap_range", (-1.0, 3.0)), ("gap_range", (3.0, 1.0)),
+        ("steps_per_video", (0, 2)), ("substeps_per_step", (4, 2)),
+        ("noise_sigma", float("nan")), ("noise_sigma", float("inf")),
+        ("fps", float("nan")), ("fps", float("inf")),
+    ])
+    def test_config_validation(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must"):
+            SimConfig(**{field: value})
+
 
 @pytest.mark.parametrize("seed", [0, 1, 5, 12])
 @pytest.mark.parametrize("sigma", [0.0, 0.8])

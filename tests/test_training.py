@@ -99,7 +99,7 @@ class TestTrainScorer:
         def held_out_f1(m):
             videos = []
             for a, f in zip(anns[7:], feats[7:]):
-                scores = infer_scores(m, f, fps=sim_cfg.fps)
+                scores = infer_scores(m, f, np.arange(len(f)) / sim_cfg.fps)
                 emissions = run_stream(scores)
                 for level in (HierarchyLevel.SUBSTEP, HierarchyLevel.STEP):
                     gt = [i.interval for i in a.at_level(level)]

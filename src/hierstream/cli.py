@@ -49,7 +49,7 @@ from .pipeline import (
     proposal_to_annotations,
     propose_grouping,
 )
-from .report import evaluate_corpus
+from .report import check_settings, evaluate_corpus
 from .runner import check_completion, mock_describer, run_described_stream
 from .scoring.histogram import HistogramConfig
 from .scoring.losses import softmax
@@ -294,12 +294,19 @@ def _make_embedder(args):
     return HttpEmbedder(args.endpoint, args.model_name)
 
 
+def _eval_settings(args) -> dict:
+    """``--tiou``, ``--topk`` and ``--aedt-tiou`` as checked ``evaluate_corpus`` keywords."""
+    settings = dict(thresholds=[float(t) for t in args.tiou.split(",")], k=args.topk,
+                    aedt_threshold=args.aedt_tiou)
+    check_settings(**settings)
+    return settings
+
+
 def _evaluate(args, annotations: list, emissions_by_video: dict, goals: dict | None):
     """The report on ``emissions_by_video`` and the embedder it used."""
     embedder = _make_embedder(args)
     report = evaluate_corpus(annotations, emissions_by_video, goals_by_video=goals,
-                             thresholds=[float(t) for t in args.tiou.split(",")], k=args.topk,
-                             embedder=embedder, aedt_threshold=args.aedt_tiou)
+                             embedder=embedder, **_eval_settings(args))
     return report, embedder
 
 
@@ -399,6 +406,7 @@ def cmd_pipeline(args) -> int:
 
 def cmd_e2e(args) -> int:
     describe = _make_describe_fn(args)
+    _eval_settings(args)  # checked before the first video, not after the last
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     cfg = _sim_config(args)

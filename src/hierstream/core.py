@@ -279,7 +279,7 @@ def read_annotations(path) -> list[AnnotationSet]:
 def frame_timestamps(duration: float, fps: float) -> np.ndarray:
     """Frame grid for a video: one frame per 1/fps step, up to and including
     the last one not after the duration (the stream end, when on the grid)."""
-    if not (math.isfinite(duration) and math.isfinite(fps) and fps > 0):
+    if not (math.isfinite(duration * fps) and fps > 0):  # NaN, inf and overflow fail
         raise ValueError(f"no frame grid for duration {duration} at fps {fps}")
     n = int(round(duration * fps))
     if n / fps > duration:  # an off-grid duration: stop before it

@@ -28,7 +28,8 @@ EMPTY_VS_EMPTY_F1 = 1.0
 Row = tuple[Fraction, int, int, int]
 
 
-def _threshold(threshold: float) -> Fraction:
+def check_threshold(threshold: float) -> Fraction:
+    """A tIoU threshold, checked to lie in (0, 1], as an exact fraction."""
     if not 0 < threshold <= 1:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     return Fraction(threshold)
@@ -80,7 +81,7 @@ def matched_rows(videos: Sequence[tuple[Sequence[Interval], Sequence[Interval]]]
 def rows_at(rows: Sequence[Row], threshold: float) -> list[Row]:
     """The rows whose tIoU clears the threshold; the one tIoU threshold
     check that every row consumer goes through."""
-    thr = _threshold(threshold)
+    thr = check_threshold(threshold)
     return [row for row in rows if row[0] >= thr]
 
 

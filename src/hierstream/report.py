@@ -11,13 +11,24 @@ from typing import Mapping, Sequence
 
 from .core import AnnotationSet, Emission, HierarchyLevel
 from .metrics.embedding import Embedder
-from .metrics.matching import delay_at, f1_at, matched_rows, rows_at
+from .metrics.matching import check_threshold, delay_at, f1_at, matched_rows, rows_at
 from .metrics.semantic import goal_accuracy, topk_rows
 # Unused here; perfbench/spans.py wraps these names on this module.
 from .metrics.matching import aedt_corpus, hungarian_f1_corpus  # noqa: F401
 from .metrics.semantic import topk_f1_corpus  # noqa: F401
 
 LEVEL_KEYS = {HierarchyLevel.SUBSTEP: "substep", HierarchyLevel.STEP: "step"}
+
+
+def check_settings(thresholds: Sequence[float], k: int, aedt_threshold: float) -> None:
+    """Reject run-wide evaluation values before any work: at least one
+    tIoU threshold, each one and the AEDT one in (0, 1], and k >= 1."""
+    if not thresholds:
+        raise ValueError("at least one tIoU threshold is required")
+    for threshold in (*thresholds, aedt_threshold):
+        check_threshold(threshold)
+    if not k >= 1:
+        raise ValueError(f"k must be >= 1, got {k}")
 
 
 def evaluate_corpus(
@@ -36,8 +47,7 @@ def evaluate_corpus(
     supplied; goal accuracy only when a goal text exists for every
     annotated video.
     """
-    if not thresholds:
-        raise ValueError("at least one tIoU threshold is required")
+    check_settings(thresholds, k, aedt_threshold)
     report: dict = {"thresholds": list(thresholds), "levels": {}}
 
     for level, key in LEVEL_KEYS.items():

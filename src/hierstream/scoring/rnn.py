@@ -4,9 +4,12 @@ linear heads (state class, step progress, substep progress).
 All math is plain numpy with hand-written backpropagation; no autodiff.
 The forward pass is strictly causal, so scores for frame t depend only on
 frames 0..t and inference over a prefix equals the prefix of full-sequence
-inference exactly. Forward runs layer by layer (weights stay in cache) but
-one matvec per frame, since GEMM rows can round differently and break that
-bit identity; backward is layer-major, with one GEMM per weight gradient.
+inference exactly. Forward runs layer by layer: each layer's input
+projection and the heads are per-row gemvs batched in C, and only the
+recurrence loops in Python. There is no GEMM, since GEMM rows can round
+differently from per-row matvecs and break that bit identity; backward is
+layer-major, with one GEMM per weight gradient (Appleyard et al.,
+arXiv:1604.01946).
 """
 
 from __future__ import annotations
@@ -74,9 +77,20 @@ def _unpickle_array(archive, member: str) -> np.ndarray:
     return arr
 
 
-def _cell(wx: np.ndarray, wh: np.ndarray, b: np.ndarray, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """One recurrent layer at one frame: its new hidden state."""
-    return np.tanh(wx @ x + wh @ h + b)
+_HEADS = (("state_logits", "w_state", "b_state"), ("step_logits", "w_step", "b_step"),
+          ("sub_logits", "w_sub", "b_sub"))
+
+
+def _matvecs(w: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``w @ row`` for each row of a (T, D) array into the rows of
+    ``out`` and return it: one BLAS gemv per row, looped in C (one row, the
+    streaming case, skips matmul's slower stacked dispatch), so bit-identical
+    to per-row ``@``, unlike the GEMM ``rows @ w.T``."""
+    if len(rows) == 1:
+        np.dot(w, rows[0], out=out[0])
+    else:
+        np.matmul(w, rows[:, :, None], out=out[:, :, None])
+    return out
 
 
 class ScorerModel:
@@ -90,7 +104,7 @@ class ScorerModel:
     def __init__(self, cfg: ScorerConfig, params: dict[str, np.ndarray]):
         self.cfg = cfg
         self.params = params
-        # Parameter names per layer, formatted once: step() runs per frame.
+        # Parameter names per layer, formatted once: forward() runs per frame.
         self._layer_keys = [(f"wx{i}", f"wh{i}", f"b{i}") for i in range(cfg.recurrent_layers)]
 
     # ------------------------------------------------------------------
@@ -151,26 +165,20 @@ class ScorerModel:
         self, x: np.ndarray, h: list[np.ndarray]
     ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
         """One frame: features and per-layer hidden states in; new hidden
-        states and the state, step and substep logits out. :meth:`forward`
-        runs the same per-frame arithmetic (``_cell``, ``_heads``), so
-        streamed and batch scores agree bit for bit (heads too: batched
-        matmuls can round differently per length)."""
-        p, inp, h_new = self.params, x, []
-        for h_prev, (wx, wh, b) in zip(h, self._layer_keys, strict=True):
-            inp = _cell(p[wx], p[wh], p[b], inp, h_prev)
-            h_new.append(inp)
-        return (h_new, *self._heads(inp))
-
-    def _heads(self, top: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        p = self.params
-        return (p["w_state"] @ top + p["b_state"],
-                p["w_step"] @ top + p["b_step"], p["w_sub"] @ top + p["b_sub"])
+        states and the state, step and substep logits out. It is
+        :meth:`forward` over one row, so streamed and batch scores agree
+        bit for bit."""
+        cache = self.forward(np.asarray(x, dtype=np.float64)[None], h)
+        return (cache["h_last"], cache["state_logits"][0],
+                cache["step_logits"][0], cache["sub_logits"][0])
 
     def forward(
         self, features: np.ndarray, h0: list[np.ndarray] | None = None
     ) -> dict[str, np.ndarray]:
-        """Run :meth:`step`'s arithmetic over a (T, D) feature window, layer by layer.
+        """Run the scorer over a (T, D) feature window, layer by layer.
 
+        Per layer, frame t's hidden state is ``tanh(wx @ x[t] + wh @ h[t-1]
+        + b)``, added in that order; the heads are ``w @ top[t] + b``.
         Returns a cache holding hidden states and head logits; the cache
         feeds both inference and the backward pass.
         """
@@ -181,31 +189,22 @@ class ScorerModel:
             )
         T = features.shape[0]
         L, H = self.cfg.recurrent_layers, self.cfg.hidden_dim
-        h = [np.array(x, dtype=np.float64) for x in (h0 or self.zero_state())]
+        h = h0 or self.zero_state()
         if len(h) != L:
             raise ValueError(f"expected {L} hidden states, got {len(h)}")
-        hs = np.zeros((L, T, H))
-        bins = self.cfg.histogram.bins
-        state_logits = np.zeros((T, 3))
-        step_logits = np.zeros((T, bins))
-        sub_logits = np.zeros((T, bins))
-        p, inp, h_last = self.params, features, []
+        p, inp, hs, h_last = self.params, features, np.empty((L, T, H)), []
         for prev, (wx, wh, b), out in zip(h, self._layer_keys, hs):
-            wx, wh, b = p[wx], p[wh], p[b]
+            _matvecs(p[wx], inp, out)  # out[t] holds wx @ x[t] until frame t overwrites it
+            wh, b = p[wh], p[b]
             for t in range(T):
-                prev = out[t] = _cell(wx, wh, b, inp[t], prev)
-            h_last.append(prev)
+                # np.dot: the same gemv as wh @ prev, dispatched for less
+                prev = out[t] = np.tanh(out[t] + np.dot(wh, prev) + b)
+            h_last.append(prev if T else np.array(prev, dtype=np.float64))  # never the caller's h0
             inp = out
-        for t in range(T):
-            state_logits[t], step_logits[t], sub_logits[t] = self._heads(inp[t])
-        return {
-            "features": features,
-            "hidden": hs,
-            "h_last": h_last,
-            "state_logits": state_logits,
-            "step_logits": step_logits,
-            "sub_logits": sub_logits,
-        }
+        cache = {"features": features, "hidden": hs, "h_last": h_last}
+        for key, w, b in _HEADS:
+            cache[key] = _matvecs(p[w], inp, np.empty((T, len(p[b])))) + p[b]
+        return cache
 
     # ------------------------------------------------------------------
     # loss and gradients
@@ -285,22 +284,13 @@ def infer_scores(model: ScorerModel, features: np.ndarray, timestamps: np.ndarra
     ``core.check_timestamps``. Causality is structural: the recurrence
     never looks ahead.
     """
-    features = np.asarray(features, dtype=np.float64)
     cache = model.forward(features)
-    T = features.shape[0]
+    T = len(cache["features"])
     timestamps = np.asarray(timestamps, dtype=np.float64)
     if timestamps.shape != (T,):
         raise ValueError(f"{len(timestamps)} timestamps for {T} feature rows")
     check_timestamps(timestamps, "frame")
-    state = softmax(cache["state_logits"])
-    step = softmax(cache["step_logits"])
-    sub = softmax(cache["sub_logits"])
-    return [
-        FrameScores(
-            timestamp=float(timestamps[t]),
-            state_probs=state[t],
-            step_progress_dist=step[t],
-            substep_progress_dist=sub[t],
-        )
-        for t in range(T)
-    ]
+    probs = [softmax(cache[f"{name}_logits"]) for name in ("state", "step", "sub")]
+    for arr in probs:  # once here, so FrameScores leaves each row view as it is
+        arr.setflags(write=False)
+    return [FrameScores(*row) for row in zip(timestamps.tolist(), *probs)]

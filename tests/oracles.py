@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own algorithms: matching is checked
 by exhaustive enumeration, histogram targets by numeric quadrature,
-gradients by central finite differences, the CSV readers by the
+gradients by central finite differences, the scorer's forward by its
+per-frame form with one ``@`` per matvec, the CSV readers by the
 row-at-a-time ``csv`` readers they replaced, and frame targets and the
 simulator's streams by the per-timestamp helpers that scanned every
 instance for each frame, and the online loop's detector and context memory
@@ -139,6 +140,30 @@ def numeric_gradient(fn, array: np.ndarray, h: float = 1e-5) -> np.ndarray:
 def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-12)
     return float(np.linalg.norm(analytic - numeric) / denom)
+
+
+def per_frame_forward(model, features, h0=None) -> dict[str, np.ndarray]:
+    """``ScorerModel.forward`` as it was: per layer and frame,
+    ``tanh(wx @ x + wh @ h + b)``, then each head's ``w @ top + b`` per
+    frame, every matvec a separate ``@``. The reference for the batched
+    forward and for ``step``."""
+    p = model.params
+    features = np.asarray(features, dtype=np.float64)
+    T, L = features.shape[0], model.cfg.recurrent_layers
+    h = [np.array(x, dtype=np.float64) for x in (h0 or model.zero_state())]
+    hs = np.zeros((L, T, model.cfg.hidden_dim))
+    inp, h_last = features, []
+    for layer, prev in enumerate(h):
+        wx, wh, b = p[f"wx{layer}"], p[f"wh{layer}"], p[f"b{layer}"]
+        for t in range(T):
+            prev = hs[layer, t] = np.tanh(wx @ inp[t] + wh @ prev + b)
+        h_last.append(prev)
+        inp = hs[layer]
+    cache = {"features": features, "hidden": hs, "h_last": h_last}
+    for name in ("state", "step", "sub"):
+        w, b = p[f"w_{name}"], p[f"b_{name}"]
+        cache[f"{name}_logits"] = np.array([w @ top + b for top in inp]).reshape(T, len(b))
+    return cache
 
 
 def time_major_backward(model, cache, d_logits, h0=None) -> dict[str, np.ndarray]:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import zlib
@@ -206,6 +207,21 @@ class TestE2E:
         expected = (DATA / "e2e_seed7_videos5_report.json").read_bytes()
         assert (tmp_path / "report.json").read_bytes() == expected
 
+    def test_trained_report_matches_committed_one(self, tmp_path):
+        # Pins the scorer's bits across commits: the seed-7 report above
+        # never runs it, while here training and per-frame scoring do. The
+        # report is coarse, so the trained weights are pinned by digest too:
+        # a rounding change anywhere in forward or backward moves them.
+        assert run("e2e", "--seed", 7, "--videos", 4, "--noise-sigma", 0.1, "--train", "--layers", 2,
+                   "--learning-rate", 0.01, "--epochs", 8, "--out", tmp_path) == 0
+        expected = (DATA / "e2e_seed7_videos4_train_report.json").read_bytes()
+        assert (tmp_path / "report.json").read_bytes() == expected
+        params, digest = ScorerModel.load(tmp_path / "model.npz").params, hashlib.sha256()
+        for name in sorted(params):
+            digest.update(name.encode())
+            digest.update(params[name].tobytes())
+        assert digest.hexdigest() == "27bec728ce37494f8d3fe4f44b70d5cce08c94278a8e1b8f7ddd4c0ec59e8adb"
+
     def test_training_arm_scores_frames_through_step(self, tmp_path):
         # e2e --train feeds the loop frames scored one at a time; they must
         # equal batch inference bit for bit.
@@ -291,10 +307,15 @@ BAD_RUN_VALUES = [
     ("simulate", ["--noise-sigma", "nan"], 2, "noise_sigma must be >= 0 and finite, got nan"),
     ("simulate", ["--videos", "-1"], 2, "videos must be >= 0, got -1"),
     ("simulate", ["--fps", "nan"], 2, "fps must be positive and finite, got nan"),
+    ("simulate", ["--fps", "1e308"], 2, "no frame grid for duration"),
     ("describe", ["--completion", "1.5"], 2, "completion must be in (0, 1], got 1.5"),
     ("describe", ["--completion", "nan"], 2, "completion must be in (0, 1], got nan"),
     ("e2e", ["--completion", "1.5"], 2, "completion must be in (0, 1], got 1.5"),
     ("e2e", ["--completion", "nan"], 2, "completion must be in (0, 1], got nan"),
+    ("e2e", ["--tiou", "0,0.5"], 2, "threshold must be in (0, 1], got 0.0"),
+    ("e2e", ["--tiou", "0.5,nan"], 2, "threshold must be in (0, 1], got nan"),
+    ("e2e", ["--aedt-tiou", "1.5"], 2, "threshold must be in (0, 1], got 1.5"),
+    ("e2e", ["--topk", "0"], 2, "k must be >= 1, got 0"),
     ("pipeline", ["--bounds-min", "nan"], 1, "--bounds-min nan and --bounds-max 5.0 must be finite"),
     ("pipeline", ["--bounds-min", "6"], 1, "--bounds-min 6.0 and --bounds-max 5.0 must be finite with min <= max"),
 ]
@@ -369,6 +390,7 @@ class TestErrors:
         assert run(command, *inputs[command], *args, "--out", tmp_path / "out") == code
         err = capsys.readouterr().err
         assert why in err and err.count("error") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out" / "emissions").exists()  # rejected before the first video
 
     @pytest.mark.parametrize("goals,why", [
         ('{"video": 5}', "not a JSON object of goal strings"),

@@ -270,7 +270,8 @@ def test_frame_timestamps_stop_at_duration(duration, fps, last):
 
 
 @pytest.mark.parametrize("duration,fps", [(float("nan"), 4.0), (float("inf"), 4.0),
-                                          (10.0, float("inf")), (10.0, float("nan")), (10.0, 0.0)])
+                                          (10.0, float("inf")), (10.0, float("nan")), (10.0, 0.0),
+                                          (10.0, 1e308), (1e308, 10.0)])
 def test_frame_timestamps_rejects_bad_duration_or_fps(duration, fps):
     with pytest.raises(ValueError, match="no frame grid for duration"):
         frame_timestamps(duration, fps)

@@ -4,7 +4,13 @@ import pytest
 from hierstream.scoring.histogram import HistogramConfig
 from hierstream.scoring.losses import softmax
 from hierstream.scoring.rnn import ScorerConfig, ScorerModel, infer_scores
-from oracles import numeric_gradient, per_frame_window_loss, relative_error, time_major_backward
+from oracles import (
+    numeric_gradient,
+    per_frame_forward,
+    per_frame_window_loss,
+    relative_error,
+    time_major_backward,
+)
 
 
 def small_cfg(**overrides):
@@ -113,6 +119,82 @@ class TestForward:
                 model.step(np.zeros(3), h)
             with pytest.raises(ValueError, match="expected 2 hidden states"):
                 model.forward(np.zeros((4, 3)), h)
+
+
+def laid_out(feats, layout):
+    """The same values in C order, Fortran order, or as a strided view."""
+    if layout == "F":
+        return np.asfortranarray(feats)
+    if layout == "strided":
+        wide = np.zeros((2 * len(feats), 2 * feats.shape[1]))
+        wide[::2, ::2] = feats
+        return wide[::2, ::2]
+    return feats
+
+
+class TestForwardOracle:
+    """forward and step against the per-frame forward with one ``@`` per
+    matvec, bit for bit."""
+
+    CASES = [  # layers, hidden, frames, layout, h0
+        (2, 6, 0, "C", None), (2, 6, 0, "C", "lists"), (2, 6, 1, "C", None),
+        (1, 5, 1, "strided", "lists"), (2, 7, 12000, "C", None), (3, 13, 40, "F", "lists"),
+        (2, 256, 30, "strided", "arrays"), (1, 9, 25, "F", "arrays"),
+    ]
+
+    @staticmethod
+    def case(layers, hidden, frames, layout, h0_kind):
+        model = ScorerModel.init(small_cfg(recurrent_layers=layers, hidden_dim=hidden), seed=hidden)
+        rng = np.random.default_rng(frames)
+        feats = laid_out(rng.normal(0, 1, (frames, 3)), layout)
+        h0 = None
+        if h0_kind is not None:
+            h0 = [rng.normal(0, 0.5, hidden) for _ in range(layers)]
+            h0 = [h.tolist() for h in h0] if h0_kind == "lists" else h0
+        return model, feats, h0
+
+    @pytest.mark.parametrize("layers,hidden,frames,layout,h0", CASES)
+    def test_forward_matches_per_frame_oracle(self, layers, hidden, frames, layout, h0):
+        model, feats, h0 = self.case(layers, hidden, frames, layout, h0)
+        cache, want = model.forward(feats, h0), per_frame_forward(model, feats, h0)
+        for key in ("features", "hidden", "state_logits", "step_logits", "sub_logits"):
+            assert cache[key].shape == want[key].shape
+            np.testing.assert_array_equal(cache[key], want[key])
+        np.testing.assert_array_equal(np.array(cache["h_last"]), np.array(want["h_last"]))
+        for got, given in zip(cache["h_last"], h0 or []):
+            assert not np.shares_memory(got, given)
+
+    @pytest.mark.parametrize("layers,hidden,frames,layout,h0", CASES)
+    def test_step_matches_per_frame_oracle(self, layers, hidden, frames, layout, h0):
+        model, feats, h0 = self.case(layers, hidden, frames, layout, h0)
+        want, h, got = per_frame_forward(model, feats, h0), h0 or model.zero_state(), []
+        for t in range(frames):
+            h, *logits = model.step(feats[t], h)
+            got.append(logits)
+        for name, z in zip(("state", "step", "sub"), zip(*got)):
+            np.testing.assert_array_equal(np.array(z), want[f"{name}_logits"])
+        np.testing.assert_array_equal(np.array(h), np.array(want["h_last"]))
+
+    def test_h_last_never_aliases_h0(self):
+        model = ScorerModel.init(small_cfg(recurrent_layers=2, hidden_dim=8), seed=0)
+        h0 = [np.full(8, 0.25), np.full(8, -0.5)]
+        for frames in (0, 1, 5):
+            h_last = model.forward(np.zeros((frames, 3)), h0)["h_last"]
+            assert not any(np.shares_memory(a, b) for a in h_last for b in h0)
+            for a in h_last:
+                a += 1.0
+            np.testing.assert_array_equal(h0[0], 0.25)
+
+    def test_oracle_cases_would_catch_a_gemm(self):
+        # At h=256 the GEMM ``rows @ w.T`` rounds differently from per-row
+        # ``w @ row``, so a GEMM forward fails the oracle tests above.
+        model, feats, h0 = self.case(*self.CASES[6])
+        want = per_frame_forward(model, feats, h0)
+        p = model.params
+        gemm = want["hidden"][-1] @ p["w_step"].T + p["b_step"]
+        assert not np.array_equal(gemm, want["step_logits"])
+        gemm = want["hidden"][0] @ p["wh1"].T
+        assert not np.array_equal(gemm, np.array([p["wh1"] @ r for r in want["hidden"][0]]))
 
 
 class TestInferTimestamps:

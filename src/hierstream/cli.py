@@ -30,7 +30,6 @@ from pathlib import Path
 
 from ._http import CallStats, HttpLimits, TransportError
 from .core import (
-    FrameScores,
     HierarchyLevel,
     read_annotations,
     validate_annotations,
@@ -52,8 +51,7 @@ from .pipeline import (
 from .report import check_settings, evaluate_corpus
 from .runner import check_completion, mock_describer, run_described_stream
 from .scoring.histogram import HistogramConfig
-from .scoring.losses import softmax
-from .scoring.rnn import ScorerConfig, ScorerModel
+from .scoring.rnn import ScorerConfig, ScorerModel, stream_scores
 from .scoring.streams import read_features, read_scores, write_features, write_scores
 from .scoring.train import train_scorer
 from .simulator import SimConfig, gen_annotations, gen_features, gen_scores
@@ -201,13 +199,8 @@ def _score_frames(path: Path):
 
 
 def _scored_frames(model: ScorerModel, path: Path):
-    """A video's features, each scored through ``model.step`` when the loop
-    asks for it, with ``infer_scores``' per-row softmax."""
-    ts, feats = read_features(path)
-    h = model.zero_state()
-    for t, x in zip(ts.tolist(), feats):
-        h, *logits = model.step(x, h)
-        yield FrameScores(t, *(softmax(z) for z in logits))
+    """A video's features, read and scored as the loop asks for each frame."""
+    yield from stream_scores(model, *read_features(path))
 
 
 def _run_videos(args, videos: list, out: Path, describe=None) -> tuple[dict, dict]:
@@ -407,9 +400,9 @@ def cmd_pipeline(args) -> int:
 def cmd_e2e(args) -> int:
     describe = _make_describe_fn(args)
     _eval_settings(args)  # checked before the first video, not after the last
+    cfg = _sim_config(args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    cfg = _sim_config(args)
     sim = outdir / "sim"
     annotations = _write_corpus(cfg, sim, with_features=args.train)
 

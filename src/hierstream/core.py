@@ -276,12 +276,20 @@ def read_annotations(path) -> list[AnnotationSet]:
     return read_jsonl(path, annotation_from_dict)
 
 
+# The longest frame grid a run may ask for: 10**8 frames is about 290 days at
+# 4 fps and 0.8 GB of timestamps, so a longer grid is an input error.
+MAX_FRAMES = 10**8
+
+
+def frame_count(duration: float, fps: float) -> int:
+    """Length of :func:`frame_timestamps`' grid, found without building it."""
+    if not (math.isfinite(duration * fps) and fps > 0 and duration * fps < MAX_FRAMES):  # NaN, inf fail
+        raise ValueError(f"no frame grid for duration {duration} at fps {fps} (at most {MAX_FRAMES} frames)")
+    n = int(round(duration * fps))
+    return n if n / fps > duration else n + 1  # an off-grid duration: stop before it
+
+
 def frame_timestamps(duration: float, fps: float) -> np.ndarray:
     """Frame grid for a video: one frame per 1/fps step, up to and including
     the last one not after the duration (the stream end, when on the grid)."""
-    if not (math.isfinite(duration * fps) and fps > 0):  # NaN, inf and overflow fail
-        raise ValueError(f"no frame grid for duration {duration} at fps {fps}")
-    n = int(round(duration * fps))
-    if n / fps > duration:  # an off-grid duration: stop before it
-        n -= 1
-    return np.arange(n + 1, dtype=np.float64) / fps
+    return np.arange(frame_count(duration, fps), dtype=np.float64) / fps

@@ -1,12 +1,4 @@
 from .embedding import Embedder, HashedBagOfWordsEmbedder, HttpEmbedder
-from .judge import (
-    JUDGE_TEMPLATES,
-    JudgeReport,
-    JudgeRequest,
-    judge_report,
-    judge_requests,
-    parse_judge,
-)
 from .matching import (
     DelayStats,
     MatchResult,
@@ -35,10 +27,4 @@ __all__ = [
     "topk_f1_corpus",
     "goal_accuracy",
     "description_rank",
-    "JUDGE_TEMPLATES",
-    "JudgeRequest",
-    "JudgeReport",
-    "judge_requests",
-    "judge_report",
-    "parse_judge",
 ]

@@ -285,12 +285,25 @@ def infer_scores(model: ScorerModel, features: np.ndarray, timestamps: np.ndarra
     never looks ahead.
     """
     cache = model.forward(features)
-    T = len(cache["features"])
-    timestamps = np.asarray(timestamps, dtype=np.float64)
-    if timestamps.shape != (T,):
-        raise ValueError(f"{len(timestamps)} timestamps for {T} feature rows")
-    check_timestamps(timestamps, "frame")
+    timestamps = _frame_times(timestamps, len(cache["features"]))
     probs = [softmax(cache[f"{name}_logits"]) for name in ("state", "step", "sub")]
     for arr in probs:  # once here, so FrameScores leaves each row view as it is
         arr.setflags(write=False)
     return [FrameScores(*row) for row in zip(timestamps.tolist(), *probs)]
+
+
+def stream_scores(model: ScorerModel, timestamps: np.ndarray, features: np.ndarray):
+    """:func:`infer_scores`, checks and bits alike, but row t is scored only when frame t is asked for."""
+    timestamps = _frame_times(timestamps, len(features))
+    h = model.zero_state()
+    for t, x in zip(timestamps.tolist(), features):
+        h, *logits = model.step(x, h)
+        yield FrameScores(t, *(softmax(z) for z in logits))
+
+
+def _frame_times(timestamps: np.ndarray, rows: int) -> np.ndarray:
+    timestamps = np.asarray(timestamps, dtype=np.float64)
+    if timestamps.shape != (rows,):
+        raise ValueError(f"{len(timestamps)} timestamps for {rows} feature rows")
+    check_timestamps(timestamps, "frame")
+    return timestamps

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import AnnotationSet, frame_timestamps
+from ..core import AnnotationSet, frame_count, frame_timestamps
 from .rnn import ScorerConfig, ScorerModel
 from .targets import frame_targets
 
@@ -94,7 +94,7 @@ def train_scorer(
     for f, a in zip(feats, annotations):
         if f.ndim != 2 or f.shape[1] != cfg.feature_dim:
             raise ValueError(f"features for {a.video_id}: expected dim {cfg.feature_dim}, got {f.shape}")
-        expected = len(frame_timestamps(a.duration, a.fps))
+        expected = frame_count(a.duration, a.fps)
         if f.shape[0] != expected:
             raise ValueError(
                 f"features for {a.video_id}: {f.shape[0]} frames, annotations imply {expected}"

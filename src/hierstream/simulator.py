@@ -22,6 +22,7 @@ from .core import (
     FrameScores,
     HierarchyLevel,
     Interval,
+    frame_count,
     frame_timestamps,
 )
 from .scoring.histogram import HistogramConfig
@@ -74,8 +75,7 @@ class SimConfig:
             raise ValueError(f"feature_dim must be >= 4, got {self.feature_dim}")
         if not 0 < self.fps < math.inf:
             raise ValueError(f"fps must be positive and finite, got {self.fps}")
-        if not math.isfinite(self.duration_range[1] * self.fps):  # as core.frame_timestamps
-            raise ValueError(f"no frame grid for duration {self.duration_range[1]} at fps {self.fps}")
+        frame_count(self.duration_range[1], self.fps)  # the longest grid, checked before any is built
 
 
 def _snap(t: float, fps: float) -> float:

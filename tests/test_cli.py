@@ -2,6 +2,9 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import zlib
 from pathlib import Path
 
@@ -14,11 +17,12 @@ from hierstream.cli import EXIT_PARTIAL, main
 from hierstream.core import HierarchyLevel, read_annotations, validate_annotations
 from hierstream.detector import Emission, read_emissions, write_emissions
 from hierstream.runner import mock_describer
-from hierstream.scoring.rnn import ScorerConfig, ScorerModel, infer_scores
+from hierstream.scoring.rnn import ScorerConfig, ScorerModel, infer_scores, stream_scores
 from hierstream.scoring.streams import read_features, read_scores
 from test_describer import _StubHandler, chat_reply, stub_server  # noqa: F401 (a fixture)
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run(*argv):
@@ -223,14 +227,14 @@ class TestE2E:
         assert digest.hexdigest() == "27bec728ce37494f8d3fe4f44b70d5cce08c94278a8e1b8f7ddd4c0ec59e8adb"
 
     def test_training_arm_scores_frames_through_step(self, tmp_path):
-        # e2e --train feeds the loop frames scored one at a time; they must
-        # equal batch inference bit for bit.
+        # e2e --train feeds the loop frames scored one at a time by
+        # stream_scores; they must equal batch inference bit for bit.
         assert run("simulate", "--seed", 2, "--videos", 1, "--features", "--out", tmp_path) == 0
         (path,) = (tmp_path / "features").glob("*.csv")
         ts, feats = read_features(path)
         model = ScorerModel.init(ScorerConfig(feature_dim=feats.shape[1], recurrent_layers=2,
                                               hidden_dim=8), seed=3)
-        streamed = list(cli._scored_frames(model, path))
+        streamed = list(stream_scores(model, ts, feats))
         batch = infer_scores(model, feats, timestamps=ts)
         assert len(streamed) == len(batch)
         for a, b in zip(streamed, batch):
@@ -308,6 +312,8 @@ BAD_RUN_VALUES = [
     ("simulate", ["--videos", "-1"], 2, "videos must be >= 0, got -1"),
     ("simulate", ["--fps", "nan"], 2, "fps must be positive and finite, got nan"),
     ("simulate", ["--fps", "1e308"], 2, "no frame grid for duration"),
+    ("simulate", ["--duration-min", "1e12", "--duration-max", "1e12"], 2, "(at most 100000000 frames)"),
+    ("e2e", ["--duration-min", "1e12", "--duration-max", "1e12"], 2, "(at most 100000000 frames)"),
     ("describe", ["--completion", "1.5"], 2, "completion must be in (0, 1], got 1.5"),
     ("describe", ["--completion", "nan"], 2, "completion must be in (0, 1], got nan"),
     ("e2e", ["--completion", "1.5"], 2, "completion must be in (0, 1], got 1.5"),
@@ -413,6 +419,20 @@ class TestErrors:
         path.write_text("\n".join(lines) + "\n")
         assert run("evaluate", "--annotations", corpus / "annotations.jsonl", "--pred", pred_dir) == 2
         assert f"error: {path}, line 2: missing key 'end'" in capsys.readouterr().err
+
+    def test_impossible_frame_grid_prints_no_traceback(self, tmp_path):
+        # 1e12 s at 4 fps is 4e12 frames: SimConfig refuses it before any
+        # array or file is made, and the process prints one line, no traceback.
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "hierstream.cli", "simulate", "--videos", "1", "--duration-min", "1e12",
+             "--duration-max", "1e12", "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: no frame grid for duration 1000000000000.0 at fps 4.0 "
+                               "(at most 100000000 frames)\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("field,value", [("fps", math.inf), ("duration", math.nan)])
     def test_non_finite_duration_or_fps_is_a_data_error(self, tmp_path, capsys, field, value):

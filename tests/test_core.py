@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hierstream.core import (
+    MAX_FRAMES,
     ActionInstance,
     AnnotationSet,
     FrameScores,
@@ -12,6 +13,7 @@ from hierstream.core import (
     Interval,
     annotation_from_dict,
     annotation_to_dict,
+    frame_count,
     frame_timestamps,
     read_annotations,
     validate_annotations,
@@ -266,12 +268,20 @@ def test_frame_timestamps_includes_final_frame():
 def test_frame_timestamps_stop_at_duration(duration, fps, last):
     ts = frame_timestamps(duration, fps)
     assert ts[-1] == last and ts[-1] <= duration
-    assert len(ts) == round(last * fps) + 1
+    assert len(ts) == round(last * fps) + 1 == frame_count(duration, fps)
 
 
 @pytest.mark.parametrize("duration,fps", [(float("nan"), 4.0), (float("inf"), 4.0),
                                           (10.0, float("inf")), (10.0, float("nan")), (10.0, 0.0),
-                                          (10.0, 1e308), (1e308, 10.0)])
+                                          (10.0, 1e308), (1e308, 10.0),
+                                          (1e12, 4.0)])  # 4e12 frames: refused, never allocated
 def test_frame_timestamps_rejects_bad_duration_or_fps(duration, fps):
     with pytest.raises(ValueError, match="no frame grid for duration"):
         frame_timestamps(duration, fps)
+
+
+def test_frame_count_allows_the_longest_grid_and_no_longer():
+    # Counted, never built: the grids here would take 0.8 GB.
+    assert frame_count((MAX_FRAMES - 1) / 4.0, 4.0) == MAX_FRAMES
+    with pytest.raises(ValueError, match=f"at most {MAX_FRAMES} frames"):
+        frame_count(MAX_FRAMES / 4.0, 4.0)

@@ -4,12 +4,6 @@ import pytest
 from hierstream.core import ActionInstance, HierarchyLevel, Interval
 from hierstream.detector import Emission
 from hierstream.metrics.embedding import HashedBagOfWordsEmbedder
-from hierstream.metrics.judge import (
-    JUDGE_TEMPLATES,
-    judge_report,
-    judge_requests,
-    parse_judge,
-)
 from hierstream.metrics.matching import (
     aedt,
     aedt_corpus,
@@ -265,56 +259,6 @@ class TestEmbedder:
         a = HashedBagOfWordsEmbedder().embed(["stir the soup"])
         b = HashedBagOfWordsEmbedder().embed(["stir the soup"])
         np.testing.assert_array_equal(a, b)
-
-
-class TestJudge:
-    def test_integer_score(self):
-        assert parse_judge("{'score': 4}") == 4.0
-
-    def test_real_score_accepted(self):
-        assert parse_judge("{''score': 4.8}") == 4.8
-
-    def test_payload_count(self):
-        pairs = [("a", "b"), ("c", "d"), ("e", "f")]
-        requests = judge_requests(pairs)
-        assert len(requests) == 12
-        assert {r.criterion for r in requests} == {"CI", "DO", "CU", "TU"}
-
-    def test_templates_substituted(self):
-        requests = judge_requests([("wash vegetables", "rinse vegetables")], ["CI"])
-        user = requests[0].messages[1]["content"]
-        assert "Correct Answer: wash vegetables" in user
-        assert "Predicted Answer: rinse vegetables" in user
-        assert "{answer}" not in user and "{pred}" not in user
-
-    def test_unknown_criterion_rejected(self):
-        with pytest.raises(ValueError):
-            judge_requests([("a", "b")], ["XX"])
-
-    def test_report_counts_missing(self):
-        requests = judge_requests([("a", "b")], ["CI", "DO"])
-        report = judge_report(requests, ["{'score': 4}", "not a score"])
-        assert report.n_scored == 1 and report.n_missing == 1
-        assert report.mean_score == 4.0
-
-    def test_all_four_templates_have_placeholders(self):
-        for system, user in JUDGE_TEMPLATES.values():
-            assert "{question}" in user and "{answer}" in user and "{pred}" in user
-            assert "INSTRUCTIONS" in system
-
-    def test_templates_byte_pinned(self):
-        # Trailing whitespace is significant; catch accidental reformatting.
-        import hashlib
-
-        digests = {
-            "CI": ("7853087bbf2d7072a3fe77fbdd325e48", "d60cd751bbb051e144bca3d4101c3525"),
-            "CU": ("d49b2772e1f1382c67e686bd1d18272b", "87bcfff444d25ace0105ef970a2fa0d9"),
-            "DO": ("dacc2593971196c20fa7cbd5e61f2a49", "470316eeaba2cd8aa9740b95d37470b6"),
-            "TU": ("bb28892e42856c251c2a86152f113869", "86a5db02e710c9bc72ee8ae2a6d0b636"),
-        }
-        for crit, (system, user) in JUDGE_TEMPLATES.items():
-            assert hashlib.md5(system.encode()).hexdigest() == digests[crit][0], crit
-            assert hashlib.md5(user.encode()).hexdigest() == digests[crit][1], crit
 
 
 def test_hungarian_match_reports_positive_pairs_only():

@@ -3,7 +3,7 @@ import pytest
 
 from hierstream.scoring.histogram import HistogramConfig
 from hierstream.scoring.losses import softmax
-from hierstream.scoring.rnn import ScorerConfig, ScorerModel, infer_scores
+from hierstream.scoring.rnn import ScorerConfig, ScorerModel, infer_scores, stream_scores
 from oracles import (
     numeric_gradient,
     per_frame_forward,
@@ -220,6 +220,23 @@ class TestInferTimestamps:
         model = ScorerModel.init(small_cfg(), seed=0)
         scores = infer_scores(model, np.zeros((3, 3)), timestamps=[0.5, 0.75, 2.0])
         assert [fs.timestamp for fs in scores] == [0.5, 0.75, 2.0]
+
+
+class TestStreamScores:
+    def test_one_timestamp_per_feature_row(self):
+        model = ScorerModel.init(small_cfg(), seed=0)
+        with pytest.raises(ValueError, match="2 timestamps for 3 feature rows"):
+            next(stream_scores(model, [0.0, 1.0], np.zeros((3, 3))))
+        with pytest.raises(ValueError, match="frame 3: timestamp 1.0 does not follow 1.0"):
+            next(stream_scores(model, [0.0, 1.0, 1.0], np.zeros((3, 3))))
+
+    def test_scores_a_row_only_when_asked(self):
+        # The last row has the wrong width: nothing fails until it is scored.
+        model = ScorerModel.init(small_cfg(), seed=0)
+        frames = stream_scores(model, [0.0, 0.5, 1.0], [np.zeros(3), np.ones(3), np.zeros(5)])
+        assert [next(frames).timestamp, next(frames).timestamp] == [0.0, 0.5]
+        with pytest.raises(ValueError, match=r"expected \(T, 3\) features"):
+            next(frames)
 
 
 class TestGradients:

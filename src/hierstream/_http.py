@@ -1,6 +1,8 @@
 """The one JSON-over-HTTP path every remote call takes: one session, the
 API key from ``HIERSTREAM_API_KEY``, one retry loop with exponential
-backoff, an in-flight cap, and call counters that tests can assert against."""
+backoff, an in-flight cap, and call counters that tests can assert against.
+``HttpChatClient`` is the one chat-completions request, for the describer
+and the annotation pipeline alike."""
 
 from __future__ import annotations
 
@@ -9,9 +11,11 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, TypeVar
 
 API_KEY_ENV = "HIERSTREAM_API_KEY"
+
+T = TypeVar("T")
 
 
 class TransportError(Exception):
@@ -101,3 +105,22 @@ class JsonHttpClient:
         if isinstance(last_error, ValueError):
             raise last_error
         raise TransportError(f"{url}: retries exhausted ({last_error!r})")
+
+
+class HttpChatClient:
+    """One user message to an OpenAI-compatible chat endpoint. ``content`` is
+    sent as given: a prompt string, or a list of content parts (text and
+    image URLs). ``complete`` returns ``parse`` of the reply text; a reply
+    ``parse`` rejects is re-asked within the one retry budget."""
+
+    def __init__(self, base_url: str, model: str, limits: HttpLimits = HttpLimits()):
+        self.model = model
+        self._client = JsonHttpClient(base_url, limits)
+        self.stats = self._client.stats
+
+    def complete(self, content: str | list[dict], parse: Callable[[str], T]) -> T:
+        return self._client.post_json("/chat/completions", {
+            "model": self.model,
+            "temperature": 0.0,
+            "messages": [{"role": "user", "content": content}],
+        }, parse=lambda reply: parse(reply["choices"][0]["message"]["content"]))

@@ -35,7 +35,7 @@ from .core import (
     validate_annotations,
     write_annotations,
 )
-from .describer.http import DescriberEndpoint, HttpDescriber
+from .describer.http import HttpDescriber
 from .detector import DetectorConfig, read_emissions, write_emissions
 from .metrics.embedding import HashedBagOfWordsEmbedder, HttpEmbedder
 from .pipeline import (
@@ -256,11 +256,9 @@ def _make_describe_fn(args):
     check_completion(args.completion)  # once for the run, not once per video
     if args.describer == "mock":
         return mock_describer()
-    # The loop's frame handles are ``frame@<t>`` labels, not image files.
-    endpoint = DescriberEndpoint(base_url=args.endpoint, model=args.model_name, image_mode="url")
     limits = HttpLimits(timeout=args.timeout, max_retries=args.max_retries,
                         max_inflight=args.max_inflight)
-    return HttpDescriber(endpoint, limits)
+    return HttpDescriber(HttpChatClient(args.endpoint, args.model_name, limits))
 
 
 def cmd_detect(args, describe=None) -> int:

@@ -1,5 +1,5 @@
 from .._http import API_KEY_ENV
-from .http import DescriberEndpoint, HttpDescriber
+from .http import HttpDescriber
 from .mock import mock_describe
 from .prompts import GOAL_PROMPT, STEP_PROMPT, SUBSTEP_PROMPT, TEMPLATES
 from .responses import (
@@ -23,7 +23,6 @@ __all__ = [
     "parse_response",
     "format_response",
     "mock_describe",
-    "DescriberEndpoint",
     "HttpDescriber",
     "API_KEY_ENV",
 ]

@@ -1,4 +1,5 @@
-from .clients import ChatClient, HttpChatClient, MockGroupingClient
+from .._http import HttpChatClient
+from .clients import ChatClient, MockGroupingClient
 from .grouping import (
     ConsistencyReport,
     GroupingParseError,

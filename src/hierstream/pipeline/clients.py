@@ -1,14 +1,11 @@
-"""Chat clients for the annotation pipeline: a protocol, a deterministic
-window-grouping mock, and a thin adapter over an OpenAI-compatible chat
-endpoint. ``complete(prompt, parse)`` returns ``parse`` of the reply text;
-over HTTP a reply ``parse`` rejects is re-asked within the one retry budget."""
+"""Chat clients for the annotation pipeline: a protocol and a deterministic
+window-grouping mock. ``complete(prompt, parse)`` returns ``parse`` of the
+reply text; ``_http.HttpChatClient`` is the one over HTTP."""
 
 from __future__ import annotations
 
 import json
 from typing import Callable, Protocol, TypeVar
-
-from .._http import HttpLimits, JsonHttpClient
 
 T = TypeVar("T")
 
@@ -60,19 +57,3 @@ class MockGroupingClient:
             })
         reply = {"steps": steps, "goal": f"complete {len(steps)} activities"}
         return parse(json.dumps(reply))
-
-
-class HttpChatClient:
-    """Text-only chat completion against an OpenAI-compatible endpoint."""
-
-    def __init__(self, base_url: str, model: str, limits: HttpLimits = HttpLimits()):
-        self.model = model
-        self._client = JsonHttpClient(base_url, limits)
-        self.stats = self._client.stats
-
-    def complete(self, prompt: str, parse: Callable[[str], T]) -> T:
-        return self._client.post_json("/chat/completions", {
-            "model": self.model,
-            "temperature": 0.0,
-            "messages": [{"role": "user", "content": prompt}],
-        }, parse=lambda reply: parse(reply["choices"][0]["message"]["content"]))

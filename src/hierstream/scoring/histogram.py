@@ -74,7 +74,8 @@ def histogram_expectation(dist: np.ndarray, cfg: HistogramConfig = HistogramConf
     Runs for every ongoing level of every frame, so it avoids numpy's
     per-call overheads: no conversion of a float64 array, a plain-float sum
     for the check (numpy's only for the error message), and ``dot`` (the
-    same value as ``@``) for the decode.
+    same value as ``@``) for the decode. Bins are not checked one by one:
+    a decoded value outside [0, 1] (say, from a negative bin) is rejected.
     """
     if type(dist) is not np.ndarray or dist.dtype is not _F64:
         dist = np.asarray(dist, dtype=np.float64)
@@ -82,4 +83,7 @@ def histogram_expectation(dist: np.ndarray, cfg: HistogramConfig = HistogramConf
         raise ValueError(f"expected {cfg.bins} bins, got shape {dist.shape}")
     if not abs(sum(dist.tolist()) - 1.0) <= PROB_SUM_TOL:  # NaN fails too
         raise ValueError(f"distribution sums to {float(dist.sum())}, expected 1 within 1e-6")
-    return float(dist.dot(cfg.centers))
+    value = float(dist.dot(cfg.centers))
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"distribution decodes to {value}, outside [0, 1]")
+    return value

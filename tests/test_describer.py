@@ -7,7 +7,7 @@ import pytest
 
 from hierstream._http import API_KEY_ENV, ClientError, HttpLimits, TransportError
 from hierstream.core import ActionInstance, HierarchyLevel, Interval
-from hierstream.describer.http import DescriberEndpoint, HttpDescriber, build_chat_payload
+from hierstream.describer.http import HttpDescriber
 from hierstream.describer.mock import mock_describe
 from hierstream.describer.prompts import (
     GOAL_PROMPT,
@@ -23,8 +23,9 @@ from hierstream.describer.responses import (
 )
 from hierstream.memory import FrameRef, RetrievalBundle
 from hierstream.metrics.embedding import HashedBagOfWordsEmbedder, HttpEmbedder
-from hierstream.pipeline import GroupingParseError, kmeans_canonicalize, propose_grouping
-from hierstream.pipeline.clients import HttpChatClient
+from hierstream.pipeline import GroupingParseError, HttpChatClient, kmeans_canonicalize, propose_grouping
+from hierstream.runner import run_described_stream
+from hierstream.simulator import SimConfig, gen_annotations, gen_scores
 
 SUB = HierarchyLevel.SUBSTEP
 STEP = HierarchyLevel.STEP
@@ -201,23 +202,36 @@ WELL_FORMED = (
 
 
 def make_describer(url, retries=3):
-    endpoint = DescriberEndpoint(base_url=url, model="stub-model", image_mode="url")
     limits = HttpLimits(timeout=5.0, max_retries=retries, backoff_base=0.01)
-    return HttpDescriber(endpoint, limits)
+    return HttpDescriber(HttpChatClient(url, "stub-model", limits))
 
 
 class TestHttpDescriber:
     def test_canned_reply_parsed(self, stub_server):
         _StubHandler.script = [(200, chat_reply(WELL_FORMED))]
-        resp = make_describer(stub_server).describe(build_request(bundle(SUB)))
+        request = build_request(bundle(SUB))
+        resp = make_describer(stub_server)(None, request)
         assert resp == DescriberResponse("stub short", "stub before", "stub after")
-        body = _StubHandler.requests_seen[0]
-        assert body["model"] == "stub-model"
-        parts = body["messages"][0]["content"]
-        assert parts[0]["type"] == "text"
-        assert [p["image_url"]["url"] for p in parts[1:]] == [
-            "handle-0", "handle-1", "handle-2",
-        ]
+        assert _StubHandler.requests_seen == [{
+            "model": "stub-model",
+            "temperature": 0.0,
+            "messages": [{"role": "user", "content": [
+                {"type": "text", "text": request.prompt},
+                {"type": "image_url", "image_url": {"url": "handle-0"}},
+                {"type": "image_url", "image_url": {"url": "handle-1"}},
+                {"type": "image_url", "image_url": {"url": "handle-2"}},
+            ]}],
+        }]
+
+    def test_chat_request_body(self, stub_server):
+        _StubHandler.script = [(200, chat_reply("ok"))]
+        client = HttpChatClient(stub_server, "stub-model", HttpLimits(timeout=5.0))
+        assert client.complete("group these", str) == "ok"
+        assert _StubHandler.requests_seen == [{
+            "model": "stub-model",
+            "temperature": 0.0,
+            "messages": [{"role": "user", "content": "group these"}],
+        }]
 
     def test_retries_on_5xx_then_succeeds(self, stub_server):
         _StubHandler.script = [
@@ -226,26 +240,50 @@ class TestHttpDescriber:
             (200, chat_reply(WELL_FORMED)),
         ]
         describer = make_describer(stub_server)
-        resp = describer.describe(build_request(bundle(SUB)))
+        resp = describer(None, build_request(bundle(SUB)))
         assert resp.short_form == "stub short"
         assert describer.stats.retries == 2
 
     def test_exhausted_retries_raise_transport(self, stub_server):
         _StubHandler.script = [(500, {})] * 3
         with pytest.raises(TransportError):
-            make_describer(stub_server, retries=2).describe(build_request(bundle(SUB)))
+            make_describer(stub_server, retries=2)(None, build_request(bundle(SUB)))
 
     def test_malformed_reply_is_parse_error(self, stub_server):
         _StubHandler.script = [(200, chat_reply("garbage"))] * 2
         with pytest.raises(DescribeParseError):
-            make_describer(stub_server, retries=1).describe(build_request(bundle(SUB)))
+            make_describer(stub_server, retries=1)(None, build_request(bundle(SUB)))
 
     def test_client_error_not_retried(self, stub_server):
         _StubHandler.script = [(404, {"error": "nope"})]
         describer = make_describer(stub_server)
         with pytest.raises(TransportError):
-            describer.describe(build_request(bundle(SUB)))
+            describer(None, build_request(bundle(SUB)))
         assert describer.stats.requests == 1
+
+
+def test_frame_handles_reach_the_endpoint_unchanged(stub_server):
+    """``frame_handle`` is how real frames reach an HTTP describer: each
+    handle goes out as one image URL, as given, in time order."""
+    cfg = SimConfig(seed=1, videos=1, duration_range=(10.0, 15.0))
+    scores = gen_scores(gen_annotations(cfg)[0], cfg.noise_sigma, cfg.fps, seed=1)
+    handles = set()
+
+    def frame_handle(t):
+        handles.add(url := f"https://frames.example/{t:.2f}.jpg")
+        return url
+
+    _StubHandler.answer = lambda body: (200, chat_reply(WELL_FORMED))
+    result = run_described_stream(scores, make_describer(stub_server), frame_handle=frame_handle)
+    assert len(_StubHandler.requests_seen) == result.describe_calls > 1
+    sent = 0
+    for body in _StubHandler.requests_seen:
+        urls = [p["image_url"]["url"] for p in body["messages"][0]["content"][1:]]
+        assert set(urls) <= handles
+        times = [float(u.removeprefix("https://frames.example/").removesuffix(".jpg")) for u in urls]
+        assert times == sorted(times)
+        sent += len(urls)
+    assert sent > 0
 
 
 # ----------------------------------------------------------------------
@@ -260,8 +298,8 @@ def embeddings_reply(n):
 # the malformed reply raises once retries run out)
 CLIENTS = {
     "describer": (
-        lambda url, limits: HttpDescriber(DescriberEndpoint(url, "stub-model", image_mode="url"), limits),
-        lambda client: client.describe(build_request(bundle(SUB))),
+        lambda url, limits: HttpDescriber(HttpChatClient(url, "stub-model", limits)),
+        lambda client: client(None, build_request(bundle(SUB))),
         chat_reply(WELL_FORMED), chat_reply("garbage"), DescribeParseError,
     ),
     "embedder": (
@@ -397,19 +435,3 @@ class TestChatRepliesShareTheBudget:
 def test_limits_rejected(field, value):
     with pytest.raises(ValueError, match=field):
         HttpLimits(**{field: value})
-
-
-def test_base64_mode_requires_readable_file(tmp_path):
-    endpoint = DescriberEndpoint(base_url="http://x", model="m", image_mode="base64")
-    req = build_request(bundle(SUB, n_frames=1))
-    with pytest.raises(FileNotFoundError):
-        build_chat_payload(req, endpoint)
-    # A real file goes through as a data URL.
-    img = tmp_path / "frame.jpg"
-    img.write_bytes(b"\xff\xd8fake")
-    frames = (FrameRef(1.0, frozenset({SUB}), str(img)),)
-    req2 = build_request(RetrievalBundle(frames, (), SUB, Interval(0.0, 2.0)))
-    payload = build_chat_payload(req2, endpoint)
-    assert payload["messages"][0]["content"][1]["image_url"]["url"].startswith(
-        "data:image/jpeg;base64,"
-    )

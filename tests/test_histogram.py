@@ -101,6 +101,13 @@ class TestHistogramExpectation:
         with pytest.raises(ValueError):
             histogram_expectation(np.full(10, 0.2), CFG)
 
+    def test_rejects_decode_outside_unit_interval(self):
+        # Sums to one, but a negative bin pushes the expectation to 1.4.
+        dist = np.zeros(10)
+        dist[0], dist[-1] = -0.5, 1.5
+        with pytest.raises(ValueError, match=r"decodes to 1\.4\d*, outside \[0, 1\]"):
+            histogram_expectation(dist, CFG)
+
 
 def test_config_validation():
     with pytest.raises(ValueError):

@@ -154,6 +154,18 @@ def test_runner_rejects_bad_state_sum(state, why):
     assert all(level != HierarchyLevel.GOAL for level, _ in calls)
 
 
+def test_run_stream_rejects_progress_decoded_outside_unit_interval():
+    # Without the check, 1.4 at t=3 then 0.5 at t=4 reads as a progress drop
+    # and closes SUBSTEP [0, 3] at t=4.
+    frames = frames_at((0.0, 1.0, 2.0, 3.0, 4.0, 5.0))
+    bad = np.zeros(HIST.bins)
+    bad[0], bad[-1] = -0.5, 1.5
+    ok = frames[3]
+    frames[3] = FrameScores(3.0, ok.state_probs, ok.step_progress_dist, bad)
+    with pytest.raises(ValueError, match=r"decodes to 1\.4\d*, outside \[0, 1\]"):
+        run_stream(frames)
+
+
 def test_state_sum_within_tolerance_accepted():
     frames = frames_with_state((1e-7, 0.0, 1.0))
     assert key(run_stream(frames)) == key(run_stream(frames_at((0.0, 1.0, 2.0, 3.0))))

@@ -254,10 +254,10 @@ def _score_streams(args) -> list:
 
 def _make_describe_fn(args):
     check_completion(args.completion)  # once for the run, not once per video
+    limits = HttpLimits(timeout=args.timeout, max_retries=args.max_retries,
+                        max_inflight=args.max_inflight)  # checked with either describer
     if args.describer == "mock":
         return mock_describer()
-    limits = HttpLimits(timeout=args.timeout, max_retries=args.max_retries,
-                        max_inflight=args.max_inflight)
     return HttpDescriber(HttpChatClient(args.endpoint, args.model_name, limits))
 
 
@@ -352,7 +352,7 @@ def cmd_pipeline(args) -> int:
         return EXIT_USAGE
     annotations = _read_annotations(args.input)
     if args.client == "mock":
-        client = MockGroupingClient(window=args.mock_window)
+        client = MockGroupingClient()
         caption_client = None
     else:
         client = HttpChatClient(args.endpoint, args.model_name)
@@ -580,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="group atomic actions hierarchically")
     p.add_argument("--input", required=True, help="JSONL with substep-only annotations")
     p.add_argument("--client", choices=("mock", "http"), default="mock")
-    p.add_argument("--mock-window", type=int, default=2)
     _add_endpoint_args(p)
     p.add_argument("--embedder", choices=("mock", "http"), default="mock")
     p.add_argument("--k", type=int, default=0, help="canonicalize step captions into k clusters")

@@ -7,7 +7,6 @@ from .responses import (
     DescribeRequest,
     DescriberResponse,
     build_request,
-    format_response,
     parse_response,
 )
 
@@ -21,7 +20,6 @@ __all__ = [
     "DescribeParseError",
     "build_request",
     "parse_response",
-    "format_response",
     "mock_describe",
     "HttpDescriber",
     "API_KEY_ENV",

@@ -6,7 +6,6 @@ import json
 import re
 from dataclasses import dataclass
 
-from ..core import HierarchyLevel
 from ..memory import RetrievalBundle
 from .prompts import PLACEHOLDERS, TEMPLATES
 
@@ -22,7 +21,6 @@ class DescribeParseError(ValueError):
 
 @dataclass(frozen=True)
 class DescribeRequest:
-    level: HierarchyLevel
     prompt: str
     frame_handles: tuple[str, ...]
 
@@ -42,7 +40,7 @@ def build_request(bundle: RetrievalBundle) -> DescribeRequest:
     serialized = json.dumps(list(bundle.prior_predictions))
     prompt = template.replace(placeholder, serialized)
     frames = tuple(f.handle for f in sorted(bundle.frames, key=lambda f: f.timestamp))
-    return DescribeRequest(level=bundle.level, prompt=prompt, frame_handles=frames)
+    return DescribeRequest(prompt=prompt, frame_handles=frames)
 
 
 _SHORT_RE = re.compile(r"short form response\s*:\s*(.*)", re.IGNORECASE)
@@ -76,15 +74,3 @@ def parse_response(text: str) -> DescriberResponse:
         return DescriberResponse(short_form=answer.group(1).strip())
     raise DescribeParseError("no recognizable answer labels", text)
 
-
-def format_response(resp: DescriberResponse) -> str:
-    """Render a response in the labeled output shape; inverse of
-    :func:`parse_response` on the three fields."""
-    if not resp.long_form_before and not resp.long_form_after:
-        return f"Answer: {resp.short_form}"
-    return (
-        "Answer:\n"
-        f"short form response: {resp.short_form}\n"
-        f"long form response (before revision): {resp.long_form_before}\n"
-        f"long form response (after revision): {resp.long_form_after}"
-    )

@@ -1,29 +1,16 @@
 from .embedding import Embedder, HashedBagOfWordsEmbedder, HttpEmbedder
-from .matching import (
-    DelayStats,
-    MatchResult,
-    aedt,
-    aedt_corpus,
-    hungarian_f1,
-    hungarian_f1_corpus,
-    hungarian_match,
-    tiou,
-)
-from .semantic import description_rank, goal_accuracy, topk_f1, topk_f1_corpus
+from .matching import DelayStats, aedt_corpus, hungarian_f1_corpus, hungarian_match, tiou
+from .semantic import description_rank, goal_accuracy, topk_f1_corpus
 
 __all__ = [
     "tiou",
-    "MatchResult",
     "hungarian_match",
-    "hungarian_f1",
     "hungarian_f1_corpus",
     "DelayStats",
-    "aedt",
     "aedt_corpus",
     "Embedder",
     "HashedBagOfWordsEmbedder",
     "HttpEmbedder",
-    "topk_f1",
     "topk_f1_corpus",
     "goal_accuracy",
     "description_rank",

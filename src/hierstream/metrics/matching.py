@@ -47,17 +47,6 @@ def tiou(a: Interval, b: Interval) -> Fraction:
     return inter / union
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    """Matched (gt, pred, tIoU) pairs, a partial bijection, plus
-    threshold-dependent counts."""
-
-    pairs: tuple[tuple[int, int, float], ...]
-    tp: int
-    fn: int
-    fp: int
-
-
 def hungarian_match(gt: Sequence[Interval], pred: Sequence[Interval]) -> list[tuple[int, int, Fraction]]:
     """Optimal one-to-one matching by total tIoU, exact and deterministic.
     Only pairs with positive overlap are returned."""
@@ -91,21 +80,6 @@ def f1_at(rows: Sequence[Row], videos: Sequence[tuple[Sequence, Sequence]], thre
     tp = len(rows_at(rows, threshold))
     total = sum(len(gt) + len(pred) for gt, pred in videos)
     return 2.0 * tp / total if total else EMPTY_VS_EMPTY_F1
-
-
-def hungarian_f1(
-    gt: Sequence[Interval], pred: Sequence[Interval], threshold: float
-) -> tuple[float, MatchResult]:
-    videos = [(gt, pred)]
-    rows = matched_rows(videos)
-    tp = len(rows_at(rows, threshold))
-    result = MatchResult(
-        pairs=tuple((i, j, float(t)) for t, _, i, j in rows),
-        tp=tp,
-        fn=len(gt) - tp,
-        fp=len(pred) - tp,
-    )
-    return f1_at(rows, videos, threshold), result
 
 
 def hungarian_f1_corpus(
@@ -152,10 +126,3 @@ def aedt_corpus(
     rows = matched_rows([(gt, [e.instance.interval for e in pred]) for gt, pred in videos])
     return delay_at(rows, videos, threshold)
 
-
-def aedt(
-    gt: Sequence[Interval], pred: Sequence[Emission], threshold: float
-) -> DelayStats | None:
-    """Average emission delay over optimal-matching TPs at the threshold.
-    Returns None when there are no true positives."""
-    return aedt_corpus([(gt, pred)], threshold)

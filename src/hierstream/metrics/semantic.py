@@ -81,18 +81,6 @@ def topk_f1_corpus(
     return f1_at(hits, videos, threshold)
 
 
-def topk_f1(
-    gt: Sequence[ActionInstance],
-    pred: Sequence[ActionInstance],
-    threshold: float,
-    k: int,
-    embedder: Embedder,
-    corpus: Sequence[str],
-) -> float:
-    """Optimal-matching F1 with the top-k description constraint."""
-    return topk_f1_corpus([(gt, pred)], threshold, k, embedder, corpus)
-
-
 def goal_accuracy(
     pred_goals: Sequence[str], gt_goals: Sequence[str], embedder: Embedder
 ) -> float:

@@ -1,6 +1,7 @@
 """Chat clients for the annotation pipeline: a protocol and a deterministic
-window-grouping mock. ``complete(prompt, parse)`` returns ``parse`` of the
-reply text; ``_http.HttpChatClient`` is the one over HTTP."""
+mock that groups consecutive pairs of substeps. ``complete(prompt, parse)``
+returns ``parse`` of the reply text; ``_http.HttpChatClient`` is the one
+over HTTP."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import json
 from typing import Callable, Protocol, TypeVar
 
 T = TypeVar("T")
+
+MOCK_WINDOW = 2  # substeps per step in the mock's grouping
 
 
 class ChatClient(Protocol):
@@ -33,24 +36,20 @@ def _find_substep_array(prompt: str) -> list | None:
 
 
 class MockGroupingClient:
-    """Groups substeps into fixed-size consecutive windows.
+    """Groups substeps into consecutive pairs (``MOCK_WINDOW``); an odd
+    last substep is a step of its own.
 
     Reads the substep array embedded in the grouping prompt and replies
     with the JSON contract the parser expects; referentially transparent.
     """
-
-    def __init__(self, window: int = 2):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self.window = window
 
     def complete(self, prompt: str, parse: Callable[[str], T]) -> T:
         substeps = _find_substep_array(prompt)
         if substeps is None:
             raise ValueError("grouping prompt carries no substep array")
         steps = []
-        for start in range(0, len(substeps), self.window):
-            chunk = substeps[start: start + self.window]
+        for start in range(0, len(substeps), MOCK_WINDOW):
+            chunk = substeps[start: start + MOCK_WINDOW]
             steps.append({
                 "substep_indices": [s["index"] for s in chunk],
                 "description": f"do: {chunk[0]['description']}",

@@ -55,8 +55,8 @@ class SimConfig:
     histogram: HistogramConfig = field(default_factory=HistogramConfig)
 
     def __post_init__(self) -> None:  # each check written so that NaN fails it
-        if not self.videos >= 0:
-            raise ValueError(f"videos must be >= 0, got {self.videos}")
+        if not self.videos >= 1:  # an empty corpus would score a perfect F1
+            raise ValueError(f"videos must be >= 1, got {self.videos}")
         lo, hi = self.duration_range
         if not 0 < lo <= hi < math.inf:
             raise ValueError(f"duration_range must be finite with 0 < min <= max, got {self.duration_range}")

@@ -13,8 +13,8 @@ from hierstream.core import HierarchyLevel, Interval
 from hierstream.detector import DetectorConfig, StreamDetector, run_stream
 from hierstream.memory import ContextMemory, _spaced
 from hierstream.metrics.embedding import HashedBagOfWordsEmbedder
-from hierstream.metrics.matching import hungarian_f1, hungarian_f1_corpus
-from hierstream.metrics.semantic import topk_f1
+from hierstream.metrics.matching import hungarian_f1_corpus
+from hierstream.metrics.semantic import topk_f1_corpus
 from hierstream.pipeline import GroupingProposal, check_consistency, kmeans_canonicalize, postprocess
 from hierstream.runner import mock_describer, run_described_stream
 from hierstream.scoring.histogram import HistogramConfig, histogram_expectation, histogram_target
@@ -69,7 +69,7 @@ def test_criterion_01_hungarian_oracle_equivalence():
         gt = random_intervals(rng, int(rng.integers(0, 7)))
         pred = random_intervals(rng, int(rng.integers(0, 7)))
         for threshold in (0.3, 0.5, 0.7):
-            ours = hungarian_f1(gt, pred, threshold)[0]
+            ours = hungarian_f1_corpus([(gt, pred)], threshold)
             oracle = brute_force_f1(gt, pred, threshold)
             assert ours == oracle, (gt, pred, threshold, ours, oracle)
     elapsed = time.time() - start
@@ -213,15 +213,15 @@ def test_criterion_07_metric_algebra():
     for _ in range(500):
         gt = random_intervals(rng, int(rng.integers(1, 7)))
         pred = random_intervals(rng, int(rng.integers(1, 7)))
-        f1_03 = hungarian_f1(gt, pred, 0.3)[0]
-        f1_05 = hungarian_f1(gt, pred, 0.5)[0]
-        f1_07 = hungarian_f1(gt, pred, 0.7)[0]
+        f1_03 = hungarian_f1_corpus([(gt, pred)], 0.3)
+        f1_05 = hungarian_f1_corpus([(gt, pred)], 0.5)
+        f1_07 = hungarian_f1_corpus([(gt, pred)], 0.7)
         assert f1_07 <= f1_05 <= f1_03, "threshold monotonicity"
-        assert f1_05 == hungarian_f1(pred, gt, 0.5)[0], "symmetry"
+        assert f1_05 == hungarian_f1_corpus([(pred, gt)], 0.5), "symmetry"
         c = float(rng.uniform(0.05, 40.0))
         gt_scaled = [Interval(g.start * c, g.end * c) for g in gt]
         pred_scaled = [Interval(p.start * c, p.end * c) for p in pred]
-        assert f1_05 == hungarian_f1(gt_scaled, pred_scaled, 0.5)[0], "scale invariance"
+        assert f1_05 == hungarian_f1_corpus([(gt_scaled, pred_scaled)], 0.5), "scale invariance"
 
     from hierstream.core import ActionInstance
     for _ in range(500):
@@ -231,9 +231,9 @@ def test_criterion_07_metric_algebra():
         pred = [ActionInstance(iv, texts[int(rng.integers(12))], SUB)
                 for iv in random_intervals(rng, n_pred)]
         corpus = list(dict.fromkeys(g.description for g in gt))
-        plain = hungarian_f1([g.interval for g in gt], [p.interval for p in pred], 0.5)[0]
-        limited = topk_f1(gt, pred, 0.5, 1, embedder, corpus)
-        full = topk_f1(gt, pred, 0.5, len(corpus), embedder, corpus)
+        plain = hungarian_f1_corpus([([g.interval for g in gt], [p.interval for p in pred])], 0.5)
+        limited = topk_f1_corpus([(gt, pred)], 0.5, 1, embedder, corpus)
+        full = topk_f1_corpus([(gt, pred)], 0.5, len(corpus), embedder, corpus)
         assert limited <= plain + 1e-12, "top-k never exceeds plain F1"
         assert full == plain, "top-k equals plain F1 at k = corpus size"
     report(7, True, "monotonicity, symmetry, scale invariance, top-k bounds on 500 cases each")

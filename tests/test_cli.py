@@ -305,11 +305,15 @@ BAD_RUN_VALUES = [
     ("train", ["--learning-rate", "nan"], 2, "learning_rate must be positive and finite, got nan"),
     ("train", ["--weight-decay", "nan"], 2, "weight_decay must be >= 0 and finite, got nan"),
     ("describe", ["--describer", "http", "--timeout", "0"], 2, "timeout must be positive and finite, got 0.0"),
+    ("describe", ["--timeout", "0"], 2, "timeout must be positive and finite, got 0.0"),
+    ("e2e", ["--max-inflight", "0"], 2, "max_inflight must be >= 1, got 0"),
     ("simulate", ["--duration-min", "nan"], 2, "duration_range must be finite"),
     ("simulate", ["--gap-min", "nan"], 2, "gap_range must be finite"),
     ("simulate", ["--gap-max", "nan"], 2, "gap_range must be finite"),
     ("simulate", ["--noise-sigma", "nan"], 2, "noise_sigma must be >= 0 and finite, got nan"),
-    ("simulate", ["--videos", "-1"], 2, "videos must be >= 0, got -1"),
+    ("simulate", ["--videos", "-1"], 2, "videos must be >= 1, got -1"),
+    ("simulate", ["--videos", "0"], 2, "videos must be >= 1, got 0"),
+    ("e2e", ["--videos", "0"], 2, "videos must be >= 1, got 0"),
     ("simulate", ["--fps", "nan"], 2, "fps must be positive and finite, got nan"),
     ("simulate", ["--fps", "1e308"], 2, "no frame grid for duration"),
     ("simulate", ["--duration-min", "1e12", "--duration-max", "1e12"], 2, "(at most 100000000 frames)"),
@@ -566,7 +570,7 @@ FLAGS = {
     "describe": {"--scores": REQUIRED, **DETECTOR, **DESCRIBER, **COMMON},
     "evaluate": {"--annotations": REQUIRED, "--pred": REQUIRED, **EVAL, **ENDPOINT,
                  "--report": ("json", ("json", "table")), **COMMON, "--out": None},
-    "pipeline": {"--input": REQUIRED, "--client": ("mock", BACKEND), "--mock-window": 2, **ENDPOINT,
+    "pipeline": {"--input": REQUIRED, "--client": ("mock", BACKEND), **ENDPOINT,
                  "--embedder": ("mock", BACKEND), "--k": 0, "--bounds-min": None, "--bounds-max": None,
                  "--seed": 0, **COMMON},
     "e2e": {**SIM, **DETECTOR, **DESCRIBER, **EVAL, **TRAIN, "--train": SWITCH, **COMMON},
@@ -592,7 +596,7 @@ def test_flag_table_pinned():
     assert table == FLAGS
     for command in table:  # the types too: 0, 0.0 and False compare equal
         assert {f: type(v) for f, v in table[command].items()} == {f: type(v) for f, v in FLAGS[command].items()}
-    assert sum(map(len, table.values())) == 112
+    assert sum(map(len, table.values())) == 111
 
 
 def failing_on(last_ts):

@@ -18,7 +18,6 @@ from hierstream.describer.responses import (
     DescribeParseError,
     DescriberResponse,
     build_request,
-    format_response,
     parse_response,
 )
 from hierstream.memory import FrameRef, RetrievalBundle
@@ -141,11 +140,6 @@ class TestMockDescriber:
         a = mock_describe(bundle(SUB, start=2.0, end=4.0))
         b = mock_describe(bundle(SUB, start=2.0, end=5.0))
         assert a != b
-
-    def test_format_parse_round_trip(self):
-        for level in (SUB, STEP, GOAL):
-            resp = mock_describe(bundle(level))
-            assert parse_response(format_response(resp)) == resp
 
 
 # ----------------------------------------------------------------------

@@ -4,15 +4,8 @@ import pytest
 from hierstream.core import ActionInstance, HierarchyLevel, Interval
 from hierstream.detector import Emission
 from hierstream.metrics.embedding import HashedBagOfWordsEmbedder
-from hierstream.metrics.matching import (
-    aedt,
-    aedt_corpus,
-    hungarian_f1,
-    hungarian_f1_corpus,
-    hungarian_match,
-    tiou,
-)
-from hierstream.metrics.semantic import goal_accuracy, topk_f1, topk_f1_corpus
+from hierstream.metrics.matching import aedt_corpus, hungarian_f1_corpus, hungarian_match, tiou
+from hierstream.metrics.semantic import goal_accuracy, topk_f1_corpus
 from oracles import brute_force_f1
 
 
@@ -50,21 +43,20 @@ class TestTiou:
 
 class TestHungarianF1:
     def test_perfect_match(self):
-        f1, result = hungarian_f1([iv(0, 10)], [iv(0, 10)], 0.5)
-        assert f1 == 1.0 and result.tp == 1
+        f1 = hungarian_f1_corpus([([iv(0, 10)], [iv(0, 10)])], 0.5)
+        assert f1 == 1.0
 
     def test_partial_match(self):
-        f1, result = hungarian_f1([iv(0, 10), iv(10, 20)], [iv(0, 9)], 0.5)
+        f1 = hungarian_f1_corpus([([iv(0, 10), iv(10, 20)], [iv(0, 9)])], 0.5)
         assert f1 == pytest.approx(2 / 3)
-        assert (result.tp, result.fn, result.fp) == (1, 1, 0)
 
     def test_empty_both_sides(self):
-        f1, _ = hungarian_f1([], [], 0.5)
+        f1 = hungarian_f1_corpus([([], [])], 0.5)
         assert f1 == 1.0
 
     def test_one_side_empty(self):
-        assert hungarian_f1([iv(0, 1)], [], 0.5)[0] == 0.0
-        assert hungarian_f1([], [iv(0, 1)], 0.5)[0] == 0.0
+        assert hungarian_f1_corpus([([iv(0, 1)], [])], 0.5) == 0.0
+        assert hungarian_f1_corpus([([], [iv(0, 1)])], 0.5) == 0.0
 
     def test_matches_brute_force_on_random_cases(self):
         rng = np.random.default_rng(7)
@@ -72,7 +64,7 @@ class TestHungarianF1:
             gt = random_intervals(rng, int(rng.integers(0, 7)))
             pred = random_intervals(rng, int(rng.integers(0, 7)))
             for thr in (0.3, 0.5, 0.7):
-                assert hungarian_f1(gt, pred, thr)[0] == brute_force_f1(gt, pred, thr)
+                assert hungarian_f1_corpus([(gt, pred)], thr) == brute_force_f1(gt, pred, thr)
 
     def test_matches_brute_force_on_exact_ties(self):
         cases = [
@@ -84,14 +76,14 @@ class TestHungarianF1:
         ]
         for gt, pred in cases:
             for thr in (0.3, 0.5, 0.7):
-                assert hungarian_f1(gt, pred, thr)[0] == brute_force_f1(gt, pred, thr)
+                assert hungarian_f1_corpus([(gt, pred)], thr) == brute_force_f1(gt, pred, thr)
 
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             gt = random_intervals(rng, int(rng.integers(1, 7)))
             pred = random_intervals(rng, int(rng.integers(1, 7)))
-            f1s = [hungarian_f1(gt, pred, t)[0] for t in (0.3, 0.5, 0.7)]
+            f1s = [hungarian_f1_corpus([(gt, pred)], t) for t in (0.3, 0.5, 0.7)]
             assert f1s[0] >= f1s[1] >= f1s[2]
 
     def test_symmetry(self):
@@ -100,7 +92,7 @@ class TestHungarianF1:
             gt = random_intervals(rng, int(rng.integers(0, 6)))
             pred = random_intervals(rng, int(rng.integers(0, 6)))
             for t in (0.3, 0.5, 0.7):
-                assert hungarian_f1(gt, pred, t)[0] == hungarian_f1(pred, gt, t)[0]
+                assert hungarian_f1_corpus([(gt, pred)], t) == hungarian_f1_corpus([(pred, gt)], t)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(19)
@@ -111,21 +103,21 @@ class TestHungarianF1:
             gt_s = [Interval(g.start * c, g.end * c) for g in gt]
             pred_s = [Interval(p.start * c, p.end * c) for p in pred]
             for t in (0.3, 0.5, 0.7):
-                assert hungarian_f1(gt, pred, t)[0] == hungarian_f1(gt_s, pred_s, t)[0]
+                assert hungarian_f1_corpus([(gt, pred)], t) == hungarian_f1_corpus([(gt_s, pred_s)], t)
 
     def test_pairs_form_partial_bijection(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
             gt = random_intervals(rng, 5)
             pred = random_intervals(rng, 5)
-            _, result = hungarian_f1(gt, pred, 0.3)
-            gts = [i for i, _, _ in result.pairs]
-            preds = [j for _, j, _ in result.pairs]
+            pairs = hungarian_match(gt, pred)
+            gts = [i for i, _, _ in pairs]
+            preds = [j for _, j, _ in pairs]
             assert len(set(gts)) == len(gts) and len(set(preds)) == len(preds)
 
     def test_threshold_domain(self):
         with pytest.raises(ValueError):
-            hungarian_f1([], [], 0.0)
+            hungarian_f1_corpus([([], [])], 0.0)
 
 
 class TestTopkF1:
@@ -139,7 +131,7 @@ class TestTopkF1:
         gt = [self.inst(0, 10, "wash vegetables")]
         pred = [self.inst(0, 10, "wash vegetables")]
         corpus = ["wash vegetables", "grip knife", "turn on faucet"]
-        assert topk_f1(gt, pred, 0.5, 1, self.embedder(), corpus) == 1.0
+        assert topk_f1_corpus([(gt, pred)], 0.5, 1, self.embedder(), corpus) == 1.0
 
     def test_k_equal_corpus_size_matches_plain_f1(self):
         rng = np.random.default_rng(31)
@@ -149,8 +141,8 @@ class TestTopkF1:
             pred = [self.inst(*sorted(rng.uniform(0, 20, 2)), texts[int(rng.integers(8))])
                     for _ in range(4)]
             corpus = [g.description for g in gt]
-            plain, _ = hungarian_f1([g.interval for g in gt], [p.interval for p in pred], 0.5)
-            assert topk_f1(gt, pred, 0.5, len(corpus), self.embedder(), corpus) == plain
+            plain = hungarian_f1_corpus([([g.interval for g in gt], [p.interval for p in pred])], 0.5)
+            assert topk_f1_corpus([(gt, pred)], 0.5, len(corpus), self.embedder(), corpus) == plain
 
     def test_never_exceeds_plain_f1(self):
         rng = np.random.default_rng(37)
@@ -161,20 +153,18 @@ class TestTopkF1:
             pred = [self.inst(*sorted(rng.uniform(0, 20, 2)), texts[int(rng.integers(10))])
                     for _ in range(int(rng.integers(1, 5)))]
             corpus = list(dict.fromkeys([g.description for g in gt])) + ["extra distractor"]
-            plain, _ = hungarian_f1([g.interval for g in gt], [p.interval for p in pred], 0.5)
+            plain = hungarian_f1_corpus([([g.interval for g in gt], [p.interval for p in pred])], 0.5)
             for k in (1, 3, len(corpus)):
-                assert topk_f1(gt, pred, 0.5, k, self.embedder(), corpus) <= plain + 1e-12
+                assert topk_f1_corpus([(gt, pred)], 0.5, k, self.embedder(), corpus) <= plain + 1e-12
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            topk_f1([], [self.inst(0, 1, "x")], 0.5, 5, self.embedder(), [])
+            topk_f1_corpus([([], [self.inst(0, 1, "x")])], 0.5, 5, self.embedder(), [])
 
 
-    def test_k_below_one_rejected_per_video_and_corpus(self):
+    def test_k_below_one_rejected(self):
         gt = [self.inst(0, 10, "wash vegetables")]
         corpus = ["wash vegetables"]
-        with pytest.raises(ValueError, match="k must be"):
-            topk_f1(gt, gt, 0.5, 0, self.embedder(), corpus)
         with pytest.raises(ValueError, match="k must be"):
             topk_f1_corpus([(gt, gt)], 0.5, 0, self.embedder(), corpus)
 
@@ -192,11 +182,8 @@ class TestThresholdDomain:
         emission = Emission(inst, 25.0)
         embedder = HashedBagOfWordsEmbedder()
         calls = [
-            lambda: hungarian_f1(self.GT, [self.SLIVER], threshold),
             lambda: hungarian_f1_corpus([(self.GT, [self.SLIVER])], threshold),
-            lambda: aedt(self.GT, [emission], threshold),
             lambda: aedt_corpus([(self.GT, [emission])], threshold),
-            lambda: topk_f1([gt_inst], [inst], threshold, 1, embedder, ["x"]),
             lambda: topk_f1_corpus([([gt_inst], [inst])], threshold, 1, embedder, ["x"]),
         ]
         for call in calls:
@@ -237,15 +224,15 @@ class TestAedt:
     def test_exact_emission_gives_zero(self):
         gt = [iv(0, 5), iv(5, 10)]
         pred = [self.emission(0, 5, 5.0), self.emission(5, 10, 10.0)]
-        stats = aedt(gt, pred, 0.5)
+        stats = aedt_corpus([(gt, pred)], 0.5)
         assert stats.mean_abs == 0.0 and stats.count == 2
 
     def test_late_emission_measured(self):
-        stats = aedt([iv(0, 5)], [self.emission(0, 5, 7.0)], 0.5)
+        stats = aedt_corpus([([iv(0, 5)], [self.emission(0, 5, 7.0)])], 0.5)
         assert stats.mean_abs == 2.0 and stats.mean_signed == 2.0
 
     def test_no_tp_reports_absent(self):
-        assert aedt([iv(0, 5)], [self.emission(20, 25, 25.0)], 0.5) is None
+        assert aedt_corpus([([iv(0, 5)], [self.emission(20, 25, 25.0)])], 0.5) is None
 
 
 class TestEmbedder:

@@ -29,13 +29,13 @@ FIVE = subs((0, 2), (2, 4), (5, 7), (7, 9), (10, 12))
 
 class TestProposeGrouping:
     def test_mock_window_two(self):
-        proposal = propose_grouping(FIVE, MockGroupingClient(window=2))
+        proposal = propose_grouping(FIVE, MockGroupingClient())
         assert proposal.groups == ((0, 1), (2, 3), (4, 4))
         assert len(proposal.step_descriptions) == 3
         assert proposal.goal_description
 
     def test_single_substep(self):
-        proposal = propose_grouping(FIVE[:1], MockGroupingClient(window=2))
+        proposal = propose_grouping(FIVE[:1], MockGroupingClient())
         assert proposal.groups == ((0, 0),)
 
     def test_unsorted_substeps_rejected(self):
@@ -210,7 +210,7 @@ class TestKMeans:
 
 def test_proposal_to_annotations_is_valid():
     proposal = postprocess(
-        propose_grouping(FIVE, MockGroupingClient(window=2)), FIVE,
+        propose_grouping(FIVE, MockGroupingClient()), FIVE,
     )
     annotation = proposal_to_annotations("vid", 20.0, 4.0, FIVE, proposal)
     assert validate_annotations(annotation) == []

@@ -45,8 +45,10 @@ def evaluate_corpus(
     At least one tIoU threshold is required. Description-aware F1 is
     reported only when predictions carry descriptions and an embedder is
     supplied; goal accuracy only when a goal text exists for every
-    annotated video.
+    annotated video. An empty annotation list is refused: it has no F1.
     """
+    if not annotations:
+        raise ValueError("annotations is empty: there is nothing to evaluate")
     check_settings(thresholds, k, aedt_threshold)
     report: dict = {"thresholds": list(thresholds), "levels": {}}
 

@@ -246,6 +246,7 @@ class ScorerModel:
         cache: dict[str, np.ndarray],
         d_logits: dict[str, np.ndarray],
         h0: list[np.ndarray] | None = None,
+        into: dict[str, np.ndarray] | None = None,
     ) -> dict[str, np.ndarray]:
         """Backpropagate logit gradients through heads and time, layer-major.
 
@@ -254,14 +255,22 @@ class ScorerModel:
         one GEMM over the window (Appleyard et al., arXiv:1604.01946).
         Gradients stop at the window boundary (truncated BPTT): the incoming
         hidden state h0 is treated as a constant.
+
+        Each weight gradient is added into ``into`` (parameter name -> array
+        of the parameter's shape) as soon as it is computed, and ``into`` is
+        returned; without it the sums start from zeros. Training passes its
+        batch accumulator, so summing windows never holds more than one
+        parameter-sized temporary, and the sums are the same ``+=`` a caller
+        adding a returned dict would do.
         """
         p, hs = self.params, cache["hidden"]
         h_in = h0 or self.zero_state()
-        grads, d_h = {}, 0.0
+        grads = {k: np.zeros_like(v) for k, v in p.items()} if into is None else into
+        d_h = 0.0
         for name in ("state", "step", "sub"):
             dl = d_logits[name]
-            grads[f"w_{name}"] = dl.T @ hs[-1]
-            grads[f"b_{name}"] = dl.sum(axis=0)
+            grads[f"w_{name}"] += dl.T @ hs[-1]
+            grads[f"b_{name}"] += dl.sum(axis=0)
             d_h = d_h + dl @ p[f"w_{name}"]
         for layer in range(self.cfg.recurrent_layers - 1, -1, -1):
             h, wh = hs[layer], p[f"wh{layer}"]
@@ -269,9 +278,9 @@ class ScorerModel:
             for t in range(len(h) - 1, -1, -1):
                 da[t] = (d_h[t] + carry) * dtanh[t]
                 carry = da[t] @ wh
-            grads[f"wx{layer}"] = da.T @ (hs[layer - 1] if layer > 0 else cache["features"])
-            grads[f"wh{layer}"] = da.T @ np.vstack([h_in[layer], h])[:-1]  # h[t - 1], h0 first
-            grads[f"b{layer}"] = da.sum(axis=0)
+            grads[f"wx{layer}"] += da.T @ (hs[layer - 1] if layer > 0 else cache["features"])
+            grads[f"wh{layer}"] += da.T @ np.vstack([h_in[layer], h])[:-1]  # h[t - 1], h0 first
+            grads[f"b{layer}"] += da.sum(axis=0)
             if layer > 0:
                 d_h = da @ p[f"wx{layer}"]
         return grads

@@ -75,7 +75,14 @@ class SimConfig:
             raise ValueError(f"feature_dim must be >= 4, got {self.feature_dim}")
         if not 0 < self.fps < math.inf:
             raise ValueError(f"fps must be positive and finite, got {self.fps}")
-        frame_count(self.duration_range[1], self.fps)  # the longest grid, checked before any is built
+        frames = frame_count(self.duration_range[1], self.fps)  # the longest grid, checked before any is built
+        most = self.steps_per_video[1] * self.substeps_per_step[1]
+        if most > frames:  # a draw that large could never fit, however often it was redrawn
+            raise ValueError(
+                f"steps_per_video max {self.steps_per_video[1]} x substeps_per_step max "
+                f"{self.substeps_per_step[1]} = {most} substeps cannot fit in the {frames} "
+                f"frames of the longest video"
+            )
 
 
 def _snap(t: float, fps: float) -> float:

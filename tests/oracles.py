@@ -9,7 +9,8 @@ simulator's streams by the per-timestamp helpers that scanned every
 instance for each frame, and the online loop's detector and context memory
 by their earlier forms: actionness from numpy scalars, a fresh membership
 set per frame, and memory lookups that scan every stored frame and
-prediction.
+prediction, and scorer training by its form with a fresh gradient dict per
+BPTT window and AdamW updates that build new arrays.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ from hierstream.memory import (
 )
 from hierstream.scoring.histogram import HistogramConfig
 from hierstream.scoring.losses import soft_cross_entropy
+from hierstream.scoring.rnn import ScorerModel
+from hierstream.scoring.train import BETA1, BETA2, EPS, AdamW, build_frame_targets
 
 
 def tiou_exact(a: Interval, b: Interval) -> Fraction:
@@ -202,6 +205,107 @@ def time_major_backward(model, cache, d_logits, h0=None) -> dict[str, np.ndarray
             if layer > 0:
                 dh[layer - 1] += p[f"wx{layer}"].T @ da
     return grads
+
+
+def dict_backward(model, cache, d_logits, h0=None) -> dict[str, np.ndarray]:
+    """``ScorerModel.backward`` as it was: layer-major, returning a fresh
+    gradient dict for the caller to add up."""
+    p, hs = model.params, cache["hidden"]
+    h_in = h0 or model.zero_state()
+    grads, d_h = {}, 0.0
+    for name in ("state", "step", "sub"):
+        dl = d_logits[name]
+        grads[f"w_{name}"] = dl.T @ hs[-1]
+        grads[f"b_{name}"] = dl.sum(axis=0)
+        d_h = d_h + dl @ p[f"w_{name}"]
+    for layer in range(model.cfg.recurrent_layers - 1, -1, -1):
+        h, wh = hs[layer], p[f"wh{layer}"]
+        dtanh, da, carry = 1.0 - h ** 2, np.empty_like(h), 0.0
+        for t in range(len(h) - 1, -1, -1):
+            da[t] = (d_h[t] + carry) * dtanh[t]
+            carry = da[t] @ wh
+        grads[f"wx{layer}"] = da.T @ (hs[layer - 1] if layer > 0 else cache["features"])
+        grads[f"wh{layer}"] = da.T @ np.vstack([h_in[layer], h])[:-1]  # h[t - 1], h0 first
+        grads[f"b{layer}"] = da.sum(axis=0)
+        if layer > 0:
+            d_h = da @ p[f"wx{layer}"]
+    return grads
+
+
+class NewArrayAdamW(AdamW):
+    """``AdamW`` as it was: each step builds new moment arrays and several
+    parameter-sized temporaries per key."""
+
+    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        self.t += 1
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
+        for k in sorted(params):
+            g = grads[k]
+            self.m[k] = BETA1 * self.m[k] + (1 - BETA1) * g
+            self.v[k] = BETA2 * self.v[k] + (1 - BETA2) * g * g
+            m_hat = self.m[k] / bc1
+            v_hat = self.v[k] / bc2
+            params[k] -= self.lr * (m_hat / (np.sqrt(v_hat) + EPS) + self.wd * params[k])
+
+
+def dict_video_grads(model, features, targets, acc) -> tuple[float, int]:
+    """``scoring.train._video_grads`` as it was: each window's gradient dict
+    from :func:`dict_backward`, then added into ``acc`` key by key."""
+    W = model.cfg.bptt_window
+    T = features.shape[0]
+    loss_sum, n_windows = 0.0, 0
+    h = model.zero_state()
+    for start in range(0, T, W):
+        stop = min(start + W, T)
+        cache = model.forward(features[start:stop], h0=h)
+        loss, d_logits = model.window_loss(
+            cache,
+            targets["state"][start:stop],
+            targets["step_target"][start:stop],
+            targets["step_mask"][start:stop],
+            targets["sub_target"][start:stop],
+            targets["sub_mask"][start:stop],
+        )
+        grads = dict_backward(model, cache, d_logits, h0=h)
+        for k in acc:
+            acc[k] += grads[k]
+        loss_sum += loss
+        n_windows += 1
+        h = cache["h_last"]
+    return loss_sum, n_windows
+
+
+def dict_train_scorer(features, annotations, cfg, seed: int = 0):
+    """``scoring.train.train_scorer``'s loop as it was, with a fresh zeroed
+    accumulator per batch, :func:`dict_video_grads` and
+    :class:`NewArrayAdamW`; inputs are assumed valid. The reference for
+    bit-identical training."""
+    feats = [np.asarray(f, dtype=np.float64) for f in features]
+    targets = [build_frame_targets(a, cfg) for a in annotations]
+    model = ScorerModel.init(cfg, seed=seed)
+    opt = NewArrayAdamW(model.params, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
+    rng = np.random.default_rng(seed)
+
+    trace: list[float] = []
+    n = len(feats)
+    for _epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        epoch_loss, epoch_windows = 0.0, 0
+        for batch_start in range(0, n, cfg.batch_size):
+            batch = order[batch_start: batch_start + cfg.batch_size]
+            acc = {k: np.zeros_like(v) for k, v in model.params.items()}
+            batch_windows = 0
+            for vid in batch:
+                loss_sum, n_windows = dict_video_grads(model, feats[vid], targets[vid], acc)
+                epoch_loss += loss_sum
+                epoch_windows += n_windows
+                batch_windows += n_windows
+            for k in acc:
+                acc[k] /= max(1, batch_windows)
+            opt.step(model.params, acc)
+        trace.append(epoch_loss / max(1, epoch_windows))
+    return model, trace
 
 
 def per_frame_window_loss(model, cache, state_target, step_target, step_mask,

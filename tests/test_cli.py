@@ -314,6 +314,8 @@ BAD_RUN_VALUES = [
     ("simulate", ["--videos", "-1"], 2, "videos must be >= 1, got -1"),
     ("simulate", ["--videos", "0"], 2, "videos must be >= 1, got 0"),
     ("e2e", ["--videos", "0"], 2, "videos must be >= 1, got 0"),
+    ("simulate", ["--steps-max", "100000000"], 2, "= 400000000 substeps cannot fit in the 241 frames"),
+    ("e2e", ["--steps-max", "100000000"], 2, "= 400000000 substeps cannot fit in the 241 frames"),
     ("simulate", ["--fps", "nan"], 2, "fps must be positive and finite, got nan"),
     ("simulate", ["--fps", "1e308"], 2, "no frame grid for duration"),
     ("simulate", ["--duration-min", "1e12", "--duration-max", "1e12"], 2, "(at most 100000000 frames)"),
@@ -401,6 +403,8 @@ class TestErrors:
         err = capsys.readouterr().err
         assert why in err and err.count("error") == 1 and "Traceback" not in err
         assert not (tmp_path / "out" / "emissions").exists()  # rejected before the first video
+        if command in ("simulate", "e2e"):  # a bad corpus config is refused before any output
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("goals,why", [
         ('{"video": 5}', "not a JSON object of goal strings"),

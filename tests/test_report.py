@@ -93,3 +93,8 @@ def test_invalid_parameters_rejected(corpus, kwargs):
     with pytest.raises(ValueError):
         evaluate(corpus, **kwargs)
 
+
+def test_empty_annotation_list_rejected():
+    # f1_at scores empty-vs-empty as 1.0; a corpus with no videos must not report it.
+    with pytest.raises(ValueError, match="annotations is empty"):
+        report.evaluate_corpus([], {})

@@ -5,6 +5,7 @@ from hierstream.scoring.histogram import HistogramConfig
 from hierstream.scoring.losses import softmax
 from hierstream.scoring.rnn import ScorerConfig, ScorerModel, infer_scores, stream_scores
 from oracles import (
+    dict_backward,
     numeric_gradient,
     per_frame_forward,
     per_frame_window_loss,
@@ -315,6 +316,20 @@ class TestAgainstPerFrameOracles:
             for name in ref:
                 np.testing.assert_allclose(grads[name], ref[name], rtol=1e-12,
                                            atol=1e-12 * np.abs(ref[name]).max(), err_msg=name)
+
+    def test_backward_adds_into_accumulator_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for model, cache, h0, targets in self.cases():
+            _, d_logits = model.window_loss(cache, *targets)
+            fresh = model.backward(cache, d_logits, h0)
+            ref = dict_backward(model, cache, d_logits, h0)
+            assert fresh.keys() == ref.keys() == model.params.keys()
+            acc = {k: rng.normal(0, 1, v.shape) for k, v in model.params.items()}
+            want = {k: acc[k] + fresh[k] for k in acc}
+            assert model.backward(cache, d_logits, h0, into=acc) is acc
+            for name in ref:
+                assert np.array_equal(fresh[name], ref[name]), name
+                assert np.array_equal(acc[name], want[name]), name
 
     def test_window_loss_matches_per_frame(self):
         for model, cache, _, targets in self.cases():

@@ -141,6 +141,14 @@ class TestGenFeatures:
         with pytest.raises(ValueError, match=f"{field} must"):
             SimConfig(**{field: value})
 
+    def test_more_substeps_than_frames_rejected(self):
+        # 60 s at 4 fps is 241 frames: 60 steps of 4 substeps may fit, 61 never can.
+        assert SimConfig(steps_per_video=(2, 60)).steps_per_video == (2, 60)
+        with pytest.raises(ValueError, match="= 244 substeps cannot fit in the 241 frames"):
+            SimConfig(steps_per_video=(2, 61))
+        with pytest.raises(ValueError, match="cannot fit in the 9 frames"):
+            SimConfig(duration_range=(1.0, 2.0), substeps_per_step=(1, 5))
+
 
 @pytest.mark.parametrize("seed", [0, 1, 5, 12])
 @pytest.mark.parametrize("sigma", [0.0, 0.8])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,9 @@ from hierstream.detector import run_stream
 from hierstream.metrics.matching import hungarian_f1_corpus
 from hierstream.scoring.histogram import HistogramConfig
 from hierstream.scoring.rnn import ScorerConfig, ScorerModel, infer_scores
-from hierstream.scoring.train import build_frame_targets, train_scorer
+from hierstream.scoring.train import AdamW, _video_grads, build_frame_targets, train_scorer
 from hierstream.simulator import SimConfig, gen_annotations, gen_features
+from oracles import dict_train_scorer
 
 
 def desk_cfg(**overrides):
@@ -111,3 +114,64 @@ class TestTrainScorer:
             return hungarian_f1_corpus(videos, 0.5)
 
         assert held_out_f1(model) > held_out_f1(untrained)
+
+
+class TestAgainstDictOracle:
+    """Training that adds gradients into one accumulator and updates AdamW
+    in place against the form with a gradient dict per window and new
+    arrays per step: the same weights and loss trace, bit for bit."""
+
+    @pytest.mark.parametrize("trial", range(6))
+    def test_train_scorer_matches_oracle_bit_for_bit(self, trial):
+        rng = np.random.default_rng(40 + trial)
+        videos = int(rng.integers(3, 6))
+        sim = SimConfig(seed=trial, videos=videos, noise_sigma=0.3, duration_range=(8.0, 16.0))
+        anns = gen_annotations(sim)
+        feats = [gen_features(a, sim, seed=trial)[1] for a in anns]
+        window = next(int(w) for w in rng.integers(3, 20, 100) if any(len(f) % w for f in feats))
+        cfg = ScorerConfig(
+            feature_dim=sim.feature_dim, recurrent_layers=1 + trial % 3,
+            hidden_dim=int(rng.integers(2, 12)), learning_rate=float(rng.uniform(1e-3, 1e-2)),
+            weight_decay=float(rng.choice([0.0, 0.01, 0.1])), batch_size=int(rng.integers(1, videos)),
+            epochs=2, bptt_window=window, histogram=HistogramConfig(bins=int(rng.integers(2, 8))),
+        )
+        model, trace = train_scorer(feats, anns, cfg, seed=trial)
+        ref, ref_trace = dict_train_scorer(feats, anns, cfg, seed=trial)
+        assert trace == ref_trace
+        assert model.params.keys() == ref.params.keys()
+        for name in ref.params:
+            assert np.array_equal(model.params[name], ref.params[name]), name
+
+
+def traced_peak(fn) -> int:
+    """Bytes allocated by ``fn()`` at its peak, above the level before it;
+    numpy reports its array buffers to ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    CFG = dict(feature_dim=8, recurrent_layers=2, hidden_dim=128, bptt_window=16)
+
+    def test_adamw_step_needs_two_scratch_buffers(self):
+        model = ScorerModel.init(ScorerConfig(**self.CFG), seed=0)
+        rng = np.random.default_rng(0)
+        grads = {k: rng.normal(0, 1, v.shape) for k, v in model.params.items()}
+        opt = AdamW(model.params, lr=1e-3, weight_decay=0.01)
+        largest = max(v.nbytes for v in model.params.values())
+        assert traced_peak(lambda: opt.step(model.params, grads)) <= 3 * largest
+
+    def test_video_grads_holds_no_second_gradient_dict(self):
+        cfg = ScorerConfig(**self.CFG)
+        model = ScorerModel.init(cfg, seed=0)
+        _, anns, feats = corpus(videos=1)
+        targets = build_frame_targets(anns[0], cfg)
+        assert len(feats[0]) > 2 * cfg.bptt_window
+        acc = {k: np.zeros_like(v) for k, v in model.params.items()}
+        one_dict = sum(v.nbytes for v in acc.values())
+        assert traced_peak(lambda: _video_grads(model, feats[0], targets, acc)) < one_dict

@@ -62,12 +62,8 @@ EXIT_DATA = 2
 EXIT_TRANSPORT = 3
 EXIT_PARTIAL = 4  # some videos failed; see failures.json
 
-class DataError(Exception):
-    pass
-
-
 # What one video's data or describer can raise; it fails that video only.
-VIDEO_ERRORS = (TransportError, DataError, ValueError, OSError)
+VIDEO_ERRORS = (TransportError, ValueError, OSError)
 
 
 def _dump_json(data, path: Path) -> None:
@@ -88,13 +84,15 @@ def _write_http_stats(path: Path, **clients) -> None:
 
 
 def _echo_config(args: argparse.Namespace, outdir: Path) -> None:
-    _dump_json({k: v for k, v in vars(args).items() if k != "func"}, outdir / "run_config.json")
+    """The flag values that are set, as a file ``--config`` reads back."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("func", "command", "config") and v is not None}
+    _dump_json(flags, outdir / "run_config.json")
 
 
 def _read_annotations(path) -> list:
     annotations = read_annotations(path)
     if not annotations:
-        raise DataError(f"{path}: no annotations found")
+        raise ValueError(f"{path}: no annotations found")
     return annotations
 
 
@@ -140,7 +138,7 @@ def _write_corpus(cfg: SimConfig, outdir: Path, with_features: bool) -> list:
     for a in annotations:
         problems = validate_annotations(a)
         if problems:
-            raise DataError(f"{a.video_id}: generator produced invalid annotations: {problems}")
+            raise ValueError(f"{a.video_id}: generator produced invalid annotations: {problems}")
     outdir.mkdir(parents=True, exist_ok=True)
     write_annotations(annotations, outdir / "annotations.jsonl")
     scores_dir = outdir / "scores"
@@ -177,7 +175,7 @@ def _train(args, annotations: list, features_dir: Path) -> tuple[ScorerModel, li
     for a in annotations:
         path = features_dir / f"{a.video_id}.csv"
         if not path.exists():
-            raise DataError(f"missing feature file {path}")
+            raise ValueError(f"missing feature file {path}")
         features.append(read_features(path)[1])
     return train_scorer(features, annotations, _scorer_config(args, features[0].shape[1]), seed=args.seed)
 
@@ -203,14 +201,13 @@ def _scored_frames(model: ScorerModel, path: Path):
     yield from stream_scores(model, *read_features(path))
 
 
-def _run_videos(args, videos: list, out: Path, describe=None) -> tuple[dict, dict]:
+def _run_videos(args, cfg: DetectorConfig, videos: list, out: Path, describe=None) -> tuple[dict, dict]:
     """The online loop over each (video_id, frames) pair, one at a time or,
     with the HTTP describer, whose calls wait on the network, ``--max-inflight``
     at once on threads, writing ``out/<video_id>.jsonl``. Returns (results,
     failures) by video id in input order, so outputs do not depend on the
     thread count. A failed video does not stop the others: its error goes
     to stderr and to ``failures.json`` under ``--out``."""
-    cfg = _detector_config(args)
     completion = args.completion if describe is not None else 1.0
 
     def one(item):  # the per-video function
@@ -245,10 +242,10 @@ def _run_videos(args, videos: list, out: Path, describe=None) -> tuple[dict, dic
 def _score_streams(args) -> list:
     scores_path = Path(args.scores)
     if not scores_path.exists():  # a usage mistake, not one failed video
-        raise DataError(f"{scores_path}: no such file or directory")
+        raise ValueError(f"{scores_path}: no such file or directory")
     paths = sorted(scores_path.glob("*.csv")) if scores_path.is_dir() else [scores_path]
     if not paths:
-        raise DataError(f"{scores_path}: no *.csv score files in this directory")
+        raise ValueError(f"{scores_path}: no *.csv score files in this directory")
     return [(p.stem, _score_frames(p)) for p in paths]
 
 
@@ -264,9 +261,10 @@ def _make_describe_fn(args):
 def cmd_detect(args, describe=None) -> int:
     """The online loop over score streams; with ``describe``, also each
     video's goal text and the describer's HTTP counts."""
+    cfg, videos = _detector_config(args), _score_streams(args)  # checked before any output
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    results, failures = _run_videos(args, _score_streams(args), outdir, describe)
+    results, failures = _run_videos(args, cfg, videos, outdir, describe)
     if describe is not None:
         _dump_json({vid: r.goal_text for vid, r in results.items()}, outdir / "goals.json")
         _write_http_stats(outdir / "http_stats.json", describer=describe)
@@ -310,12 +308,12 @@ def cmd_evaluate(args) -> int:
         try:
             goals = json.loads(goals_file.read_text()) if goals_file.exists() else None
         except ValueError as exc:
-            raise DataError(f"{goals_file}: {exc}") from None
+            raise ValueError(f"{goals_file}: {exc}") from None
         if goals is not None and not (isinstance(goals, dict) and all(isinstance(g, str) for g in goals.values())):
-            raise DataError(f"{goals_file}: not a JSON object of goal strings")
+            raise ValueError(f"{goals_file}: not a JSON object of goal strings")
     else:
         if len(annotations) != 1:
-            raise DataError("single emissions file needs a single-video annotation set")
+            raise ValueError("single emissions file needs a single-video annotation set")
         emissions_by_video, goals = {annotations[0].video_id: read_emissions(pred_path)}, None
     report, embedder = _evaluate(args, annotations, emissions_by_video, goals)
     if args.out:
@@ -364,7 +362,7 @@ def cmd_pipeline(args) -> int:
     for a in annotations:
         substeps = list(a.at_level(HierarchyLevel.SUBSTEP))
         if not substeps:
-            raise DataError(f"{a.video_id}: no substeps to group")
+            raise ValueError(f"{a.video_id}: no substeps to group")
         proposal = postprocess(propose_grouping(substeps, client), substeps)
         bounds = (args.bounds_min, args.bounds_max) if args.bounds_min is not None \
             else default_bounds(a.duration)
@@ -398,6 +396,9 @@ def cmd_pipeline(args) -> int:
 def cmd_e2e(args) -> int:
     describe = _make_describe_fn(args)
     _eval_settings(args)  # checked before the first video, not after the last
+    detector = _detector_config(args)  # checked before any output, as the corpus config is
+    if args.train:
+        _scorer_config(args, args.feature_dim)  # likewise
     cfg = _sim_config(args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -415,7 +416,7 @@ def cmd_e2e(args) -> int:
 
     emissions_dir = outdir / "emissions"
     emissions_dir.mkdir(exist_ok=True)
-    results, failures = _run_videos(args, videos, emissions_dir, describe)
+    results, failures = _run_videos(args, detector, videos, emissions_dir, describe)
     goals = {vid: r.goal_text for vid, r in results.items()}
     _dump_json(goals, emissions_dir / "goals.json")
     _echo_config(args, outdir)
@@ -439,8 +440,9 @@ def cmd_e2e(args) -> int:
 class _Subcommand(argparse.ArgumentParser):
     """A subcommand's parser, with ``--config``: a JSON object whose entries
     are read as this subcommand's flags, put before the command-line tokens.
-    The whole list is then parsed again, so the command line wins (argparse
-    keeps a flag's last value) and file values meet the flags' own checks."""
+    ``--config`` is read first on its own, so the file may give required
+    flags too; the whole list is then parsed once, so the command line wins
+    (argparse keeps a flag's last value) and file values meet the flags' own checks."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -448,28 +450,30 @@ class _Subcommand(argparse.ArgumentParser):
 
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
-        parsed, extras = super().parse_known_args(args, namespace)
-        if parsed.config is None:
-            return parsed, extras
-        return super().parse_known_args([*self._config_flags(parsed.config), *args], namespace)
+        first = argparse.ArgumentParser(prog=self.prog, add_help=False)
+        first.add_argument("--config")
+        config = first.parse_known_args(args)[0].config
+        if config is not None:
+            args = [*self._config_flags(config), *args]
+        return super().parse_known_args(args, namespace)
 
     def _config_flags(self, path: str) -> list[str]:
         with open(path) as fh:
             try:
                 entries = json.load(fh)
             except ValueError as exc:
-                raise DataError(f"{path}: {exc}") from None
+                raise ValueError(f"{path}: {exc}") from None
         if not isinstance(entries, dict):
-            raise DataError(f"{path}: not a JSON object")
+            raise ValueError(f"{path}: not a JSON object")
         flags = {a.dest: a for a in self._actions if a.option_strings and a.dest not in ("help", "config")}
         tokens = []
         for key, value in entries.items():
             action = flags.get(key.replace("-", "_"))
             if action is None:
-                raise DataError(f"{path}: unknown config key {key!r}")
+                raise ValueError(f"{path}: unknown config key {key!r}")
             switch = action.nargs == 0  # such as --features: true or false
             if isinstance(value, bool) != switch or not isinstance(value, (str, int, float)):
-                raise DataError(f"{path}: config key {key!r} cannot be {value!r}")
+                raise ValueError(f"{path}: config key {key!r} cannot be {value!r}")
             if value is not False:
                 flag = action.option_strings[0]
                 tokens.append(flag if switch else f"{flag}={value}")  # "=": "-0.5,0.5" is a value, not a flag
@@ -611,7 +615,7 @@ def main(argv: list[str] | None = None) -> int:
     except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
-    except (DataError, ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

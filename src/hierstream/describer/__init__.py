@@ -3,7 +3,6 @@ from .http import HttpDescriber
 from .mock import mock_describe
 from .prompts import GOAL_PROMPT, STEP_PROMPT, SUBSTEP_PROMPT, TEMPLATES
 from .responses import (
-    DescribeParseError,
     DescribeRequest,
     DescriberResponse,
     build_request,
@@ -17,7 +16,6 @@ __all__ = [
     "TEMPLATES",
     "DescribeRequest",
     "DescriberResponse",
-    "DescribeParseError",
     "build_request",
     "parse_response",
     "mock_describe",

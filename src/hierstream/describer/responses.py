@@ -10,15 +10,6 @@ from ..memory import RetrievalBundle
 from .prompts import PLACEHOLDERS, TEMPLATES
 
 
-class DescribeParseError(ValueError):
-    """Raised when a reply does not follow the expected output format.
-    Carries the raw text so callers can log or retry."""
-
-    def __init__(self, message: str, raw: str):
-        super().__init__(message)
-        self.raw = raw
-
-
 @dataclass(frozen=True)
 class DescribeRequest:
     prompt: str
@@ -57,7 +48,8 @@ def parse_response(text: str) -> DescriberResponse:
     """Extract the labeled fields from a reply.
 
     Three-field replies (substep/step) populate every field; a bare
-    ``Answer: ...`` line (goal) populates short_form only.
+    ``Answer: ...`` line (goal) populates short_form only. Any other reply
+    raises ValueError quoting its first 200 characters.
     """
     short = _SHORT_RE.search(text)
     before = _LONG_BEFORE_RE.search(text)
@@ -66,11 +58,11 @@ def parse_response(text: str) -> DescriberResponse:
         fields = (short.group(1).strip(), before.group(1).strip(), after.group(1).strip())
         if all(fields):
             return DescriberResponse(*fields)
-        raise DescribeParseError("labeled response has empty fields", text)
+        raise ValueError(f"labeled response has empty fields: {text[:200]!r}")
     if short or before or after:
-        raise DescribeParseError("incomplete labeled response", text)
+        raise ValueError(f"incomplete labeled response: {text[:200]!r}")
     answer = _ANSWER_RE.search(text)
     if answer and answer.group(1).strip():
         return DescriberResponse(short_form=answer.group(1).strip())
-    raise DescribeParseError("no recognizable answer labels", text)
+    raise ValueError(f"no recognizable answer labels: {text[:200]!r}")
 

@@ -136,16 +136,8 @@ class ContextMemory:
             return
         times = self._times
         mid = (interval.start + interval.end) / 2.0
-        # The closest frame is next to where mid would be inserted; an exact
-        # tie goes to the earlier frame. Below mid the rounded distance can
-        # tie with earlier frames too, and the earliest of those wins.
-        at = bisect_left(times, mid, lo, hi)
-        rep = min(
-            range(max(at - 1, lo), min(at + 1, hi)),
-            key=lambda i: (abs(times[i] - mid), times[i]),
-        )
-        while rep > lo and abs(times[rep - 1] - mid) == abs(times[rep] - mid):
-            rep -= 1
+        # The frame closest to mid; a tie goes to the earlier frame.
+        rep = min(range(lo, hi), key=lambda i: (abs(times[i] - mid), times[i]))
         self._frames[lo:hi] = [self._frames[rep]]
         self._times[lo:hi] = [times[rep]]
 

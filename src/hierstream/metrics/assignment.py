@@ -35,19 +35,13 @@ def solve_max_profit(profit: list[list[Fraction]]) -> list[tuple[int, int]]:
             return ZERO
         return Fraction(1, 1 << (i * n_cols + j + 1))
 
+    # The solver wants no more rows than columns, so a tall matrix is
+    # solved transposed; pref keeps the original coordinates either way.
+    cost = [[(-profit[i][j], -pref(i, j)) for j in range(n_cols)] for i in range(n_rows)]
     transposed = n_rows > n_cols
     if transposed:
-        cost = [
-            [(-profit[i][j], -pref(i, j)) for i in range(n_rows)]
-            for j in range(n_cols)
-        ]
-        n, m = n_cols, n_rows
-    else:
-        cost = [
-            [(-profit[i][j], -pref(i, j)) for j in range(n_cols)]
-            for i in range(n_rows)
-        ]
-        n, m = n_rows, n_cols
+        cost = list(zip(*cost))
+    n, m = len(cost), len(cost[0])
 
     inf = (_BIG, ZERO)
     zero2 = (ZERO, ZERO)

@@ -2,7 +2,6 @@ from .._http import HttpChatClient
 from .clients import ChatClient, MockGroupingClient
 from .grouping import (
     ConsistencyReport,
-    GroupingParseError,
     GroupingProposal,
     check_consistency,
     default_bounds,
@@ -18,7 +17,6 @@ __all__ = [
     "MockGroupingClient",
     "HttpChatClient",
     "GroupingProposal",
-    "GroupingParseError",
     "ConsistencyReport",
     "propose_grouping",
     "postprocess",

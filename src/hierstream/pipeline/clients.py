@@ -11,42 +11,27 @@ from typing import Callable, Protocol, TypeVar
 T = TypeVar("T")
 
 MOCK_WINDOW = 2  # substeps per step in the mock's grouping
+SUBSTEPS_LINE = "Substeps:\n"  # in grouping.GROUPING_PROMPT, right before the substep array
 
 
 class ChatClient(Protocol):
     def complete(self, prompt: str, parse: Callable[[str], T]) -> T: ...
 
 
-def _find_substep_array(prompt: str) -> list | None:
-    """First JSON array of indexed objects embedded anywhere in the text."""
-    decoder = json.JSONDecoder()
-    pos = prompt.find("[")
-    while pos != -1:
-        try:
-            value, _end = decoder.raw_decode(prompt, pos)
-        except json.JSONDecodeError:
-            value = None
-        if (
-            isinstance(value, list) and value
-            and all(isinstance(x, dict) and "index" in x for x in value)
-        ):
-            return value
-        pos = prompt.find("[", pos + 1)
-    return None
-
-
 class MockGroupingClient:
     """Groups substeps into consecutive pairs (``MOCK_WINDOW``); an odd
     last substep is a step of its own.
 
-    Reads the substep array embedded in the grouping prompt and replies
-    with the JSON contract the parser expects; referentially transparent.
+    Reads the substep array that follows the grouping prompt's
+    ``Substeps:`` line and replies with the JSON contract the parser
+    expects; referentially transparent.
     """
 
     def complete(self, prompt: str, parse: Callable[[str], T]) -> T:
-        substeps = _find_substep_array(prompt)
-        if substeps is None:
+        at = prompt.find(SUBSTEPS_LINE)
+        if at == -1:
             raise ValueError("grouping prompt carries no substep array")
+        substeps, _ = json.JSONDecoder().raw_decode(prompt, at + len(SUBSTEPS_LINE))
         steps = []
         for start in range(0, len(substeps), MOCK_WINDOW):
             chunk = substeps[start: start + MOCK_WINDOW]

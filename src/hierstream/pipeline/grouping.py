@@ -29,14 +29,6 @@ Reply with JSON only, exactly in this shape:
 {{"steps": [{{"substep_indices": [0, 1], "description": "..."}}, ...], "goal": "..."}}"""
 
 
-class GroupingParseError(ValueError):
-    """Client reply could not be parsed into a grouping; carries the raw text."""
-
-    def __init__(self, message: str, raw: str):
-        super().__init__(message)
-        self.raw = raw
-
-
 @dataclass(frozen=True)
 class GroupingProposal:
     """Ordered substep index ranges (inclusive) with one description per
@@ -53,10 +45,6 @@ class ConsistencyReport:
     missing: tuple[int, ...]
     abnormal: tuple[tuple[int, float, str], ...]  # (group index, duration, bound)
 
-    @property
-    def ok(self) -> bool:
-        return not self.missing and not self.abnormal
-
 
 _JSON_OBJECT_RE = re.compile(r"\{.*\}", re.S)
 
@@ -64,27 +52,27 @@ _JSON_OBJECT_RE = re.compile(r"\{.*\}", re.S)
 def _parse_reply(text: str, n_substeps: int) -> GroupingProposal:
     m = _JSON_OBJECT_RE.search(text)
     if not m:
-        raise GroupingParseError("no JSON object in reply", text)
+        raise ValueError(f"no JSON object in reply: {text[:200]!r}")
     try:
         data = json.loads(m.group(0))
     except json.JSONDecodeError as exc:
-        raise GroupingParseError(f"invalid JSON: {exc}", text) from exc
+        raise ValueError(f"invalid JSON: {exc}: {text[:200]!r}") from exc
     steps = data.get("steps")
     if not isinstance(steps, list) or not steps:
-        raise GroupingParseError("reply has no steps", text)
+        raise ValueError(f"reply has no steps: {text[:200]!r}")
     groups, descriptions = [], []
     for entry in steps:
         indices = entry.get("substep_indices", []) if isinstance(entry, dict) else None
         if not isinstance(indices, list):
-            raise GroupingParseError(f"step is not an object with a list of indices: {entry!r}", text)
+            raise ValueError(f"step is not an object with a list of indices: {entry!r}: {text[:200]!r}")
         if not indices:
             continue
         if any(not isinstance(i, int) or not 0 <= i < n_substeps for i in indices):
-            raise GroupingParseError(f"substep indices out of range: {indices}", text)
+            raise ValueError(f"substep indices out of range: {indices}: {text[:200]!r}")
         groups.append((min(indices), max(indices)))
         descriptions.append(str(entry.get("description", "")))
     if not groups:
-        raise GroupingParseError("every step group was empty", text)
+        raise ValueError(f"every step group was empty: {text[:200]!r}")
     order = sorted(range(len(groups)), key=lambda g: groups[g])
     return GroupingProposal(
         groups=tuple(groups[i] for i in order),
@@ -97,7 +85,7 @@ def propose_grouping(
     substeps: Sequence[ActionInstance], llm_client: ChatClient
 ) -> GroupingProposal:
     """Ask the client to group chronologically sorted substeps into steps. A
-    reply that does not parse raises :class:`GroupingParseError` once the
+    reply that does not parse raises ValueError, quoting the reply, once the
     client's retries are spent."""
     if not substeps:
         raise ValueError("no substeps to group")

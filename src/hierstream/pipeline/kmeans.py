@@ -54,9 +54,9 @@ def _kmeanspp_centers(
     for c in range(1, k):
         total = d2.sum()
         if total <= 0:
-            # All remaining mass sits on already-chosen points; fall back to
-            # the first unused point for determinism.
-            chosen = int(np.argmax(d2 > -1))
+            # All remaining mass sits on already-chosen points; take point 0,
+            # so the choice stays deterministic.
+            chosen = 0
         else:
             chosen = int(rng.choice(n, p=d2 / total))
         centers[c] = points[chosen]

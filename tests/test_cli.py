@@ -298,12 +298,16 @@ class TestPipelineCommand:
         assert stats == {"embedder": {"requests": len(_StubHandler.requests_seen), "retries": 0}}
 
 
-# A run-wide value that no video can make right: one error before any video
-# runs, naming the value, with the usage exit code for pipeline bounds.
+# A run-wide value that no video can make right: one error before any output
+# is written, naming the value, with the usage exit code for pipeline bounds.
 BAD_RUN_VALUES = [
     ("detect", ["--drop-delta", "nan"], 2, "drop_delta must be positive, got nan"),
+    ("e2e", ["--drop-delta", "nan"], 2, "drop_delta must be positive, got nan"),
+    ("describe", ["--start-threshold", "2"], 2, "start_threshold must be in (0,1), got 2.0"),
+    ("e2e", ["--min-progress-for-drop", "1.5"], 2, "min_progress_for_drop must be in [0,1], got 1.5"),
     ("train", ["--learning-rate", "nan"], 2, "learning_rate must be positive and finite, got nan"),
     ("train", ["--weight-decay", "nan"], 2, "weight_decay must be >= 0 and finite, got nan"),
+    ("e2e", ["--train", "--learning-rate", "nan"], 2, "learning_rate must be positive and finite, got nan"),
     ("describe", ["--describer", "http", "--timeout", "0"], 2, "timeout must be positive and finite, got 0.0"),
     ("describe", ["--timeout", "0"], 2, "timeout must be positive and finite, got 0.0"),
     ("e2e", ["--max-inflight", "0"], 2, "max_inflight must be >= 1, got 0"),
@@ -402,9 +406,7 @@ class TestErrors:
         assert run(command, *inputs[command], *args, "--out", tmp_path / "out") == code
         err = capsys.readouterr().err
         assert why in err and err.count("error") == 1 and "Traceback" not in err
-        assert not (tmp_path / "out" / "emissions").exists()  # rejected before the first video
-        if command in ("simulate", "e2e"):  # a bad corpus config is refused before any output
-            assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "out").exists()  # refused before any output
 
     @pytest.mark.parametrize("goals,why", [
         ('{"video": 5}', "not a JSON object of goal strings"),
@@ -550,6 +552,42 @@ class TestConfigFile:
         assert run("simulate", "--config", write_config(tmp_path, [1, 2]), "--out", tmp_path / "x") == 2
         assert run("simulate", "--config", tmp_path / "none.json", "--out", tmp_path / "x") == 2
 
+    def test_file_may_give_required_flags(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        assert run("simulate", "--videos", 2, "--out", corpus) == 0
+        out = tmp_path / "detected"
+        assert run("detect", "--config", write_config(tmp_path, {"scores": str(corpus / "scores"),
+                                                                 "out": str(out)})) == 0
+        videos = sorted(p.stem for p in (corpus / "scores").glob("*.csv"))
+        assert len(videos) == 2 and sorted(p.stem for p in out.glob("*.jsonl")) == videos
+
+    def test_config_without_a_value_is_a_usage_error(self, tmp_path):
+        assert run("simulate", "--out", tmp_path / "x", "--config") == 1
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command,flags", [
+        ("simulate", ["--videos", 2, "--features", "--noise-sigma", 0.15]),
+        ("detect", ["--drop-delta", 0.3, "--no-eos-close"]),
+        ("describe", ["--completion", 0.6, "--start-threshold", 0.45]),
+        ("e2e", ["--videos", 2, "--seed", 4, "--tiou", "0.5,0.7", "--topk", 3]),
+    ])
+    def test_run_config_replays_the_run(self, tmp_path, command, flags):
+        if command in ("detect", "describe"):
+            assert run("simulate", "--videos", 2, "--out", tmp_path / "corpus") == 0
+            flags = ["--scores", tmp_path / "corpus" / "scores", *flags]
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        assert run(command, *flags, "--out", first) == 0
+        run_cfg = json.loads((first / "run_config.json").read_text())
+        assert not {"func", "command", "config"} & set(run_cfg) and None not in run_cfg.values()
+        assert run(command, "--config", first / "run_config.json", "--out", replay) == 0
+
+        def outputs(root):
+            return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))
+                    if p.is_file() and p.name != "run_config.json"}
+
+        assert outputs(replay) == outputs(first) != {}
+        assert json.loads((replay / "run_config.json").read_text()) == {**run_cfg, "out": str(replay)}
+
 
 SWITCH = False  # a flag without a value
 REQUIRED = "required"
@@ -686,6 +724,16 @@ class TestPartialFailure:
         monkeypatch.undo()
         assert run("e2e", "--seed", seed, "--videos", 3, "--out", out) == 0
         assert (out / "report.json").exists() and not (out / "failures.json").exists()
+
+    def test_unparseable_reply_quoted_in_failures(self, tmp_path, stub_server):
+        corpus = tmp_path / "corpus"
+        assert run("simulate", "--seed", 4, "--videos", 1, "--out", corpus) == 0
+        _StubHandler.answer = lambda body: (200, chat_reply("garbage"))
+        out = tmp_path / "described"
+        assert run("describe", "--scores", corpus / "scores", *http_args(stub_server, 1), "--max-retries", 0,
+                   "--out", out) == EXIT_PARTIAL
+        (failure,) = json.loads((out / "failures.json").read_text()).values()
+        assert failure == "ValueError: no recognizable answer labels: 'garbage'"
 
     @pytest.mark.parametrize("bad", [1, 2])  # 1-based position of the unreadable stream
     def test_detect_finishes_past_unreadable_stream(self, tmp_path, bad):

@@ -15,14 +15,13 @@ from hierstream.describer.prompts import (
     SUBSTEP_PROMPT,
 )
 from hierstream.describer.responses import (
-    DescribeParseError,
     DescriberResponse,
     build_request,
     parse_response,
 )
 from hierstream.memory import FrameRef, RetrievalBundle
 from hierstream.metrics.embedding import HashedBagOfWordsEmbedder, HttpEmbedder
-from hierstream.pipeline import GroupingParseError, HttpChatClient, kmeans_canonicalize, propose_grouping
+from hierstream.pipeline import HttpChatClient, kmeans_canonicalize, propose_grouping
 from hierstream.runner import run_described_stream
 from hierstream.simulator import SimConfig, gen_annotations, gen_scores
 
@@ -123,12 +122,12 @@ class TestParseResponse:
         assert resp.long_form_before == "" and resp.long_form_after == ""
 
     def test_garbage_preserves_raw(self):
-        with pytest.raises(DescribeParseError) as err:
+        with pytest.raises(ValueError) as err:
             parse_response("complete nonsense")
-        assert err.value.raw == "complete nonsense"
+        assert str(err.value) == "no recognizable answer labels: 'complete nonsense'"
 
     def test_partial_labels_rejected(self):
-        with pytest.raises(DescribeParseError):
+        with pytest.raises(ValueError, match="incomplete labeled response"):
             parse_response("short form response: only this")
 
 
@@ -245,7 +244,7 @@ class TestHttpDescriber:
 
     def test_malformed_reply_is_parse_error(self, stub_server):
         _StubHandler.script = [(200, chat_reply("garbage"))] * 2
-        with pytest.raises(DescribeParseError):
+        with pytest.raises(ValueError, match="'garbage'"):
             make_describer(stub_server, retries=1)(None, build_request(bundle(SUB)))
 
     def test_client_error_not_retried(self, stub_server):
@@ -294,7 +293,7 @@ CLIENTS = {
     "describer": (
         lambda url, limits: HttpDescriber(HttpChatClient(url, "stub-model", limits)),
         lambda client: client(None, build_request(bundle(SUB))),
-        chat_reply(WELL_FORMED), chat_reply("garbage"), DescribeParseError,
+        chat_reply(WELL_FORMED), chat_reply("garbage"), ValueError,
     ),
     "embedder": (
         lambda url, limits: HttpEmbedder(url, "stub-model", limits),
@@ -400,9 +399,9 @@ class TestChatRepliesShareTheBudget:
 
     def test_malformed_grouping_sent_three_times_then_raised(self, chat):
         _StubHandler.script = [(200, chat_reply("not json at all"))] * 3
-        with pytest.raises(GroupingParseError) as err:
+        with pytest.raises(ValueError) as err:
             propose_grouping(ATOMS, chat)
-        assert err.value.raw == "not json at all"
+        assert str(err.value) == "no JSON object in reply: 'not json at all'"
         assert (chat.stats.requests, chat.stats.retries) == (3, 2)
 
     def test_malformed_then_good_grouping(self, chat):

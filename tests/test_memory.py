@@ -144,6 +144,18 @@ class TestCommitAndPrune:
         assert inside[0].timestamp == 25.0
         assert mem.frame_count < count_before
 
+    @pytest.mark.parametrize("times,end,rep", [
+        ([0.0, 1.0, 2.0, 3.0], 3.0, 1.0),  # 1.0 and 2.0 lie 0.5 from mid 1.5
+        # 1e16 - 0.1, 1e16 - 0.2 and 2e16 - 1e16 all round to 1e16
+        ([0.1, 0.2, 2e16], 2e16, 0.1),
+    ], ids=["exact-tie", "rounded-tie"])
+    def test_equidistant_frames_keep_the_earliest(self, times, end, rep):
+        mem = ContextMemory()
+        for t in times:
+            mem.insert_frame(t, {SUB, STEP}, f"h{t}")
+        mem.commit_prediction(prediction(STEP, times[0], end, "s"))
+        assert [f.timestamp for f in mem._frames] == [rep]
+
     def test_substep_commit_never_prunes(self):
         mem = ContextMemory()
         fill(mem, 0.0, 5.0, {SUB, STEP})

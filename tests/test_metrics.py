@@ -6,7 +6,7 @@ from hierstream.detector import Emission
 from hierstream.metrics.embedding import HashedBagOfWordsEmbedder
 from hierstream.metrics.matching import aedt_corpus, hungarian_f1_corpus, hungarian_match, tiou
 from hierstream.metrics.semantic import goal_accuracy, topk_f1_corpus
-from oracles import brute_force_f1
+from oracles import brute_force_f1, brute_force_match
 
 
 def iv(a, b):
@@ -251,3 +251,32 @@ class TestEmbedder:
 def test_hungarian_match_reports_positive_pairs_only():
     matched = hungarian_match([iv(0, 1), iv(5, 6)], [iv(0, 1), iv(10, 11)])
     assert [(i, j) for i, j, _ in matched] == [(0, 0)]
+
+
+def grid_intervals(rng, n, step):
+    """n intervals whose endpoints lie on a grid of ``step`` seconds in
+    [0, 8]; a coarse grid repeats endpoints, so tIoU ties are common."""
+    out = []
+    for _ in range(n):
+        a, b = sorted(rng.choice(np.arange(0.0, 8.0 + step, step), 2, replace=False))
+        out.append(Interval(float(a), float(b)))
+    return out
+
+
+def test_hungarian_match_pairs_equal_the_brute_force_pairs():
+    """The pairs themselves, not only F1, are the oracle's: the
+    maximum-profit matching with the lexicographically smallest pair list."""
+    rng = np.random.default_rng(41)
+    tall = 0
+    for case in range(1200):
+        n_gt, n_pred = (int(x) for x in rng.integers(0, 7, 2))
+        if case % 3 == 0 and n_gt < n_pred:  # make every third uneven case tall: more gt than predictions
+            n_gt, n_pred = n_pred, n_gt
+        step = (1.0, 2.0, 0.5, None)[case % 4]
+        if step is None:
+            gt, pred = random_intervals(rng, n_gt, span=8.0), random_intervals(rng, n_pred, span=8.0)
+        else:
+            gt, pred = grid_intervals(rng, n_gt, step), grid_intervals(rng, n_pred, step)
+        tall += n_gt > n_pred
+        assert [(i, j) for i, j, _ in hungarian_match(gt, pred)] == brute_force_match(gt, pred)[0], (gt, pred)
+    assert tall > 400

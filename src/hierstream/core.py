@@ -93,7 +93,7 @@ _FRAME_ARRAYS = ("state_probs", "step_progress_dist", "substep_progress_dist")
 _F64 = np.dtype(np.float64)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class FrameScores:
     """Per-frame model outputs: a 3-way state distribution plus one progress
     histogram per instance-bearing level.
@@ -101,12 +101,20 @@ class FrameScores:
     All three arrays are probability distributions (non-negative, summing to
     one within 1e-6). The histogram bin count must be constant across the
     frames of one stream.
+
+    ``substep_progress`` and ``step_progress`` are each level's decoded
+    progress when the frame's source already knows it, else None. A value
+    given must be what ``scoring.histogram.histogram_expectation`` returns
+    for that histogram; the detector then uses it instead of decoding. Only
+    ``scoring.streams.read_scores`` gives them, decoding a whole file at once.
     """
 
     timestamp: float
     state_probs: np.ndarray
     step_progress_dist: np.ndarray
     substep_progress_dist: np.ndarray
+    substep_progress: float | None = None
+    step_progress: float | None = None
 
     def __post_init__(self) -> None:
         # Readers hand in read-only float64 row views: leave those untouched.

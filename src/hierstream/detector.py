@@ -11,6 +11,11 @@ A drop-triggered end closes the instance at the previous frame and marks
 the current frame as background for that level, so the follow-up instance
 can open no earlier than the next frame.
 
+Decoded progress comes from the frame when it carries it (score CSVs are
+decoded once per file by ``scoring.streams.read_scores``) and the level's
+histogram has the detector's bin count; otherwise the detector decodes the
+histogram itself with ``histogram_expectation``, checks included.
+
 The detector only produces events. Turning them into :class:`Emission`
 records is the online loop's job (``runner.run_described_stream``);
 :func:`run_stream` is that loop with no describer.
@@ -148,16 +153,21 @@ class StreamDetector:
         if min(probs) < -PROB_SLACK or max(probs) > 1 + PROB_SLACK:
             raise ValueError(f"frame at t={t}: state distribution {probs} has entries outside [0, 1]")
 
-        cfg = self.cfg
+        cfg, shape = self.cfg, (self.histogram.bins,)
         events: list[DetectionEvent] = []
-        for level, act, dist in zip(
-            self.LEVELS, acts, (fs.substep_progress_dist, fs.step_progress_dist)
+        for level, act, dist, p in zip(
+            self.LEVELS, acts, (fs.substep_progress_dist, fs.step_progress_dist),
+            (fs.substep_progress, fs.step_progress),
         ):
             ls = self._levels[level]
             suppressed = False
+            # Progress is read only where an instance is open or may open.
+            # A frame's own decode counts only at the detector's bin count;
+            # otherwise decoding here refuses the histogram.
+            if (ls.ongoing or act >= cfg.start_threshold) and (p is None or dist.shape != shape):
+                p = histogram_expectation(dist, self.histogram)
 
             if ls.ongoing:
-                p = histogram_expectation(dist, self.histogram)
                 dropped = (
                     ls.previous_progress - p >= cfg.drop_delta
                     and ls.previous_progress >= cfg.min_progress_for_drop
@@ -183,7 +193,7 @@ class StreamDetector:
             if not ls.ongoing and not suppressed and act >= cfg.start_threshold:
                 ls.ongoing = True
                 ls.open_start = t
-                ls.previous_progress = histogram_expectation(dist, self.histogram)
+                ls.previous_progress = p
                 events.append(DetectionEvent(EventKind.INSTANCE_STARTED, level, t))
 
         self._last_ts = t

@@ -4,7 +4,10 @@ Progress regression is recast as classification over B uniform bins on
 [0, 1]. The soft target for a value p puts Gaussian mass on nearby bins:
 target_i = Phi((edge_{i+1} - p) / sigma) - Phi((edge_i - p) / sigma),
 renormalized so the truncation to [0, 1] sums to one. Phi is the standard
-normal CDF. Decoding takes the expectation over bin centers.
+normal CDF. Decoding takes the expectation over bin centers: one
+distribution at a time in the online detector (:func:`histogram_expectation`),
+or a whole file's rows at once when a score CSV is read
+(:func:`histogram_expectations`).
 """
 
 from __future__ import annotations
@@ -87,3 +90,16 @@ def histogram_expectation(dist: np.ndarray, cfg: HistogramConfig = HistogramConf
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"distribution decodes to {value}, outside [0, 1]")
     return value
+
+
+def histogram_expectations(dists: np.ndarray, cfg: HistogramConfig = HistogramConfig()) -> np.ndarray:
+    """Decode every row of a (frames, bins) block, unchecked.
+
+    Each row gets the bits :func:`histogram_expectation` would return for
+    it: the stacked ``matmul`` of (1, bins) rows by the (bins, 1) centers
+    runs the same ``ddot`` per row as ``dist.dot``. Sums and the [0, 1]
+    range are the caller's to check.
+    """
+    if dists.ndim != 2 or dists.shape[1] != cfg.bins:
+        raise ValueError(f"expected {cfg.bins} bins per row, got shape {dists.shape}")
+    return np.matmul(dists[:, None, :], cfg.centers[:, None])[:, 0, 0]

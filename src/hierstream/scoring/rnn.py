@@ -277,7 +277,7 @@ class ScorerModel:
             dtanh, da, carry = 1.0 - h ** 2, np.empty_like(h), 0.0
             for t in range(len(h) - 1, -1, -1):
                 da[t] = (d_h[t] + carry) * dtanh[t]
-                carry = da[t] @ wh
+                carry = np.dot(da[t], wh)  # the same gemv as da[t] @ wh, dispatched for less
             grads[f"wx{layer}"] += da.T @ (hs[layer - 1] if layer > 0 else cache["features"])
             grads[f"wh{layer}"] += da.T @ np.vstack([h_in[layer], h])[:-1]  # h[t - 1], h0 first
             grads[f"b{layer}"] += da.sum(axis=0)

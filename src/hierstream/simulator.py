@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    MAX_FRAMES,
     ActionInstance,
     AnnotationSet,
     FrameScores,
@@ -38,6 +39,11 @@ _GOALS = ("prepare a stew", "bake flatbread", "assemble a salad", "cook a curry"
 # Shortest instance the generator will produce; keeps boundary erosion
 # (one frame per side at zero-gap boundaries) small relative to length.
 MIN_INSTANCE_SECONDS = 2.0
+
+# Largest logit noise. A standard normal draw stays far below 1e7 in size,
+# so a noised logit, and the difference of two, stays finite at this sigma,
+# and every softmax row sums to one.
+MAX_NOISE_SIGMA = 1e300
 
 
 @dataclass(frozen=True)
@@ -71,11 +77,20 @@ class SimConfig:
             raise ValueError(f"zero_gap_prob must be in [0,1], got {self.zero_gap_prob}")
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
+        if self.noise_sigma > MAX_NOISE_SIGMA:
+            raise ValueError(
+                f"noise_sigma must be at most {MAX_NOISE_SIGMA:g} (a logit may overflow), got {self.noise_sigma}"
+            )
         if self.feature_dim < 4:
             raise ValueError(f"feature_dim must be >= 4, got {self.feature_dim}")
         if not 0 < self.fps < math.inf:
             raise ValueError(f"fps must be positive and finite, got {self.fps}")
         frames = frame_count(self.duration_range[1], self.fps)  # the longest grid, checked before any is built
+        if not self.gap_range[1] * self.fps < MAX_FRAMES:  # a gap snaps to the frame grid too
+            raise ValueError(
+                f"gap_range max {self.gap_range[1]} has no frame grid at fps {self.fps} "
+                f"(at most {MAX_FRAMES} frames)"
+            )
         most = self.steps_per_video[1] * self.substeps_per_step[1]
         if most > frames:  # a draw that large could never fit, however often it was redrawn
             raise ValueError(
@@ -197,7 +212,9 @@ def gen_scores(
     State logits put +10 on the true class; progress logits are the log of
     the histogram target. Frames outside a level's instances get a uniform
     progress base. Noise perturbs logits, so distributions stay valid at
-    any sigma; each frame draws its step, substep and state noise in turn.
+    any sigma up to ``MAX_NOISE_SIGMA`` (above it a logit can overflow, and
+    a row becomes NaN); each frame draws its step, substep and state noise
+    in turn. Frames carry no decoded progress: the detector decodes them.
     """
     rng = np.random.default_rng([seed, 1, zlib.crc32(a.video_id.encode())])
     ts = frame_timestamps(a.duration, fps)

@@ -315,6 +315,10 @@ BAD_RUN_VALUES = [
     ("simulate", ["--gap-min", "nan"], 2, "gap_range must be finite"),
     ("simulate", ["--gap-max", "nan"], 2, "gap_range must be finite"),
     ("simulate", ["--noise-sigma", "nan"], 2, "noise_sigma must be >= 0 and finite, got nan"),
+    ("simulate", ["--noise-sigma", "1e308"], 2, "noise_sigma must be at most 1e+300"),
+    ("e2e", ["--noise-sigma", "1e308"], 2, "noise_sigma must be at most 1e+300"),
+    ("simulate", ["--gap-max", "1e308"], 2, "gap_range max 1e+308 has no frame grid at fps 4.0"),
+    ("e2e", ["--gap-max", "1e308"], 2, "gap_range max 1e+308 has no frame grid at fps 4.0"),
     ("simulate", ["--videos", "-1"], 2, "videos must be >= 1, got -1"),
     ("simulate", ["--videos", "0"], 2, "videos must be >= 1, got 0"),
     ("e2e", ["--videos", "0"], 2, "videos must be >= 1, got 0"),

@@ -12,6 +12,7 @@ from hierstream.detector import (
     run_stream,
 )
 from hierstream.scoring.histogram import HistogramConfig, histogram_target
+from hierstream.scoring.streams import read_scores, write_scores
 from hierstream.simulator import SimConfig, gen_annotations, gen_scores
 from oracles import events_never_revised
 
@@ -148,6 +149,15 @@ class TestStepContracts:
             DetectorConfig(start_threshold=1.0)
         with pytest.raises(ValueError):
             DetectorConfig(min_progress_for_drop=1.5)
+
+    @pytest.mark.parametrize("bins", [9, 12])
+    def test_decoded_frame_with_other_bin_count_rejected(self, tmp_path, bins):
+        path = tmp_path / "scores.csv"
+        write_scores(path, gen_scores(gen_annotations(SimConfig(videos=1))[0], 0.0, 4.0, HistogramConfig(bins)))
+        frames = read_scores(path)
+        assert frames[0].step_progress is not None
+        with pytest.raises(ValueError, match=rf"expected 10 bins, got shape \({bins},\)"):
+            run_stream(frames, histogram=HIST)
 
 
 def noisy_streams(n, seed_base=0):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hierstream.scoring.histogram import (
     HistogramConfig,
     histogram_expectation,
+    histogram_expectations,
     histogram_target,
     histogram_targets,
 )
@@ -136,3 +139,34 @@ def test_rows_reject_progress_outside_unit_interval(bad):
 
 def test_no_rows_for_no_values():
     assert histogram_targets(np.zeros(0), CFG).shape == (0, CFG.bins)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), bins=st.integers(1, 32), n=st.integers(0, 12))
+def test_block_decode_equals_row_decode_bit_for_bit(data, bins, n):
+    cfg = HistogramConfig(bins=bins)
+
+    def dist():
+        if data.draw(st.booleans()):  # one-hot
+            row = np.zeros(bins)
+            row[data.draw(st.integers(0, bins - 1))] = 1.0
+            return row
+        w = np.array(data.draw(st.lists(st.just(0.0) | st.floats(0, 1), min_size=bins, max_size=bins)))
+        assume(w.sum() > 0)
+        return w / w.sum()
+
+    # Laid out as read_scores slices a file: timestamp, 3 state cells, step bins, substep bins.
+    table = np.zeros((n, 4 + 2 * bins))
+    for row in table:
+        row[4:4 + bins], row[4 + bins:] = dist(), dist()
+    for block in (table[:, 4:4 + bins], table[:, 4 + bins:]):
+        want = np.array([histogram_expectation(row, cfg) for row in block], dtype=np.float64)
+        got = histogram_expectations(block, cfg)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("shape", [(4, 9), (4, 11), (10,), (2, 10, 1)])
+def test_block_decode_rejects_other_bin_counts(shape):
+    with pytest.raises(ValueError, match=r"expected 10 bins per row"):
+        histogram_expectations(np.full(shape, 0.1), CFG)

@@ -1,19 +1,23 @@
 """The one online loop (``runner.run_described_stream``): detection alone
-without a describer, the timestamp rule at its input, and the online
-invariants on random valid score streams."""
+without a describer, the timestamp rule at its input, the progress decoded
+once per score CSV, and the online invariants on random valid score
+streams."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hierstream import detector
 from hierstream.core import FrameScores, HierarchyLevel
 from hierstream.detector import DetectorConfig, run_stream
 from hierstream.memory import ContextMemory
 from hierstream.runner import mock_describer, run_described_stream
 from hierstream.scoring.histogram import HistogramConfig, histogram_target
+from hierstream.scoring.streams import read_scores, write_scores
 from hierstream.simulator import SimConfig, gen_annotations, gen_scores
 
 HIST = HistogramConfig()
@@ -70,6 +74,34 @@ class TestNoDescriber:
         result = run_described_stream(frames(), counting(calls))
         assert len(pulled) == len(stream)
         assert pulled[-1] == len([e for e in result.emissions if e.emit_time < stream[-1].timestamp])
+
+
+@pytest.mark.parametrize("completion", [1.0, 0.6])
+def test_read_back_stream_same_with_or_without_its_decodes(tmp_path, monkeypatch, completion):
+    path = tmp_path / "scores.csv"
+    write_scores(path, sim_stream(seed=4, noise=2.0))
+    decoded = read_scores(path)
+    assert all(fs.substep_progress is not None and fs.step_progress is not None for fs in decoded)
+    stripped = [replace(fs, substep_progress=None, step_progress=None) for fs in decoded]
+    decodes = []
+    original = detector.histogram_expectation
+    monkeypatch.setattr(detector, "histogram_expectation", lambda *a: decodes.append(1) or original(*a))
+
+    def run(frames):
+        prompts, base = [], mock_describer()
+
+        def describe(bundle, request):
+            prompts.append(request.prompt)
+            return base(bundle, request)
+
+        result = run_described_stream(frames, describe, completion=completion)
+        return result.emissions, result.goal_text, prompts
+
+    with_decodes = run(decoded)
+    assert decodes == []  # the detector used the frames' own values
+    without = run(stripped)
+    assert decodes  # and decoded the stripped frames itself
+    assert with_decodes[0] and with_decodes == without
 
 
 def frames_at(timestamps):

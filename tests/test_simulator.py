@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from hierstream.core import HierarchyLevel, validate_annotations
 from hierstream.detector import run_stream
 from hierstream.metrics.matching import hungarian_f1_corpus
 from hierstream.scoring.histogram import histogram_expectation
-from hierstream.simulator import SimConfig, gen_annotations, gen_features, gen_scores
+from hierstream.scoring.streams import read_scores, write_scores
+from hierstream.simulator import MAX_NOISE_SIGMA, SimConfig, gen_annotations, gen_features, gen_scores
 from oracles import instance_at, per_frame_features, per_frame_scores, progress_target, state_target
 
 
@@ -84,6 +87,16 @@ class TestGenScores:
         for fs in gen_scores(a, cfg.noise_sigma, cfg.fps, seed=3):
             assert fs.validate() == []
 
+    def test_largest_accepted_sigma_reads_back(self, tmp_path):
+        cfg = SimConfig(seed=2, videos=3, noise_sigma=MAX_NOISE_SIGMA)
+        for a in gen_annotations(cfg):
+            path = tmp_path / f"{a.video_id}.csv"
+            frames = gen_scores(a, cfg.noise_sigma, cfg.fps, seed=3)
+            write_scores(path, frames)
+            got = read_scores(path)
+            assert len(got) == len(frames)
+            run_stream(got)
+
     def test_deterministic_under_seed(self):
         cfg = SimConfig(seed=4, videos=1)
         a = gen_annotations(cfg)[0]
@@ -140,6 +153,16 @@ class TestGenFeatures:
     def test_config_validation(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must"):
             SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("sigma", [MAX_NOISE_SIGMA * (1 + 1e-15), 1e308])
+    def test_noise_that_can_overflow_a_logit_rejected(self, sigma):
+        with pytest.raises(ValueError, match=r"noise_sigma must be at most 1e\+300"):
+            SimConfig(noise_sigma=sigma)
+
+    @pytest.mark.parametrize("gap_max", [1e308, 1e12])
+    def test_gap_without_a_frame_grid_rejected(self, gap_max):
+        with pytest.raises(ValueError, match=re.escape(f"gap_range max {gap_max} has no frame grid at fps 4.0")):
+            SimConfig(gap_range=(1.0, gap_max))
 
     def test_more_substeps_than_frames_rejected(self):
         # 60 s at 4 fps is 241 frames: 60 steps of 4 substeps may fit, 61 never can.

@@ -13,6 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hierstream.core import FrameScores
+from hierstream.detector import run_stream
+from hierstream.scoring.histogram import HistogramConfig, histogram_expectation
 from hierstream.scoring.streams import read_features, read_scores, write_features, write_scores
 from oracles import row_read_features, row_read_scores
 
@@ -93,6 +95,27 @@ class TestParityWithRowReader:
         for name in DISTS:
             with pytest.raises(ValueError):
                 getattr(frames[1], name)[0] = 0.5
+
+
+class TestDecodedProgress:
+    @pytest.mark.parametrize("bins", [1, 7, 10, 32])
+    def test_each_frame_carries_its_decodes(self, tmp_path, bins):
+        path = tmp_path / "scores.csv"
+        write_random_scores(path, np.random.default_rng(bins), n=60, bins=bins)
+        cfg = HistogramConfig(bins=bins)
+        for fs in read_scores(path):
+            assert fs.substep_progress == histogram_expectation(fs.substep_progress_dist, cfg)
+            assert fs.step_progress == histogram_expectation(fs.step_progress_dist, cfg)
+
+    def test_sum_at_the_tolerance_edge_left_to_the_detector(self, tmp_path):
+        # The step histogram misses one by 1e-6 less 3e-16: within tolerance
+        # by numpy's sum, but too near it to vouch for the detector's sum.
+        path = tmp_path / "scores.csv"
+        path.write_text("timestamp,bg,step,stepsub,sp0,sp1,ssp0,ssp1\n"
+                        "0.0,0.0,0.0,1.0,0.5,0.5000009999999996,0.5,0.5\n")
+        (fs,) = read_scores(path)
+        assert fs.step_progress is None and fs.substep_progress == 0.5
+        assert len(run_stream([fs], histogram=HistogramConfig(bins=2))) == 2
 
 
 def _edit_row(path, row, edit):

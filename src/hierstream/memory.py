@@ -1,4 +1,4 @@
-"""Time-indexed store of frame references and past predictions.
+"""Time-indexed store of frames and past predictions.
 
 The streaming loop inserts one entry per frame (stored only while some
 instance is ongoing) and commits a prediction after every describer call.
@@ -15,17 +15,17 @@ call needs:
 After a step is described, its stored frames collapse to the single frame
 closest to the step midpoint; that representative is what goal queries see.
 
-Stored frames are kept in time order next to a list of their timestamps, so
+A stored frame is its timestamp and its membership, kept in time order, so
 every interval lookup bisects: a query costs O(log n + k) for n stored
-frames and k frames in its interval, and nothing per frame grows with the
-stream.
+frames and k in its interval. Only a frame a query returns becomes a
+:class:`FrameRef` with a handle; nothing per frame grows with the stream.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import AbstractSet
+from typing import AbstractSet, Callable, Iterable
 
 from .core import ActionInstance, HierarchyLevel, Interval, check_timestamp
 
@@ -42,6 +42,10 @@ class FrameRef:
     timestamp: float
     member_levels: frozenset[HierarchyLevel]
     handle: str
+
+
+def default_frame_handle(timestamp: float) -> str:
+    return f"frame@{timestamp:.3f}"
 
 
 @dataclass(frozen=True)
@@ -68,22 +72,24 @@ class RetrievalBundle:
     interval: Interval
 
 
-def _spaced(frames: list[FrameRef], spacing: float) -> list[FrameRef]:
-    """Greedy selection from the start: take the earliest frame, then the
-    earliest frame at least `spacing` seconds after the last pick."""
-    picked: list[FrameRef] = []
-    for ref in frames:
-        if not picked or ref.timestamp >= picked[-1].timestamp + spacing:
-            picked.append(ref)
+def _spaced(times: list[float], indices: Iterable[int], spacing: float) -> list[int]:
+    """Greedy selection over ascending `indices`: pick the earliest, then the
+    earliest at least `spacing` seconds (by `times`) after the last pick."""
+    picked: list[int] = []
+    for i in indices:
+        if not picked or times[i] >= times[picked[-1]] + spacing:
+            picked.append(i)
     return picked
 
 
 class ContextMemory:
-    """Single-writer store; queries are pure reads."""
+    """Single-writer store; queries are pure reads. ``frame_handle(t)`` names
+    each frame of each returned bundle; no stored frame is named otherwise."""
 
-    def __init__(self) -> None:
-        self._frames: list[FrameRef] = []
-        self._times: list[float] = []  # self._frames' timestamps, for bisection
+    def __init__(self, frame_handle: Callable[[float], str] = default_frame_handle) -> None:
+        self._frame_handle = frame_handle
+        self._times: list[float] = []  # stored frames' timestamps, ascending, for bisection
+        self._frames: list[frozenset[HierarchyLevel]] = []  # their memberships
         self._predictions: list[Prediction] = []
         self._step_predictions: list[Prediction] = []
         self._last_seen: float | None = None
@@ -98,9 +104,7 @@ class ContextMemory:
     # writes
     # ------------------------------------------------------------------
 
-    def insert_frame(
-        self, timestamp: float, member_levels: AbstractSet[HierarchyLevel], handle: str
-    ) -> None:
+    def insert_frame(self, timestamp: float, member_levels: AbstractSet[HierarchyLevel]) -> None:
         check_timestamp(timestamp, self._last_seen)
         self._last_seen = timestamp
 
@@ -112,8 +116,8 @@ class ContextMemory:
             self._current_step_start = None
 
         if member_levels:
-            self._frames.append(FrameRef(timestamp, frozenset(member_levels), handle))
             self._times.append(timestamp)
+            self._frames.append(frozenset(member_levels))
 
     def commit_prediction(self, p: Prediction) -> None:
         # A prediction lies in the frames seen so far, so none committed
@@ -156,9 +160,9 @@ class ContextMemory:
             bisect_right(self._times, interval.end),
         )
 
-    def _frames_within(self, interval: Interval) -> list[FrameRef]:
-        lo, hi = self._span(interval)
-        return self._frames[lo:hi]
+    def _refs(self, indices: Iterable[int]) -> tuple[FrameRef, ...]:
+        times, members, handle = self._times, self._frames, self._frame_handle
+        return tuple(FrameRef(times[i], members[i], handle(times[i])) for i in indices)
 
     def query(self, instance: ActionInstance) -> RetrievalBundle:
         iv = instance.interval
@@ -169,7 +173,7 @@ class ContextMemory:
                 )
 
         if instance.level == HierarchyLevel.SUBSTEP:
-            frames = _spaced(self._frames_within(iv), SUBSTEP_FRAME_SPACING)
+            picks = _spaced(self._times, range(*self._span(iv)), SUBSTEP_FRAME_SPACING)
             prior: list[str] = []
             if self._current_step_start is not None:
                 step_iv = Interval(self._current_step_start, self._last_seen)
@@ -180,28 +184,20 @@ class ContextMemory:
                     and step_iv.start <= p.interval.start
                     and p.interval.end <= step_iv.end
                 ]
-            return RetrievalBundle(tuple(frames), tuple(prior), instance.level, iv)
+            return RetrievalBundle(self._refs(picks), tuple(prior), instance.level, iv)
 
         if instance.level == HierarchyLevel.STEP:
-            candidates = [
-                f for f in self._frames_within(iv) if _SUBSTEP in f.member_levels
-            ]
-            frames = _spaced(candidates, STEP_FRAME_SPACING)
+            candidates = [i for i in range(*self._span(iv)) if _SUBSTEP in self._frames[i]]
+            picks = _spaced(self._times, candidates, STEP_FRAME_SPACING)
             prior = [p.long_form for p in self._step_predictions[-MAX_STEP_HISTORY:]]
-            return RetrievalBundle(tuple(frames), tuple(prior), instance.level, iv)
+            return RetrievalBundle(self._refs(picks), tuple(prior), instance.level, iv)
 
-        # Goal: one representative frame per described step, oldest first.
-        frames = []
-        prior = []
-        for p in self._step_predictions:
-            prior.append(p.short_form)
-            lo, hi = self._span(p.interval)
-            if lo < hi:
-                frames.append(self._frames[lo])
+        # Goal: one representative frame per described step, oldest (lowest index) first.
+        spans = [self._span(p.interval) for p in self._step_predictions]
         end = self._last_seen if self._last_seen is not None else iv.end
         return RetrievalBundle(
-            tuple(sorted(frames, key=lambda f: f.timestamp)),
-            tuple(prior),
+            self._refs(sorted(lo for lo, hi in spans if lo < hi)),
+            tuple(p.short_form for p in self._step_predictions),
             HierarchyLevel.GOAL,
             Interval(0.0, max(end, 0.0)),
         )

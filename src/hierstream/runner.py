@@ -18,7 +18,7 @@ from .core import ActionInstance, Emission, FrameScores, HierarchyLevel, Interva
 from .describer.mock import mock_describe
 from .describer.responses import DescribeRequest, DescriberResponse, build_request
 from .detector import DetectorConfig, EventKind, StreamDetector
-from .memory import ContextMemory, Prediction, RetrievalBundle
+from .memory import ContextMemory, Prediction, RetrievalBundle, default_frame_handle
 from .scoring.histogram import HistogramConfig
 
 DescribeFn = Callable[[RetrievalBundle, DescribeRequest], DescriberResponse]
@@ -41,16 +41,12 @@ def check_completion(completion: float) -> None:
         raise ValueError(f"completion must be in (0, 1], got {completion}")
 
 
-def _default_handle(timestamp: float) -> str:
-    return f"frame@{timestamp:.3f}"
-
-
 def run_described_stream(
     scores: Iterable[FrameScores],
     describe: DescribeFn | None,
     detector_cfg: DetectorConfig = DetectorConfig(),
     histogram: HistogramConfig = HistogramConfig(),
-    frame_handle: Callable[[float], str] = _default_handle,
+    frame_handle: Callable[[float], str] = default_frame_handle,
     completion: float = 1.0,
 ) -> StreamResult:
     """Stream scores through detection, retrieval, and description.
@@ -61,10 +57,12 @@ def run_described_stream(
     ``completion`` below 1.0 truncates each instance's retrieval window to
     its leading fraction before the describer sees it, for describing
     still-incomplete instances; emitted intervals are unaffected.
+    ``frame_handle`` names a frame when a query returns it, possibly more
+    than once per frame, so it must be a pure function of the timestamp.
     """
     check_completion(completion)
     detector = StreamDetector(detector_cfg, histogram)
-    memory = ContextMemory()
+    memory = ContextMemory(frame_handle)
     emissions: list[Emission] = []
     calls = 0
 
@@ -104,9 +102,7 @@ def run_described_stream(
         events = detector.step(fs)
         last_ts = fs.timestamp
         if describe is not None:
-            levels = detector.ongoing_levels()
-            # The memory stores only frames with some membership; only those need a handle.
-            memory.insert_frame(last_ts, levels, frame_handle(last_ts) if levels else "")
+            memory.insert_frame(last_ts, detector.ongoing_levels())
         if events:
             handle_events(events)
 

@@ -46,6 +46,14 @@ MIN_INSTANCE_SECONDS = 2.0
 MAX_NOISE_SIGMA = 1e300
 
 
+def check_noise_sigma(sigma: float) -> None:
+    """The rule for logit and feature noise; NaN fails it."""
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"noise_sigma must be >= 0 and finite, got {sigma}")
+    if sigma > MAX_NOISE_SIGMA:
+        raise ValueError(f"noise_sigma must be at most {MAX_NOISE_SIGMA:g} (a logit may overflow), got {sigma}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     seed: int = 0
@@ -75,12 +83,7 @@ class SimConfig:
                 raise ValueError(f"{name} must have 1 <= min <= max, got {(lo, hi)}")
         if not 0 <= self.zero_gap_prob <= 1:
             raise ValueError(f"zero_gap_prob must be in [0,1], got {self.zero_gap_prob}")
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ValueError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
-        if self.noise_sigma > MAX_NOISE_SIGMA:
-            raise ValueError(
-                f"noise_sigma must be at most {MAX_NOISE_SIGMA:g} (a logit may overflow), got {self.noise_sigma}"
-            )
+        check_noise_sigma(self.noise_sigma)
         if self.feature_dim < 4:
             raise ValueError(f"feature_dim must be >= 4, got {self.feature_dim}")
         if not 0 < self.fps < math.inf:
@@ -211,11 +214,12 @@ def gen_scores(
 
     State logits put +10 on the true class; progress logits are the log of
     the histogram target. Frames outside a level's instances get a uniform
-    progress base. Noise perturbs logits, so distributions stay valid at
-    any sigma up to ``MAX_NOISE_SIGMA`` (above it a logit can overflow, and
-    a row becomes NaN); each frame draws its step, substep and state noise
-    in turn. Frames carry no decoded progress: the detector decodes them.
+    progress base. Noise perturbs logits, so distributions stay valid at any
+    sigma that ``SimConfig`` accepts (others raise ``ValueError``); each
+    frame draws its step, substep and state noise in turn. Frames carry no
+    decoded progress: the detector decodes them.
     """
+    check_noise_sigma(noise_sigma)
     rng = np.random.default_rng([seed, 1, zlib.crc32(a.video_id.encode())])
     ts = frame_timestamps(a.duration, fps)
     targets = frame_targets(a, ts, histogram)

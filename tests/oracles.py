@@ -46,7 +46,6 @@ from hierstream.memory import (
     FrameRef,
     Prediction,
     RetrievalBundle,
-    _spaced,
 )
 from hierstream.scoring.histogram import HistogramConfig
 from hierstream.scoring.losses import soft_cross_entropy
@@ -654,6 +653,17 @@ class ScanDetector:
                     ls.ongoing = False
         events.append(DetectionEvent(EventKind.GOAL_DUE, HierarchyLevel.GOAL, t))
         return events
+
+
+def _spaced(frames: list[FrameRef], spacing: float) -> list[FrameRef]:
+    """``memory._spaced`` as it was, over frame references: take the earliest
+    frame, then the earliest frame at least `spacing` seconds after the last
+    pick."""
+    picked: list[FrameRef] = []
+    for ref in frames:
+        if not picked or ref.timestamp >= picked[-1].timestamp + spacing:
+            picked.append(ref)
+    return picked
 
 
 class ScanMemory:

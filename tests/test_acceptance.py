@@ -253,10 +253,10 @@ def test_criterion_08_context_memory_policy():
         bundle = original_query(self, instance)
         if instance.level == STEP:
             all_inside = [
-                f for f in self._frames
-                if instance.interval.start <= f.timestamp <= instance.interval.end
+                i for i, t in enumerate(self._times)
+                if instance.interval.start <= t <= instance.interval.end
             ]
-            uniform = _spaced(all_inside, 3.3)
+            uniform = _spaced(self._times, all_inside, 3.3)
             observations.append(("step", bundle, len(uniform)))
         elif instance.level == HierarchyLevel.GOAL:
             n_steps = sum(1 for p in self._predictions if p.level == STEP)

@@ -82,12 +82,36 @@ def test_detector_matches_scan_after_every_frame(stream, cfg):
     assert det.finish() == scan.finish()
 
 
+def handle(t):
+    """A frame handle that differs for every timestamp."""
+    return f"h{t!r}"
+
+
+def same_frames(memory, scan):
+    """Whether both memories store the same frames: timestamps and memberships."""
+    return list(zip(memory._times, memory._frames)) == [
+        (f.timestamp, f.member_levels) for f in scan._frames
+    ]
+
+
+class EagerMemory(ScanMemory):
+    """A ScanMemory that names every stored frame on insert, as the loop
+    once did, with the loop's ``frame_handle``."""
+
+    def __init__(self, frame_handle):
+        super().__init__()
+        self.frame_handle = frame_handle
+
+    def insert_frame(self, timestamp, levels):
+        super().insert_frame(timestamp, levels, self.frame_handle(timestamp))
+
+
 class TandemMemory:
-    """Every write goes to a ContextMemory and a ScanMemory; every query
+    """Every write goes to a ContextMemory and an EagerMemory; every query
     must return the same bundle from both."""
 
-    def __init__(self):
-        self.memory, self.scan = ContextMemory(), ScanMemory()
+    def __init__(self, frame_handle):
+        self.memory, self.scan = ContextMemory(frame_handle), EagerMemory(frame_handle)
         self.queries = 0
 
     def insert_frame(self, *args):
@@ -97,7 +121,7 @@ class TandemMemory:
     def commit_prediction(self, p):
         self.memory.commit_prediction(p)
         self.scan.commit_prediction(p)
-        assert self.memory._frames == self.scan._frames
+        assert same_frames(self.memory, self.scan)
 
     def query(self, instance):
         bundle = self.memory.query(instance)
@@ -111,14 +135,34 @@ class TandemMemory:
 def test_memory_matches_scan_in_the_loop(stream, completion):
     memories = []
 
-    def tandem():
-        memories.append(TandemMemory())
+    def tandem(frame_handle):
+        memories.append(TandemMemory(frame_handle))
         return memories[-1]
 
     with mock.patch.object(runner, "ContextMemory", tandem):
         result = run_described_stream(stream, mock_describer(), completion=completion)
     (memory,) = memories
     assert memory.queries == result.describe_calls == len(result.emissions) + 1
+
+
+def test_describe_requests_match_the_eager_memory():
+    cfg = SimConfig(seed=3, videos=10, noise_sigma=1.0)
+    for video in gen_annotations(cfg):
+        stream = gen_scores(video, cfg.noise_sigma, cfg.fps, seed=cfg.seed)
+        runs = []
+        for memory in (ContextMemory, EagerMemory):
+            requests = []
+            base = mock_describer()
+
+            def describe(bundle, request):
+                requests.append(request)
+                return base(bundle, request)
+
+            with mock.patch.object(runner, "ContextMemory", memory):
+                result = run_described_stream(stream, describe)
+            runs.append((requests, result.emissions, result.goal_text))
+        assert any(r.frame_handles for r in runs[0][0])
+        assert runs[0] == runs[1]
 
 
 MEMBERSHIPS = [set(), {STEP}, {SUB}, {SUB, STEP}]
@@ -132,15 +176,15 @@ GAPS = st.sampled_from([0.25, 0.5, 1.0, 3.3, 1e-17])
 def test_memory_matches_scan_on_random_operations(data):
     """Random inserts, commits and queries, each applied to a ContextMemory
     and a ScanMemory and compared. Interval ends never pass the last frame."""
-    memory, scan = ContextMemory(), ScanMemory()
+    memory, scan = ContextMemory(handle), EagerMemory(handle)
     t = data.draw(st.sampled_from([0.0, 1.0, 1e6]))
     seen: list[float] = []
     for n in range(data.draw(st.integers(1, 80))):
         op = data.draw(st.sampled_from(["insert", "insert", "insert", "commit", "query"]))
         if op == "insert" or not seen:
             levels = data.draw(st.sampled_from(MEMBERSHIPS))
-            memory.insert_frame(t, levels, f"h{n}")
-            scan.insert_frame(t, levels, f"h{n}")
+            memory.insert_frame(t, levels)
+            scan.insert_frame(t, levels)
             seen.append(t)
             t = max(t + data.draw(GAPS), math.nextafter(t, math.inf))
             continue
@@ -152,7 +196,7 @@ def test_memory_matches_scan_on_random_operations(data):
             p = Prediction(level, iv, f"short {n}", f"long {n}", created_at=seen[-1])
             memory.commit_prediction(p)
             scan.commit_prediction(p)
-            assert memory._frames == scan._frames
+            assert same_frames(memory, scan)
         else:
             instance = ActionInstance(iv, "", level)
             assert memory.query(instance) == scan.query(instance)
@@ -161,15 +205,15 @@ def test_memory_matches_scan_on_random_operations(data):
 
 
 def prune_both(times, interval):
-    memory, scan = ContextMemory(), ScanMemory()
-    for i, t in enumerate(times):
-        memory.insert_frame(t, {SUB, STEP}, f"h{i}")
-        scan.insert_frame(t, {SUB, STEP}, f"h{i}")
+    memory, scan = ContextMemory(handle), EagerMemory(handle)
+    for t in times:
+        memory.insert_frame(t, {SUB, STEP})
+        scan.insert_frame(t, {SUB, STEP})
     p = Prediction(STEP, interval, "s", "l", created_at=times[-1])
     memory.commit_prediction(p)
     scan.commit_prediction(p)
-    assert memory._frames == scan._frames
-    return [f.timestamp for f in memory._frames]
+    assert same_frames(memory, scan)
+    return memory._times
 
 
 def test_prune_midpoint_between_two_frames_keeps_the_earlier():

@@ -15,7 +15,7 @@ GOAL = HierarchyLevel.GOAL
 def fill(mem, t0, t1, levels, dt=0.25):
     t = t0
     while t <= t1 + 1e-9:
-        mem.insert_frame(round(t, 6), levels, f"h{t:.2f}")
+        mem.insert_frame(round(t, 6), levels)
         t += dt
 
 
@@ -30,34 +30,34 @@ def prediction(level, start, end, tag, created=None):
 class TestInsert:
     def test_background_frames_not_stored(self):
         mem = ContextMemory()
-        mem.insert_frame(0.0, set(), "h0")
-        mem.insert_frame(1.0, set(), "h1")
+        mem.insert_frame(0.0, set())
+        mem.insert_frame(1.0, set())
         assert mem.frame_count == 0
 
     def test_member_frames_stored_with_levels(self):
         mem = ContextMemory()
-        mem.insert_frame(0.0, {SUB, STEP}, "h0")
+        mem.insert_frame(0.0, {SUB, STEP})
         assert mem.frame_count == 1
 
     def test_out_of_order_insert_rejected(self):
         mem = ContextMemory()
-        mem.insert_frame(1.0, {STEP}, "h0")
+        mem.insert_frame(1.0, {STEP})
         with pytest.raises(ValueError):
-            mem.insert_frame(1.0, {STEP}, "h1")
+            mem.insert_frame(1.0, {STEP})
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_insert_rejected(self, bad):
         mem = ContextMemory()
-        mem.insert_frame(1.0, {STEP}, "h0")
+        mem.insert_frame(1.0, {STEP})
         with pytest.raises(ValueError, match="is not finite"):
-            mem.insert_frame(bad, {STEP}, "h1")
+            mem.insert_frame(bad, {STEP})
         with pytest.raises(ValueError, match="is not finite"):
-            ContextMemory().insert_frame(bad, {STEP}, "h0")
+            ContextMemory().insert_frame(bad, {STEP})
 
     def test_background_only_stream_yields_empty_queries(self):
         mem = ContextMemory()
         for t in range(100):
-            mem.insert_frame(float(t), set(), f"h{t}")
+            mem.insert_frame(float(t), set())
         bundle = mem.query(ActionInstance(Interval(10.0, 20.0), "", SUB))
         assert bundle.frames == ()
 
@@ -82,7 +82,7 @@ class TestSubstepQuery:
         fill(mem, 0.0, 5.0, {SUB, STEP})
         mem.commit_prediction(prediction(SUB, 0.0, 5.0, "a"))
         # Step boundary: background frame resets the step membership run.
-        mem.insert_frame(5.25, set(), "bg")
+        mem.insert_frame(5.25, set())
         fill(mem, 5.5, 9.0, {SUB, STEP})
         mem.commit_prediction(prediction(SUB, 5.5, 9.0, "b"))
         fill(mem, 9.25, 12.0, {SUB, STEP})
@@ -95,7 +95,7 @@ class TestSubstepQuery:
         mem = ContextMemory()
         fill(mem, 0.0, 4.0, {SUB, STEP})
         mem.commit_prediction(prediction(SUB, 0.0, 4.0, "a"))
-        mem.insert_frame(4.25, set(), "bg")
+        mem.insert_frame(4.25, set())
         bundle = mem.query(ActionInstance(Interval(0.0, 4.0), "", SUB))
         assert bundle.prior_predictions == ()
 
@@ -139,9 +139,9 @@ class TestCommitAndPrune:
         fill(mem, 10.0, 40.0, {SUB, STEP}, dt=0.5)
         count_before = mem.frame_count
         mem.commit_prediction(prediction(STEP, 10.0, 40.0, "s"))
-        inside = [f for f in mem._frames if 10.0 <= f.timestamp <= 40.0]
+        inside = [t for t in mem._times if 10.0 <= t <= 40.0]
         assert len(inside) == 1
-        assert inside[0].timestamp == 25.0
+        assert inside[0] == 25.0
         assert mem.frame_count < count_before
 
     @pytest.mark.parametrize("times,end,rep", [
@@ -152,9 +152,9 @@ class TestCommitAndPrune:
     def test_equidistant_frames_keep_the_earliest(self, times, end, rep):
         mem = ContextMemory()
         for t in times:
-            mem.insert_frame(t, {SUB, STEP}, f"h{t}")
+            mem.insert_frame(t, {SUB, STEP})
         mem.commit_prediction(prediction(STEP, times[0], end, "s"))
-        assert [f.timestamp for f in mem._frames] == [rep]
+        assert mem._times == [rep]
 
     def test_substep_commit_never_prunes(self):
         mem = ContextMemory()

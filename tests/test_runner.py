@@ -2,6 +2,7 @@ import pytest
 
 from hierstream.core import HierarchyLevel
 from hierstream.detector import DetectorConfig
+from hierstream.memory import ContextMemory
 from hierstream.runner import mock_describer, run_described_stream
 from hierstream.simulator import SimConfig, gen_annotations, gen_scores
 
@@ -85,6 +86,44 @@ class TestMemoryInteraction:
         run_described_stream(streams[0], spying)
         assert histories[0] == 0
         assert any(h > 0 for h in histories[1:])
+
+
+class TestFrameHandles:
+    """The memory names a frame only when a query returns it."""
+
+    def test_called_once_per_returned_frame(self, monkeypatch):
+        member_frames = 0
+        insert = ContextMemory.insert_frame
+
+        def counting_insert(self, timestamp, levels):
+            nonlocal member_frames
+            member_frames += bool(levels)
+            insert(self, timestamp, levels)
+
+        monkeypatch.setattr(ContextMemory, "insert_frame", counting_insert)
+        named, returned = [], []
+        base = mock_describer()
+
+        def describe(bundle, request):
+            returned.extend(f.timestamp for f in bundle.frames)
+            assert request.frame_handles == tuple(f"t{f.timestamp!r}" for f in bundle.frames)
+            return base(bundle, request)
+
+        def frame_handle(t):
+            named.append(t)
+            return f"t{t!r}"
+
+        _, _, streams = stream_for(seed=1, videos=3, noise_sigma=1.0)
+        for stream in streams:
+            run_described_stream(stream, describe, frame_handle=frame_handle)
+        assert named == returned
+        assert 0 < len(named) < member_frames
+
+    def test_detection_alone_names_no_frame(self):
+        named = []
+        _, _, streams = stream_for(seed=1)
+        result = run_described_stream(streams[0], None, frame_handle=named.append)
+        assert result.emissions and named == []
 
 
 class TestCompletion:

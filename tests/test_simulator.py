@@ -97,6 +97,23 @@ class TestGenScores:
             assert len(got) == len(frames)
             run_stream(got)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), -1.0, float("inf"), 1e308])
+    def test_gen_scores_checks_its_noise_as_sim_config_does(self, sigma):
+        (a,) = gen_annotations(SimConfig(seed=2, videos=1))
+        with pytest.raises(ValueError, match="noise_sigma must be") as direct:
+            gen_scores(a, sigma, 4.0)
+        with pytest.raises(ValueError) as configured:
+            SimConfig(noise_sigma=sigma)
+        assert str(direct.value) == str(configured.value)
+
+    def test_largest_accepted_sigma_gives_finite_rows(self):
+        (a,) = gen_annotations(SimConfig(seed=2, videos=1))
+        frames = gen_scores(a, MAX_NOISE_SIGMA, 4.0, seed=3)
+        assert frames
+        for fs in frames:
+            for dist in (fs.state_probs, fs.step_progress_dist, fs.substep_progress_dist):
+                assert np.isfinite(dist).all()
+
     def test_deterministic_under_seed(self):
         cfg = SimConfig(seed=4, videos=1)
         a = gen_annotations(cfg)[0]

@@ -7,6 +7,7 @@ video per line), read by :func:`read_jsonl` like every JSONL format.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -105,8 +106,8 @@ class FrameScores:
     ``substep_progress`` and ``step_progress`` are each level's decoded
     progress when the frame's source already knows it, else None. A value
     given must be what ``scoring.histogram.histogram_expectation`` returns
-    for that histogram; the detector then uses it instead of decoding. Only
-    ``scoring.streams.read_scores`` gives them, decoding a whole file at once.
+    for that histogram; the detector uses it as given. ``scoring.streams.read_scores``
+    gives every frame both; the detector decodes where a source gives None.
     """
 
     timestamp: float
@@ -260,23 +261,31 @@ def write_annotations(sets: Iterable[AnnotationSet], path) -> None:
     write_jsonl(map(annotation_to_dict, sets), path)
 
 
+def read_text(path) -> str:
+    """A text file's contents; undecodable bytes raise ``ValueError`` naming the file."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_jsonl(path, from_dict: Callable[[dict], T]) -> list[T]:
     """``from_dict`` of each record of a JSON Lines file; blank lines are
     skipped. A line that is not a JSON object, or whose object ``from_dict``
     rejects, raises ``ValueError`` naming the file and the 1-based line."""
     out = []
-    with open(path) as fh:
-        for n, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError(f"a JSON {type(record).__name__}, not an object")
-                out.append(from_dict(record))
-            except (ValueError, LookupError, TypeError) as exc:
-                why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-                raise ValueError(f"{path}, line {n}: {why}") from None
+    for n, line in enumerate(io.StringIO(read_text(path)), 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError(f"a JSON {type(record).__name__}, not an object")
+            out.append(from_dict(record))
+        except (ValueError, LookupError, TypeError) as exc:
+            why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"{path}, line {n}: {why}") from None
     return out
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from ..memory import RetrievalBundle
 from .prompts import PLACEHOLDERS, TEMPLATES
@@ -23,15 +24,18 @@ class DescriberResponse:
     long_form_after: str = ""
 
 
-def build_request(bundle: RetrievalBundle) -> DescribeRequest:
+def default_frame_handle(timestamp: float) -> str:
+    return f"frame@{timestamp:.3f}"
+
+
+def build_request(bundle: RetrievalBundle, frame_handle: Callable[[float], str] = default_frame_handle) -> DescribeRequest:
     """Fill the level's template with the bundle's prediction history and
-    attach frame handles in timestamp order."""
+    name each of its frames, in bundle order, with ``frame_handle``."""
     template = TEMPLATES[bundle.level]
     placeholder = PLACEHOLDERS[bundle.level]
     serialized = json.dumps(list(bundle.prior_predictions))
     prompt = template.replace(placeholder, serialized)
-    frames = tuple(f.handle for f in sorted(bundle.frames, key=lambda f: f.timestamp))
-    return DescribeRequest(prompt=prompt, frame_handles=frames)
+    return DescribeRequest(prompt=prompt, frame_handles=tuple(map(frame_handle, bundle.frames)))
 
 
 _SHORT_RE = re.compile(r"short form response\s*:\s*(.*)", re.IGNORECASE)

@@ -11,9 +11,9 @@ A drop-triggered end closes the instance at the previous frame and marks
 the current frame as background for that level, so the follow-up instance
 can open no earlier than the next frame.
 
-Decoded progress comes from the frame when it carries it (score CSVs are
-decoded once per file by ``scoring.streams.read_scores``) and the level's
-histogram has the detector's bin count; otherwise the detector decodes the
+Every frame's histograms must have the detector's bin count. Decoded
+progress comes from the frame when it carries it (``scoring.streams.read_scores``
+decodes a whole score CSV at once); otherwise the detector decodes the
 histogram itself with ``histogram_expectation``, checks included.
 
 The detector only produces events. Turning them into :class:`Emission`
@@ -48,7 +48,6 @@ from .scoring.histogram import HistogramConfig, histogram_expectation
 class EventKind(Enum):
     INSTANCE_STARTED = "instance_started"
     INSTANCE_ENDED = "instance_ended"
-    GOAL_DUE = "goal_due"
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,7 @@ class DetectorConfig:
 @dataclass(frozen=True)
 class DetectionEvent:
     kind: EventKind
-    level: HierarchyLevel | None
+    level: HierarchyLevel
     timestamp: float
     interval: Interval | None = None
 
@@ -117,6 +116,7 @@ class StreamDetector:
                  histogram: HistogramConfig = HistogramConfig()):
         self.cfg = cfg
         self.histogram = histogram
+        self._shape = (histogram.bins,)  # of each progress histogram
         self._levels = {level: _LevelState() for level in self.LEVELS}
         self._last_ts: float | None = None
         self._finished = False
@@ -153,18 +153,19 @@ class StreamDetector:
         if min(probs) < -PROB_SLACK or max(probs) > 1 + PROB_SLACK:
             raise ValueError(f"frame at t={t}: state distribution {probs} has entries outside [0, 1]")
 
-        cfg, shape = self.cfg, (self.histogram.bins,)
+        cfg, shape = self.cfg, self._shape
+        sub_dist, step_dist = fs.substep_progress_dist, fs.step_progress_dist
+        if sub_dist.shape != shape or step_dist.shape != shape:
+            level, dist = (_SUBSTEP, sub_dist) if sub_dist.shape != shape else (_STEP, step_dist)
+            raise ValueError(f"frame at t={t}: {level.name} progress: expected {shape[0]} bins, got shape {dist.shape}")
         events: list[DetectionEvent] = []
         for level, act, dist, p in zip(
-            self.LEVELS, acts, (fs.substep_progress_dist, fs.step_progress_dist),
-            (fs.substep_progress, fs.step_progress),
+            self.LEVELS, acts, (sub_dist, step_dist), (fs.substep_progress, fs.step_progress),
         ):
             ls = self._levels[level]
             suppressed = False
             # Progress is read only where an instance is open or may open.
-            # A frame's own decode counts only at the detector's bin count;
-            # otherwise decoding here refuses the histogram.
-            if (ls.ongoing or act >= cfg.start_threshold) and (p is None or dist.shape != shape):
+            if (ls.ongoing or act >= cfg.start_threshold) and p is None:
                 p = histogram_expectation(dist, self.histogram)
 
             if ls.ongoing:
@@ -200,7 +201,7 @@ class StreamDetector:
         return events
 
     def finish(self) -> list[DetectionEvent]:
-        """End-of-stream closes at the last timestamp (0.0 if none), then GOAL_DUE."""
+        """End-of-stream closes at the last timestamp (0.0 if none)."""
         if self._finished:
             raise RuntimeError("finish() called twice")
         self._finished = True
@@ -215,7 +216,6 @@ class StreamDetector:
                         EventKind.INSTANCE_ENDED, level, t, Interval(ls.open_start, t),
                     ))
                     ls.ongoing = False
-        events.append(DetectionEvent(EventKind.GOAL_DUE, HierarchyLevel.GOAL, t))
         return events
 
 

@@ -17,15 +17,15 @@ closest to the step midpoint; that representative is what goal queries see.
 
 A stored frame is its timestamp and its membership, kept in time order, so
 every interval lookup bisects: a query costs O(log n + k) for n stored
-frames and k in its interval. Only a frame a query returns becomes a
-:class:`FrameRef` with a handle; nothing per frame grows with the stream.
+frames and k in its interval. A bundle names its frames by timestamp; the
+describer request turns them into handles.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Iterable
+from typing import AbstractSet, Iterable
 
 from .core import ActionInstance, HierarchyLevel, Interval, check_timestamp
 
@@ -35,17 +35,6 @@ MAX_STEP_HISTORY = 10
 
 # Enum member lookups cost about 0.2 us each; these run per frame or per stored frame.
 _SUBSTEP, _STEP = HierarchyLevel.SUBSTEP, HierarchyLevel.STEP
-
-
-@dataclass(frozen=True, slots=True)
-class FrameRef:
-    timestamp: float
-    member_levels: frozenset[HierarchyLevel]
-    handle: str
-
-
-def default_frame_handle(timestamp: float) -> str:
-    return f"frame@{timestamp:.3f}"
 
 
 @dataclass(frozen=True)
@@ -66,7 +55,7 @@ class Prediction:
 
 @dataclass(frozen=True)
 class RetrievalBundle:
-    frames: tuple[FrameRef, ...]
+    frames: tuple[float, ...]  # picked frames' timestamps, ascending
     prior_predictions: tuple[str, ...]  # oldest first
     level: HierarchyLevel
     interval: Interval
@@ -83,11 +72,9 @@ def _spaced(times: list[float], indices: Iterable[int], spacing: float) -> list[
 
 
 class ContextMemory:
-    """Single-writer store; queries are pure reads. ``frame_handle(t)`` names
-    each frame of each returned bundle; no stored frame is named otherwise."""
+    """Single-writer store; queries are pure reads."""
 
-    def __init__(self, frame_handle: Callable[[float], str] = default_frame_handle) -> None:
-        self._frame_handle = frame_handle
+    def __init__(self) -> None:
         self._times: list[float] = []  # stored frames' timestamps, ascending, for bisection
         self._frames: list[frozenset[HierarchyLevel]] = []  # their memberships
         self._predictions: list[Prediction] = []
@@ -160,9 +147,9 @@ class ContextMemory:
             bisect_right(self._times, interval.end),
         )
 
-    def _refs(self, indices: Iterable[int]) -> tuple[FrameRef, ...]:
-        times, members, handle = self._times, self._frames, self._frame_handle
-        return tuple(FrameRef(times[i], members[i], handle(times[i])) for i in indices)
+    def _times_at(self, indices: Iterable[int]) -> tuple[float, ...]:
+        times = self._times
+        return tuple(times[i] for i in indices)
 
     def query(self, instance: ActionInstance) -> RetrievalBundle:
         iv = instance.interval
@@ -184,19 +171,19 @@ class ContextMemory:
                     and step_iv.start <= p.interval.start
                     and p.interval.end <= step_iv.end
                 ]
-            return RetrievalBundle(self._refs(picks), tuple(prior), instance.level, iv)
+            return RetrievalBundle(self._times_at(picks), tuple(prior), instance.level, iv)
 
         if instance.level == HierarchyLevel.STEP:
             candidates = [i for i in range(*self._span(iv)) if _SUBSTEP in self._frames[i]]
             picks = _spaced(self._times, candidates, STEP_FRAME_SPACING)
             prior = [p.long_form for p in self._step_predictions[-MAX_STEP_HISTORY:]]
-            return RetrievalBundle(self._refs(picks), tuple(prior), instance.level, iv)
+            return RetrievalBundle(self._times_at(picks), tuple(prior), instance.level, iv)
 
         # Goal: one representative frame per described step, oldest (lowest index) first.
         spans = [self._span(p.interval) for p in self._step_predictions]
         end = self._last_seen if self._last_seen is not None else iv.end
         return RetrievalBundle(
-            self._refs(sorted(lo for lo, hi in spans if lo < hi)),
+            self._times_at(sorted(lo for lo, hi in spans if lo < hi)),
             tuple(p.short_form for p in self._step_predictions),
             HierarchyLevel.GOAL,
             Interval(0.0, max(end, 0.0)),

@@ -16,9 +16,9 @@ from typing import Callable, Iterable
 
 from .core import ActionInstance, Emission, FrameScores, HierarchyLevel, Interval
 from .describer.mock import mock_describe
-from .describer.responses import DescribeRequest, DescriberResponse, build_request
+from .describer.responses import DescribeRequest, DescriberResponse, build_request, default_frame_handle
 from .detector import DetectorConfig, EventKind, StreamDetector
-from .memory import ContextMemory, Prediction, RetrievalBundle, default_frame_handle
+from .memory import ContextMemory, Prediction, RetrievalBundle
 from .scoring.histogram import HistogramConfig
 
 DescribeFn = Callable[[RetrievalBundle, DescribeRequest], DescriberResponse]
@@ -57,12 +57,12 @@ def run_described_stream(
     ``completion`` below 1.0 truncates each instance's retrieval window to
     its leading fraction before the describer sees it, for describing
     still-incomplete instances; emitted intervals are unaffected.
-    ``frame_handle`` names a frame when a query returns it, possibly more
-    than once per frame, so it must be a pure function of the timestamp.
+    ``frame_handle`` names each frame of each describer request, possibly
+    more than once per frame, so it must be a pure function of the timestamp.
     """
     check_completion(completion)
     detector = StreamDetector(detector_cfg, histogram)
-    memory = ContextMemory(frame_handle)
+    memory = ContextMemory()
     emissions: list[Emission] = []
     calls = 0
 
@@ -75,7 +75,7 @@ def run_described_stream(
                 query_iv.start + completion * query_iv.length,
             )
         bundle = memory.query(ActionInstance(query_iv, "", instance.level))
-        request = build_request(bundle)
+        request = build_request(bundle, frame_handle)
         calls += 1
         response = describe(bundle, request)
         memory.commit_prediction(Prediction(
@@ -106,13 +106,12 @@ def run_described_stream(
         if events:
             handle_events(events)
 
-    final_events = detector.finish()  # end-of-stream closes, then GOAL_DUE
-    handle_events(final_events)
+    handle_events(detector.finish())
 
     goal_text = ""
     if describe is not None:
         goal_instance = ActionInstance(Interval(0.0, last_ts), "", HierarchyLevel.GOAL)
-        goal_text = describe_instance(goal_instance, final_events[-1].timestamp)
+        goal_text = describe_instance(goal_instance, last_ts)
 
     return StreamResult(
         emissions=emissions,

@@ -98,7 +98,8 @@ def histogram_expectations(dists: np.ndarray, cfg: HistogramConfig = HistogramCo
     Each row gets the bits :func:`histogram_expectation` would return for
     it: the stacked ``matmul`` of (1, bins) rows by the (bins, 1) centers
     runs the same ``ddot`` per row as ``dist.dot``. Sums and the [0, 1]
-    range are the caller's to check.
+    range are the caller's to check: ``scoring.streams.read_scores`` checks
+    each row's sum before and its decode after.
     """
     if dists.ndim != 2 or dists.shape[1] != cfg.bins:
         raise ValueError(f"expected {cfg.bins} bins per row, got shape {dists.shape}")

@@ -8,8 +8,9 @@ so a detector run never needs the model that produced the stream.
 Each reader parses a file once into one float64 array, checks the whole
 array, then slices it. Blank lines are skipped; an error names the file and
 the data row (1-based, blank lines not counted). :func:`read_scores` also
-decodes every progress histogram of the file at once and hands each frame
-its two decoded values, so the detector does not decode frame by frame.
+decodes every progress histogram of the file at once, refuses a row whose
+decode leaves [0, 1], and hands every frame its two decoded values, so the
+detector decodes none of them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import csv
 
 import numpy as np
 
-from ..core import PROB_SLACK, PROB_SUM_TOL, FrameScores, check_timestamps
+from ..core import PROB_SLACK, PROB_SUM_TOL, FrameScores, check_timestamps, read_text
 from .histogram import HistogramConfig, histogram_expectations
 
 
@@ -32,9 +33,8 @@ def _score_header(bins: int) -> list[str]:
 
 def _read_text(path) -> tuple[list[str], str]:
     """The header cells and the text of the data rows."""
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        return header, fh.read()
+    header, _, text = read_text(path).partition("\n")
+    return header.split(","), text
 
 
 def _parse(path, text: str, width: int) -> np.ndarray:
@@ -108,25 +108,22 @@ def read_scores(path) -> list[FrameScores]:
     data = _parse(path, text, len(header))
     data.setflags(write=False)
     dists = (data[:, 1:4], data[:, 4: 4 + bins], data[:, 4 + bins:])
-    misses = [np.abs(block.sum(axis=1) - 1.0) for block in dists]
     # FrameScores.validate's rules on every frame at once (the header fixes the state's shape).
     bad = np.zeros(len(data), dtype=bool)
-    for block, miss in zip(dists, misses):
+    for block in dists:
         bad |= ((block < -PROB_SLACK) | (block > 1 + PROB_SLACK)).any(axis=1)
-        bad |= ~(miss <= PROB_SUM_TOL)  # NaN fails too
+        bad |= ~(np.abs(block.sum(axis=1) - 1.0) <= PROB_SUM_TOL)  # NaN fails too
     if bad.any():
         i = int(np.argmax(bad))
         fs = FrameScores(data[i, 0].item(), *(block[i] for block in dists))
         raise ValueError(f"{path}: data row {i + 1}: invalid frame at t={fs.timestamp}: {fs.validate()}")
     check_timestamps(data[:, 0], f"{path}: data row")
-    # A frame gets None where the detector's own decode might refuse the
-    # histogram, so the detector decodes it and says why: a value outside
-    # [0, 1], or a sum so near the tolerance that its Python sum, rounded in
-    # another order than numpy's, might miss it.
-    sum_tol = PROB_SUM_TOL - 2 * bins * np.finfo(np.float64).eps
     hist, progress = HistogramConfig(bins), []
-    for i in (2, 1):  # substep, then step, in FrameScores' order
+    for i, name in ((2, "substep"), (1, "step")):  # FrameScores' order
         decoded = histogram_expectations(dists[i], hist)
-        ok, values = (decoded >= 0.0) & (decoded <= 1.0) & (misses[i] <= sum_tol), decoded.tolist()
-        progress.append(values if ok.all() else [v if k else None for v, k in zip(values, ok.tolist())])
+        bad = ~((decoded >= 0.0) & (decoded <= 1.0))
+        if bad.any():
+            n = int(np.argmax(bad))
+            raise ValueError(f"{path}: data row {n + 1}: {name} progress decodes to {decoded[n]}, outside [0, 1]")
+        progress.append(decoded.tolist())
     return [FrameScores(*row) for row in zip(data[:, 0].tolist(), *dists, *progress)]

@@ -38,12 +38,12 @@ from hierstream.core import (
     check_timestamps,
     frame_timestamps,
 )
-from hierstream.detector import DetectionEvent, DetectorConfig, EventKind
+from hierstream import detector
+from hierstream.detector import DetectionEvent, DetectorConfig
 from hierstream.memory import (
     MAX_STEP_HISTORY,
     STEP_FRAME_SPACING,
     SUBSTEP_FRAME_SPACING,
-    FrameRef,
     Prediction,
     RetrievalBundle,
 )
@@ -514,6 +514,15 @@ def scan_histogram_expectation(dist: np.ndarray, cfg: HistogramConfig = Histogra
     return float(dist @ cfg.centers)
 
 
+class EventKind:
+    """The detector's event kinds as they were, when ``finish`` ended with a
+    ``GOAL_DUE`` event after the end-of-stream closes."""
+
+    INSTANCE_STARTED = detector.EventKind.INSTANCE_STARTED
+    INSTANCE_ENDED = detector.EventKind.INSTANCE_ENDED
+    GOAL_DUE = "goal_due"
+
+
 @dataclass
 class _ScanLevelState:
     ongoing: bool = False
@@ -653,6 +662,15 @@ class ScanDetector:
                     ls.ongoing = False
         events.append(DetectionEvent(EventKind.GOAL_DUE, HierarchyLevel.GOAL, t))
         return events
+
+
+@dataclass(frozen=True, slots=True)
+class FrameRef:
+    """A stored frame as the context memory once kept and returned it."""
+
+    timestamp: float
+    member_levels: frozenset[HierarchyLevel]
+    handle: str
 
 
 def _spaced(frames: list[FrameRef], spacing: float) -> list[FrameRef]:

@@ -275,7 +275,7 @@ def test_criterion_08_context_memory_policy():
 
     for kind, bundle, extra in observations:
         if kind == "step":
-            times = [f.timestamp for f in bundle.frames]
+            times = list(bundle.frames)
             spacing_ok = spacing_ok and all(
                 b - a >= 3.3 - frame_period - 1e-9 for a, b in zip(times, times[1:])
             )

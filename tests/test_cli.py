@@ -434,6 +434,14 @@ class TestErrors:
         assert run("evaluate", "--annotations", corpus / "annotations.jsonl", "--pred", pred_dir) == 2
         assert f"error: {path}, line 2: missing key 'end'" in capsys.readouterr().err
 
+    def test_undecodable_annotations_named_by_file(self, tmp_path, capsys):
+        corpus, pred_dir = identity_predictions(tmp_path)
+        path = corpus / "annotations.jsonl"
+        with open(path, "ab") as fh:
+            fh.write(b"\xff")
+        assert run("evaluate", "--annotations", path, "--pred", pred_dir) == 2
+        assert f"error: {path}: " in capsys.readouterr().err
+
     def test_impossible_frame_grid_prints_no_traceback(self, tmp_path):
         # 1e12 s at 4 fps is 4e12 frames: SimConfig refuses it before any
         # array or file is made, and the process prints one line, no traceback.

@@ -245,6 +245,26 @@ class TestCsvTimestamps:
             reader(path)
 
 
+# reader -> (the reader, a writer of a good file)
+UNDECODABLE = {
+    "scores": (read_scores, lambda path: _write_score_csv(path, (0.0, 0.25))),
+    "features": (read_features, lambda path: _write_feature_csv(path, (0.0, 0.25))),
+    "annotations": (read_annotations, lambda path: path.write_text(json.dumps(ANNOTATION) + "\n")),
+    "emissions": (read_emissions, lambda path: path.write_text(json.dumps(EMISSION) + "\n")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNDECODABLE))
+def test_undecodable_byte_refused_with_the_file_name(tmp_path, kind):
+    reader, write = UNDECODABLE[kind]
+    path = tmp_path / f"{kind}.input"
+    write(path)
+    with open(path, "ab") as fh:
+        fh.write(b"\xff")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*can't decode byte 0xff"):
+        reader(path)
+
+
 @pytest.mark.parametrize("start,end", [(-1.0, 2.0), (3.0, 2.0), (1.0, float("nan")),
                                        (float("nan"), 1.0), (0.0, float("inf"))])
 def test_interval_rejects_bad_endpoints(start, end):

@@ -19,7 +19,7 @@ from hierstream.describer.responses import (
     build_request,
     parse_response,
 )
-from hierstream.memory import FrameRef, RetrievalBundle
+from hierstream.memory import RetrievalBundle
 from hierstream.metrics.embedding import HashedBagOfWordsEmbedder, HttpEmbedder
 from hierstream.pipeline import HttpChatClient, kmeans_canonicalize, propose_grouping
 from hierstream.runner import run_described_stream
@@ -31,9 +31,7 @@ GOAL = HierarchyLevel.GOAL
 
 
 def bundle(level, n_frames=3, history=(), start=2.0, end=4.0):
-    frames = tuple(
-        FrameRef(start + i * 0.5, frozenset({SUB}), f"handle-{i}") for i in range(n_frames)
-    )
+    frames = tuple(start + i * 0.5 for i in range(n_frames))
     return RetrievalBundle(frames, tuple(history), level, Interval(start, end))
 
 
@@ -85,13 +83,11 @@ class TestBuildRequest:
         req = build_request(bundle(GOAL))
         assert "Short form response of step: []" in req.prompt
 
-    def test_frames_attached_in_timestamp_order(self):
-        frames = (
-            FrameRef(3.0, frozenset({SUB}), "late"),
-            FrameRef(2.0, frozenset({SUB}), "early"),
-        )
-        req = build_request(RetrievalBundle(frames, (), SUB, Interval(2.0, 4.0)))
-        assert req.frame_handles == ("early", "late")
+    def test_handles_follow_bundle_order(self):
+        frames = RetrievalBundle((2.0, 3.0), (), SUB, Interval(2.0, 4.0))
+        names = {2.0: "early", 3.0: "late"}
+        assert build_request(frames, names.__getitem__).frame_handles == ("early", "late")
+        assert build_request(frames).frame_handles == ("frame@2.000", "frame@3.000")
 
 
 class TestParseResponse:
@@ -210,9 +206,9 @@ class TestHttpDescriber:
             "temperature": 0.0,
             "messages": [{"role": "user", "content": [
                 {"type": "text", "text": request.prompt},
-                {"type": "image_url", "image_url": {"url": "handle-0"}},
-                {"type": "image_url", "image_url": {"url": "handle-1"}},
-                {"type": "image_url", "image_url": {"url": "handle-2"}},
+                {"type": "image_url", "image_url": {"url": "frame@2.000"}},
+                {"type": "image_url", "image_url": {"url": "frame@2.500"}},
+                {"type": "image_url", "image_url": {"url": "frame@3.000"}},
             ]}],
         }]
 

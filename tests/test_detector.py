@@ -93,11 +93,10 @@ class TestHandTraces:
 
 
 class TestFinish:
-    def test_goal_due_always_emitted(self):
+    def test_nothing_ongoing_nothing_returned(self):
         det = StreamDetector()
         det.step(frame(0, BG))
-        events = det.finish()
-        assert [e.kind for e in events] == [EventKind.GOAL_DUE]
+        assert det.finish() == []
 
     def test_ongoing_closed_at_eos(self):
         det = StreamDetector()
@@ -105,16 +104,15 @@ class TestFinish:
         det.step(frame(1, BOTH, sub_p=0.2))
         events = det.finish()
         kinds = [e.kind for e in events]
-        assert kinds.count(EventKind.INSTANCE_ENDED) == 2  # substep and step
-        assert kinds[-1] == EventKind.GOAL_DUE
+        assert kinds == [EventKind.INSTANCE_ENDED] * 2  # substep and step
+        assert [e.level for e in events] == [HierarchyLevel.SUBSTEP, HierarchyLevel.STEP]
         for e in ended(events):
             assert e.interval == Interval(0.0, 1.0)
 
     def test_ongoing_dropped_without_eos_close(self):
         det = StreamDetector(DetectorConfig(close_incomplete_at_eos=False))
         det.step(frame(0, BOTH, sub_p=0.0))
-        events = det.finish()
-        assert [e.kind for e in events] == [EventKind.GOAL_DUE]
+        assert det.finish() == []
 
     def test_finish_twice_rejected(self):
         det = StreamDetector()
@@ -159,6 +157,18 @@ class TestStepContracts:
         with pytest.raises(ValueError, match=rf"expected 10 bins, got shape \({bins},\)"):
             run_stream(frames, histogram=HIST)
 
+    @pytest.mark.parametrize("level", ["substep", "step"])
+    def test_other_bin_count_rejected_at_an_idle_level(self, level):
+        # Background: neither level is ongoing or may open, so no decode runs.
+        seven = np.full(7, 1 / 7)
+        dists = {"step_progress_dist": UNIFORM, "substep_progress_dist": UNIFORM, f"{level}_progress_dist": seven}
+        det = StreamDetector()
+        det.step(frame(0, BG))
+        with pytest.raises(ValueError, match=rf"t=1.0: {level.upper()} progress: expected 10 bins, got shape \(7,\)"):
+            det.step(FrameScores(1.0, BG, **dists, substep_progress=0.5, step_progress=0.5))
+        with pytest.raises(ValueError, match=r"expected 10 bins, got shape \(7,\)"):
+            StreamDetector().step(FrameScores(0.0, BG, **dists))
+
 
 def noisy_streams(n, seed_base=0):
     for k in range(n):
@@ -190,7 +200,7 @@ class TestOnlineCausality:
         # The emission log is the sequence of lists step/finish return.
         for stream in noisy_streams(3, seed_base=50):
             events = events_never_revised(StreamDetector(), stream)
-            assert events[-1].kind is EventKind.GOAL_DUE
+            assert events and all(e.level in StreamDetector.LEVELS for e in events)
 
     def test_emitted_intervals_well_formed(self):
         for stream in noisy_streams(10, seed_base=100):

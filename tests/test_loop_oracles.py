@@ -3,6 +3,7 @@ earlier forms in ``oracles``: every event after every frame, every decoded
 value, and every retrieval bundle must be the same."""
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -11,13 +12,14 @@ from hypothesis import strategies as st
 
 from hierstream import runner
 from hierstream.core import ActionInstance, HierarchyLevel, Interval
+from hierstream.describer.responses import default_frame_handle
 from hierstream.detector import DetectorConfig, StreamDetector
 from hierstream.memory import ContextMemory, Prediction
 from hierstream.runner import mock_describer, run_described_stream
 from hierstream.scoring.histogram import HistogramConfig, histogram_expectation
 from hierstream.simulator import SimConfig, gen_annotations, gen_scores
 
-from oracles import ScanDetector, ScanMemory, scan_histogram_expectation
+from oracles import EventKind, ScanDetector, ScanMemory, scan_histogram_expectation
 
 SUB = HierarchyLevel.SUBSTEP
 STEP = HierarchyLevel.STEP
@@ -79,7 +81,9 @@ def test_detector_matches_scan_after_every_frame(stream, cfg):
     for fs in stream:
         assert det.step(fs) == scan.step(fs)
         assert det.ongoing_levels() == scan.ongoing_levels()
-    assert det.finish() == scan.finish()
+    *scan_closes, goal_due = scan.finish()
+    assert goal_due.kind == EventKind.GOAL_DUE
+    assert det.finish() == scan_closes
 
 
 def handle(t):
@@ -95,24 +99,41 @@ def same_frames(memory, scan):
 
 
 class EagerMemory(ScanMemory):
-    """A ScanMemory that names every stored frame on insert, as the loop
-    once did, with the loop's ``frame_handle``."""
+    """A ScanMemory that names every stored frame on insert with
+    ``frame_handle``, as the loop once did. Its bundles hold the frames'
+    timestamps, as ContextMemory's do; ``handles`` keeps each query's
+    names."""
 
-    def __init__(self, frame_handle):
+    def __init__(self, frame_handle=default_frame_handle):
         super().__init__()
         self.frame_handle = frame_handle
+        self.handles = []
 
     def insert_frame(self, timestamp, levels):
         super().insert_frame(timestamp, levels, self.frame_handle(timestamp))
 
+    def query(self, instance):
+        bundle = super().query(instance)
+        self.handles.append(tuple(f.handle for f in bundle.frames))
+        return replace(bundle, frames=tuple(f.timestamp for f in bundle.frames))
+
+
+def same_bundles(memory, scan, instance):
+    """Query both memories; the bundles must be equal, and ``scan``'s frame
+    names must be what its ``frame_handle`` makes of the returned times."""
+    bundle = memory.query(instance)
+    assert bundle == scan.query(instance)
+    assert tuple(map(scan.frame_handle, bundle.frames)) == scan.handles[-1]
+    return bundle
+
 
 class TandemMemory:
     """Every write goes to a ContextMemory and an EagerMemory; every query
-    must return the same bundle from both."""
+    must return the same bundle from both. ``bundles`` keeps them in order."""
 
-    def __init__(self, frame_handle):
-        self.memory, self.scan = ContextMemory(frame_handle), EagerMemory(frame_handle)
-        self.queries = 0
+    def __init__(self):
+        self.memory, self.scan = ContextMemory(), EagerMemory()
+        self.bundles = []
 
     def insert_frame(self, *args):
         self.memory.insert_frame(*args)
@@ -124,10 +145,8 @@ class TandemMemory:
         assert same_frames(self.memory, self.scan)
 
     def query(self, instance):
-        bundle = self.memory.query(instance)
-        assert bundle == self.scan.query(instance)
-        self.queries += 1
-        return bundle
+        self.bundles.append(same_bundles(self.memory, self.scan, instance))
+        return self.bundles[-1]
 
 
 @PROPERTY
@@ -135,22 +154,27 @@ class TandemMemory:
 def test_memory_matches_scan_in_the_loop(stream, completion):
     memories = []
 
-    def tandem(frame_handle):
-        memories.append(TandemMemory(frame_handle))
+    def tandem():
+        memories.append(TandemMemory())
         return memories[-1]
 
     with mock.patch.object(runner, "ContextMemory", tandem):
         result = run_described_stream(stream, mock_describer(), completion=completion)
     (memory,) = memories
-    assert memory.queries == result.describe_calls == len(result.emissions) + 1
+    assert len(memory.bundles) == result.describe_calls == len(result.emissions) + 1
 
 
 def test_describe_requests_match_the_eager_memory():
     cfg = SimConfig(seed=3, videos=10, noise_sigma=1.0)
     for video in gen_annotations(cfg):
         stream = gen_scores(video, cfg.noise_sigma, cfg.fps, seed=cfg.seed)
-        runs = []
-        for memory in (ContextMemory, EagerMemory):
+        runs, eager = [], []
+
+        def eager_memory():
+            eager.append(EagerMemory())
+            return eager[-1]
+
+        for memory in (ContextMemory, eager_memory):
             requests = []
             base = mock_describer()
 
@@ -163,6 +187,29 @@ def test_describe_requests_match_the_eager_memory():
             runs.append((requests, result.emissions, result.goal_text))
         assert any(r.frame_handles for r in runs[0][0])
         assert runs[0] == runs[1]
+        assert [r.frame_handles for r in runs[0][0]] == eager[0].handles
+
+
+def test_bundle_frames_ascend_and_equal_the_scan_at_every_level():
+    """Every bundle's frames are timestamps in strictly ascending order, and
+    the scan memory's (checked by TandemMemory), for all three levels."""
+    memories = []
+
+    def tandem():
+        memories.append(TandemMemory())
+        return memories[-1]
+
+    cfg = SimConfig(seed=5, videos=10, zero_gap_prob=0.5, noise_sigma=1.0)
+    for video in gen_annotations(cfg):
+        stream = gen_scores(video, cfg.noise_sigma, cfg.fps, seed=cfg.seed)
+        with mock.patch.object(runner, "ContextMemory", tandem):
+            run_described_stream(stream, mock_describer())
+    bundles = [bundle for memory in memories for bundle in memory.bundles]
+    assert len(memories) == cfg.videos
+    for bundle in bundles:
+        assert all(type(t) is float for t in bundle.frames)
+        assert all(a < b for a, b in zip(bundle.frames, bundle.frames[1:]))
+    assert {b.level for b in bundles if len(b.frames) > 1} == {SUB, STEP, GOAL}
 
 
 MEMBERSHIPS = [set(), {STEP}, {SUB}, {SUB, STEP}]
@@ -176,7 +223,7 @@ GAPS = st.sampled_from([0.25, 0.5, 1.0, 3.3, 1e-17])
 def test_memory_matches_scan_on_random_operations(data):
     """Random inserts, commits and queries, each applied to a ContextMemory
     and a ScanMemory and compared. Interval ends never pass the last frame."""
-    memory, scan = ContextMemory(handle), EagerMemory(handle)
+    memory, scan = ContextMemory(), EagerMemory(handle)
     t = data.draw(st.sampled_from([0.0, 1.0, 1e6]))
     seen: list[float] = []
     for n in range(data.draw(st.integers(1, 80))):
@@ -198,14 +245,12 @@ def test_memory_matches_scan_on_random_operations(data):
             scan.commit_prediction(p)
             assert same_frames(memory, scan)
         else:
-            instance = ActionInstance(iv, "", level)
-            assert memory.query(instance) == scan.query(instance)
-    goal = ActionInstance(Interval(0.0, seen[-1]), "", GOAL)
-    assert memory.query(goal) == scan.query(goal)
+            same_bundles(memory, scan, ActionInstance(iv, "", level))
+    same_bundles(memory, scan, ActionInstance(Interval(0.0, seen[-1]), "", GOAL))
 
 
 def prune_both(times, interval):
-    memory, scan = ContextMemory(handle), EagerMemory(handle)
+    memory, scan = ContextMemory(), EagerMemory(handle)
     for t in times:
         memory.insert_frame(t, {SUB, STEP})
         scan.insert_frame(t, {SUB, STEP})

@@ -89,7 +89,7 @@ class TestMemoryInteraction:
 
 
 class TestFrameHandles:
-    """The memory names a frame only when a query returns it."""
+    """A frame is named only when a describer request includes it."""
 
     def test_called_once_per_returned_frame(self, monkeypatch):
         member_frames = 0
@@ -105,8 +105,8 @@ class TestFrameHandles:
         base = mock_describer()
 
         def describe(bundle, request):
-            returned.extend(f.timestamp for f in bundle.frames)
-            assert request.frame_handles == tuple(f"t{f.timestamp!r}" for f in bundle.frames)
+            returned.extend(bundle.frames)
+            assert request.frame_handles == tuple(f"t{t!r}" for t in bundle.frames)
             return base(bundle, request)
 
         def frame_handle(t):

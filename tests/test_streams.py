@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from hierstream.core import FrameScores
 from hierstream.detector import run_stream
+from hierstream.scoring import streams
 from hierstream.scoring.histogram import HistogramConfig, histogram_expectation
 from hierstream.scoring.streams import read_features, read_scores, write_features, write_scores
 from oracles import row_read_features, row_read_scores
@@ -107,15 +108,34 @@ class TestDecodedProgress:
             assert fs.substep_progress == histogram_expectation(fs.substep_progress_dist, cfg)
             assert fs.step_progress == histogram_expectation(fs.step_progress_dist, cfg)
 
-    def test_sum_at_the_tolerance_edge_left_to_the_detector(self, tmp_path):
+    def test_sum_at_the_tolerance_edge_carries_its_decodes(self, tmp_path):
         # The step histogram misses one by 1e-6 less 3e-16: within tolerance
-        # by numpy's sum, but too near it to vouch for the detector's sum.
+        # by numpy's sum, so the frame carries its decode like any other.
         path = tmp_path / "scores.csv"
         path.write_text("timestamp,bg,step,stepsub,sp0,sp1,ssp0,ssp1\n"
                         "0.0,0.0,0.0,1.0,0.5,0.5000009999999996,0.5,0.5\n")
         (fs,) = read_scores(path)
-        assert fs.step_progress is None and fs.substep_progress == 0.5
+        assert fs.step_progress == float(fs.step_progress_dist @ HistogramConfig(bins=2).centers)
+        assert fs.substep_progress == 0.5
         assert len(run_stream([fs], histogram=HistogramConfig(bins=2))) == 2
+
+    @pytest.mark.parametrize("shift", [-1.5, 1.5])
+    def test_decode_outside_the_unit_interval_refused(self, tmp_path, monkeypatch, shift):
+        # Only above about 5e5 bins can a row that passes the per-bin checks
+        # decode outside [0, 1]; shifting one row's decode stands in for
+        # writing a file that wide.
+        path = tmp_path / "scores.csv"
+        write_random_scores(path, np.random.default_rng(5))
+        decode = streams.histogram_expectations
+
+        def shifted(dists, cfg):
+            values = decode(dists, cfg)
+            values[2] += shift
+            return values
+
+        monkeypatch.setattr(streams, "histogram_expectations", shifted)
+        with pytest.raises(ValueError, match=r"scores.csv: data row 3: substep progress decodes to .*, outside \[0, 1\]"):
+            read_scores(path)
 
 
 def _edit_row(path, row, edit):

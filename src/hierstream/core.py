@@ -1,8 +1,8 @@
 """Shared domain types: hierarchy levels, intervals, annotations, frame scores.
 
-Everything here is a plain immutable value type, safe to share between
-threads.  Annotations round-trip through a JSON Lines file format (one
-video per line), read by :func:`read_jsonl` like every JSONL format.
+Everything here is an immutable value type (the frame record a named tuple),
+safe to share between threads. Annotations round-trip through a JSON Lines
+file format (one video per line), read by :func:`read_jsonl` like every JSONL format.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Iterable, TypeVar
@@ -94,38 +95,48 @@ _FRAME_ARRAYS = ("state_probs", "step_progress_dist", "substep_progress_dist")
 _F64 = np.dtype(np.float64)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class FrameScores:
+def _frozen(arr) -> np.ndarray:
+    # Readers hand in read-only float64 row views: leave those untouched.
+    if type(arr) is not np.ndarray or arr.dtype is not _F64:
+        arr = np.asarray(arr, dtype=np.float64)
+    if arr.flags.writeable:
+        arr.setflags(write=False)
+    return arr
+
+
+class FrameScores(namedtuple("FrameScores", ("timestamp", *_FRAME_ARRAYS, "substep_progress", "step_progress"))):
     """Per-frame model outputs: a 3-way state distribution plus one progress
     histogram per instance-bearing level.
 
     All three arrays are probability distributions (non-negative, summing to
-    one within 1e-6). The histogram bin count must be constant across the
-    frames of one stream.
+    one within 1e-6), kept as read-only float64 arrays. The histogram bin
+    count must be constant across the frames of one stream.
 
     ``substep_progress`` and ``step_progress`` are each level's decoded
     progress when the frame's source already knows it, else None. A value
     given must be what ``scoring.histogram.histogram_expectation`` returns
-    for that histogram; the detector uses it as given. ``scoring.streams.read_scores``
-    gives every frame both; the detector decodes where a source gives None.
+    for that histogram; one outside [0, 1] is refused. The detector uses it as
+    given and decodes where it is None; ``scoring.streams.read_scores`` gives every frame both.
+
+    A named tuple, as a stream builds one per frame; ``_make``, ``_replace``,
+    ``copy`` and ``pickle`` convert and check too. Equality and hash are by identity.
     """
 
-    timestamp: float
-    state_probs: np.ndarray
-    step_progress_dist: np.ndarray
-    substep_progress_dist: np.ndarray
-    substep_progress: float | None = None
-    step_progress: float | None = None
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self) -> None:
-        # Readers hand in read-only float64 row views: leave those untouched.
-        arrays = (self.state_probs, self.step_progress_dist, self.substep_progress_dist)
-        for name, arr in zip(_FRAME_ARRAYS, arrays):
-            if type(arr) is not np.ndarray or arr.dtype is not _F64:
-                arr = np.asarray(arr, dtype=np.float64)
-                object.__setattr__(self, name, arr)
-            if arr.flags.writeable:
-                arr.setflags(write=False)
+    def __new__(cls, timestamp: float, state_probs, step_progress_dist, substep_progress_dist,
+                substep_progress: float | None = None, step_progress: float | None = None):
+        if not (substep_progress is None or 0.0 <= substep_progress <= 1.0):  # NaN fails too
+            raise ValueError(f"frame at t={timestamp}: SUBSTEP progress {substep_progress!r} is not in [0, 1]")
+        if not (step_progress is None or 0.0 <= step_progress <= 1.0):
+            raise ValueError(f"frame at t={timestamp}: STEP progress {step_progress!r} is not in [0, 1]")
+        return tuple.__new__(cls, (timestamp, _frozen(state_probs), _frozen(step_progress_dist),
+                                   _frozen(substep_progress_dist), substep_progress, step_progress))
+
+    @classmethod
+    def _make(cls, iterable) -> FrameScores:  # _replace builds through this
+        return cls(*iterable)
 
     def validate(self) -> list[str]:
         problems = []

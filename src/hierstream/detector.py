@@ -11,10 +11,11 @@ A drop-triggered end closes the instance at the previous frame and marks
 the current frame as background for that level, so the follow-up instance
 can open no earlier than the next frame.
 
-Every frame's histograms must have the detector's bin count. Decoded
-progress comes from the frame when it carries it (``scoring.streams.read_scores``
-decodes a whole score CSV at once); otherwise the detector decodes the
-histogram itself with ``histogram_expectation``, checks included.
+Every frame's histograms must have the detector's bin count. After the
+frame's checks, a closed level below the start threshold costs one
+comparison; only a level that is open or may open reads its progress, from
+the frame when it carries it (``scoring.streams.read_scores`` decodes a whole
+score CSV at once), else decoded here with ``histogram_expectation``.
 
 The detector only produces events. Turning them into :class:`Emission`
 records is the online loop's job (``runner.run_described_stream``);
@@ -31,8 +32,6 @@ from typing import Iterable
 from .core import (
     PROB_SLACK,
     PROB_SUM_TOL,
-    STATE_STEP,
-    STATE_STEP_AND_SUBSTEP,
     Emission,
     FrameScores,
     HierarchyLevel,
@@ -88,22 +87,13 @@ class DetectionEvent:
 
 @dataclass(slots=True)
 class _LevelState:
+    level: HierarchyLevel
     ongoing: bool = False
     open_start: float = 0.0
     previous_progress: float = 0.0
 
 
-# Enum member lookups cost about 0.2 us each, so the per-frame path uses these.
-_SUBSTEP, _STEP = HierarchyLevel.SUBSTEP, HierarchyLevel.STEP
-
-# ongoing_levels() results, keyed by (substep ongoing, step ongoing).
-_MEMBERSHIP = {
-    (sub, step): frozenset(
-        level for level, on in ((_SUBSTEP, sub), (_STEP, step)) if on
-    )
-    for sub in (False, True)
-    for step in (False, True)
-}
+_LOW, _HIGH, _INF = -PROB_SLACK, 1 + PROB_SLACK, math.inf  # a state probability's bounds; a timestamp's upper one
 
 
 class StreamDetector:
@@ -117,106 +107,105 @@ class StreamDetector:
         self.cfg = cfg
         self.histogram = histogram
         self._shape = (histogram.bins,)  # of each progress histogram
-        self._levels = {level: _LevelState() for level in self.LEVELS}
-        self._last_ts: float | None = None
+        self._levels = tuple(_LevelState(level) for level in self.LEVELS)
+        self._last_ts = -math.inf  # no frame yet
         self._finished = False
 
     def ongoing_levels(self) -> frozenset[HierarchyLevel]:
         """Levels with an open instance; the membership a frame stored right
         after :meth:`step` should carry."""
-        levels = self._levels
-        return _MEMBERSHIP[levels[_SUBSTEP].ongoing, levels[_STEP].ongoing]
+        sub, step = self._levels
+        return _MEMBERSHIP[sub.ongoing, step.ongoing]
 
     def step(self, fs: FrameScores) -> list[DetectionEvent]:
         if self._finished:
             raise RuntimeError("detector already finished")
-        t = fs.timestamp
-        check_timestamp(t, self._last_ts)
+        t, state, step_dist, sub_dist, sub_p, step_p = fs  # FrameScores' field order
+        last = self._last_ts
+        if not last < t < _INF:  # inline, as a call costs more than the rule's two comparisons
+            check_timestamp(t, last)  # for its message
 
-        if fs.state_probs.shape != (3,):
-            raise ValueError(
-                f"frame at t={t}: state distribution has shape {fs.state_probs.shape}, not 3 entries"
-            )
-        probs = fs.state_probs.tolist()
-        # Each level's actionness in LEVELS order, marginalized from the
-        # 3-state distribution (substeps imply an enclosing step).
-        acts = (probs[STATE_STEP_AND_SUBSTEP], probs[STATE_STEP] + probs[STATE_STEP_AND_SUBSTEP])
+        if state.shape != (3,):
+            raise ValueError(f"frame at t={t}: state distribution has shape {state.shape}, not 3 entries")
+        probs = state.tolist()
+        bg, step_only, both = probs  # core's STATE_BG, STATE_STEP, STATE_STEP_AND_SUBSTEP
+        # Each level's actionness, marginalized from the 3-state distribution
+        # (substeps imply an enclosing step).
+        sub_act, step_act = both, step_only + both
         # A sum near one also means finite actionness, which the threshold
         # tests below need (NaN fails both). A failing frame is named by its
         # first non-finite actionness, else by its sum (a NaN bg included).
         total = sum(probs)
         if not abs(total - 1.0) <= PROB_SUM_TOL:
-            for level, act in zip(self.LEVELS, acts):
+            for level, act in zip(self.LEVELS, (sub_act, step_act)):
                 if not math.isfinite(act):
                     raise ValueError(f"frame at t={t}: {level.name} actionness {act!r} is not finite")
             raise ValueError(f"frame at t={t}: state distribution sums to {total!r}, not 1")
-        if min(probs) < -PROB_SLACK or max(probs) > 1 + PROB_SLACK:
+        if not (_LOW <= bg <= _HIGH and _LOW <= step_only <= _HIGH and _LOW <= both <= _HIGH):  # cheaper than min, max
             raise ValueError(f"frame at t={t}: state distribution {probs} has entries outside [0, 1]")
 
-        cfg, shape = self.cfg, self._shape
-        sub_dist, step_dist = fs.substep_progress_dist, fs.step_progress_dist
+        shape = self._shape
         if sub_dist.shape != shape or step_dist.shape != shape:
-            level, dist = (_SUBSTEP, sub_dist) if sub_dist.shape != shape else (_STEP, step_dist)
+            level, dist = ((HierarchyLevel.SUBSTEP, sub_dist) if sub_dist.shape != shape
+                           else (HierarchyLevel.STEP, step_dist))
             raise ValueError(f"frame at t={t}: {level.name} progress: expected {shape[0]} bins, got shape {dist.shape}")
+
         events: list[DetectionEvent] = []
-        for level, act, dist, p in zip(
-            self.LEVELS, acts, (sub_dist, step_dist), (fs.substep_progress, fs.step_progress),
-        ):
-            ls = self._levels[level]
-            suppressed = False
-            # Progress is read only where an instance is open or may open.
-            if (ls.ongoing or act >= cfg.start_threshold) and p is None:
-                p = histogram_expectation(dist, self.histogram)
-
-            if ls.ongoing:
-                dropped = (
-                    ls.previous_progress - p >= cfg.drop_delta
-                    and ls.previous_progress >= cfg.min_progress_for_drop
-                )
-                if dropped:
-                    # Progress collapsed: the instance ended at the previous
-                    # frame and this frame belongs to no instance at this level.
-                    events.append(DetectionEvent(
-                        EventKind.INSTANCE_ENDED, level, t,
-                        Interval(ls.open_start, self._last_ts),
-                    ))
-                    ls.ongoing = False
-                    suppressed = True
-                elif act < cfg.start_threshold:
-                    events.append(DetectionEvent(
-                        EventKind.INSTANCE_ENDED, level, t,
-                        Interval(ls.open_start, t),
-                    ))
-                    ls.ongoing = False
-                else:
-                    ls.previous_progress = p
-
-            if not ls.ongoing and not suppressed and act >= cfg.start_threshold:
-                ls.ongoing = True
-                ls.open_start = t
-                ls.previous_progress = p
-                events.append(DetectionEvent(EventKind.INSTANCE_STARTED, level, t))
-
+        threshold = self.cfg.start_threshold
+        sub, step = self._levels
+        if sub.ongoing or sub_act >= threshold:
+            self._advance(sub, sub_act, sub_dist, sub_p, t, events)
+        if step.ongoing or step_act >= threshold:
+            self._advance(step, step_act, step_dist, step_p, t, events)
         self._last_ts = t
         return events
 
+    def _advance(self, ls: _LevelState, act: float, dist, p: float | None, t: float,
+                 events: list[DetectionEvent]) -> None:
+        """One frame at a level that is open or may open: decode its progress
+        unless the frame carries it, then the end check, then the start check."""
+        if p is None:
+            p = histogram_expectation(dist, self.histogram)
+        cfg = self.cfg
+        if ls.ongoing:
+            if ls.previous_progress - p >= cfg.drop_delta and ls.previous_progress >= cfg.min_progress_for_drop:
+                # Progress collapsed: the instance ended at the previous
+                # frame and this frame belongs to no instance at this level.
+                end = self._last_ts
+            elif act < cfg.start_threshold:
+                end = t
+            else:
+                ls.previous_progress = p
+                return
+            events.append(DetectionEvent(EventKind.INSTANCE_ENDED, ls.level, t, Interval(ls.open_start, end)))
+            ls.ongoing = False
+        else:  # closed, and the actionness reached the start threshold
+            ls.ongoing = True
+            ls.open_start = t
+            ls.previous_progress = p
+            events.append(DetectionEvent(EventKind.INSTANCE_STARTED, ls.level, t))
+
     def finish(self) -> list[DetectionEvent]:
-        """End-of-stream closes at the last timestamp (0.0 if none)."""
+        """End-of-stream closes at the last timestamp."""
         if self._finished:
             raise RuntimeError("finish() called twice")
         self._finished = True
-        t = self._last_ts if self._last_ts is not None else 0.0
+        t = self._last_ts
 
         events: list[DetectionEvent] = []
         if self.cfg.close_incomplete_at_eos:
-            for level in self.LEVELS:
-                ls = self._levels[level]
+            for ls in self._levels:
                 if ls.ongoing:
-                    events.append(DetectionEvent(
-                        EventKind.INSTANCE_ENDED, level, t, Interval(ls.open_start, t),
-                    ))
+                    events.append(DetectionEvent(EventKind.INSTANCE_ENDED, ls.level, t, Interval(ls.open_start, t)))
                     ls.ongoing = False
         return events
+
+
+# ongoing_levels() results, keyed by (substep ongoing, step ongoing).
+_MEMBERSHIP = {
+    key: frozenset(level for level, on in zip(StreamDetector.LEVELS, key) if on)
+    for key in ((False, False), (False, True), (True, False), (True, True))
+}
 
 
 def run_stream(

@@ -1,4 +1,7 @@
+import copy
 import json
+import math
+import pickle
 import re
 
 import numpy as np
@@ -217,6 +220,71 @@ class TestFrameScores:
         for arr in (fs.step_progress_dist, fs.substep_progress_dist):
             assert arr.dtype == np.float64 and not arr.flags.writeable
         np.testing.assert_array_equal(fs.substep_progress_dist, [1.0, 0.0])
+
+
+def _frame(**decodes):
+    return FrameScores(0.5, [0.2, 0.3, 0.5], np.full(10, 0.1), np.full(10, 0.1), **decodes)
+
+
+COPIES = {
+    "_replace": lambda fs: fs._replace(),
+    "_make": lambda fs: FrameScores._make(fs),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda fs: pickle.loads(pickle.dumps(fs)),
+}
+
+
+class TestFrameScoresRecord:
+    @pytest.mark.parametrize("name", ["timestamp", "state_probs", "substep_progress", "new_field"])
+    def test_attributes_cannot_be_set(self, name):
+        with pytest.raises(AttributeError):
+            setattr(_frame(), name, 1.0)
+
+    def test_equal_contents_not_equal_and_hashable(self):
+        a, b = _frame(), _frame()
+        assert a != b and not a == b and a == a
+        assert len({a, b}) == 2 and hash(a) == hash(a)
+
+    def test_keyword_positional_and_defaults(self):
+        dists = [0.2, 0.3, 0.5], [0.5, 0.5], [1.0, 0.0]
+        by_keyword = FrameScores(timestamp=1.0, state_probs=dists[0], step_progress_dist=dists[1],
+                                 substep_progress_dist=dists[2], step_progress=0.25)
+        positional = FrameScores(1.0, *dists, None, 0.25)
+        for fs in by_keyword, positional:
+            assert fs.timestamp == 1.0 and fs.substep_progress is None and fs.step_progress == 0.25
+            np.testing.assert_array_equal(fs.step_progress_dist, [0.5, 0.5])
+        plain = FrameScores(1.0, *dists)
+        assert plain.substep_progress is None and plain.step_progress is None
+
+    @pytest.mark.parametrize("level", ["substep", "step"])
+    @pytest.mark.parametrize("bad", [math.nan, -3.0, 7.0])
+    def test_decode_outside_the_unit_interval_refused(self, level, bad):
+        with pytest.raises(ValueError, match=rf"frame at t=0.5: {level.upper()} progress {bad!r} is not in \[0, 1\]"):
+            _frame(**{f"{level}_progress": bad})
+
+    @pytest.mark.parametrize("good", [0.0, 1.0, None])
+    def test_decode_on_the_unit_interval_kept(self, good):
+        fs = _frame(substep_progress=good, step_progress=good)
+        assert fs.substep_progress is good and fs.step_progress is good
+
+    @pytest.mark.parametrize("how", COPIES)
+    def test_copies_are_read_only_float64(self, how):
+        fs = COPIES[how](_frame(substep_progress=0.25))
+        assert type(fs) is FrameScores and fs.substep_progress == 0.25
+        for arr in (fs.state_probs, fs.step_progress_dist, fs.substep_progress_dist):
+            assert type(arr) is np.ndarray and arr.dtype == np.float64 and not arr.flags.writeable
+
+    def test_replace_and_make_convert_and_check(self):
+        fs = _frame()
+        replaced = fs._replace(state_probs=[1, 0, 0])
+        assert replaced.state_probs.dtype == np.float64 and not replaced.state_probs.flags.writeable
+        made = FrameScores._make([0.5, np.array([1.0, 0.0, 0.0]), [1.0], [1.0], None, None])
+        assert not made.state_probs.flags.writeable and made.step_progress_dist.dtype == np.float64
+        with pytest.raises(ValueError, match="STEP progress nan is not in"):
+            fs._replace(step_progress=math.nan)
+        with pytest.raises(ValueError, match="SUBSTEP progress 7.0 is not in"):
+            FrameScores._make([*fs[:4], 7.0, None])
 
 
 def _write_feature_csv(path, timestamps):

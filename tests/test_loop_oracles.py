@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierstream import runner
+from hierstream import detector, runner
 from hierstream.core import ActionInstance, HierarchyLevel, Interval
 from hierstream.describer.responses import default_frame_handle
 from hierstream.detector import DetectorConfig, StreamDetector
@@ -19,7 +19,7 @@ from hierstream.runner import mock_describer, run_described_stream
 from hierstream.scoring.histogram import HistogramConfig, histogram_expectation
 from hierstream.simulator import SimConfig, gen_annotations, gen_scores
 
-from oracles import EventKind, ScanDetector, ScanMemory, scan_histogram_expectation
+from oracles import EventKind, ScanDetector, ScanMemory, actionness, scan_histogram_expectation
 
 SUB = HierarchyLevel.SUBSTEP
 STEP = HierarchyLevel.STEP
@@ -84,6 +84,27 @@ def test_detector_matches_scan_after_every_frame(stream, cfg):
     *scan_closes, goal_due = scan.finish()
     assert goal_due.kind == EventKind.GOAL_DUE
     assert det.finish() == scan_closes
+
+
+@PROPERTY
+@given(stream=sim_streams(), cfg=detector_configs)
+def test_decodes_only_where_a_level_is_open_or_may_open(stream, cfg):
+    """``gen_scores`` frames carry no decodes, so the detector decodes one
+    histogram for each (frame, level) pair whose level was open before the
+    frame or whose actionness reached the start threshold, and no other."""
+    scan, due = ScanDetector(cfg), 0
+    for fs in stream:
+        open_before = scan.ongoing_levels()
+        due += sum(level in open_before or actionness(fs, level) >= cfg.start_threshold
+                   for level in scan.LEVELS)
+        scan.step(fs)
+    calls = []
+    with mock.patch.object(detector, "histogram_expectation",
+                           lambda *a: calls.append(1) or histogram_expectation(*a)):
+        det = StreamDetector(cfg)
+        for fs in stream:
+            det.step(fs)
+    assert len(calls) == due
 
 
 def handle(t):

@@ -4,7 +4,6 @@ once per score CSV, and the online invariants on random valid score
 streams."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,7 +81,7 @@ def test_read_back_stream_same_with_or_without_its_decodes(tmp_path, monkeypatch
     write_scores(path, sim_stream(seed=4, noise=2.0))
     decoded = read_scores(path)
     assert all(fs.substep_progress is not None and fs.step_progress is not None for fs in decoded)
-    stripped = [replace(fs, substep_progress=None, step_progress=None) for fs in decoded]
+    stripped = [fs._replace(substep_progress=None, step_progress=None) for fs in decoded]
     decodes = []
     original = detector.histogram_expectation
     monkeypatch.setattr(detector, "histogram_expectation", lambda *a: decodes.append(1) or original(*a))

@@ -81,6 +81,20 @@ _HEADS = (("state_logits", "w_state", "b_state"), ("step_logits", "w_step", "b_s
           ("sub_logits", "w_sub", "b_sub"))
 
 
+def _param_shapes(cfg: ScorerConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in initialisation order."""
+    h, bins = cfg.hidden_dim, cfg.histogram.bins
+    shapes: dict[str, tuple[int, ...]] = {}
+    for layer in range(cfg.recurrent_layers):
+        shapes[f"wx{layer}"] = (h, cfg.feature_dim if layer == 0 else h)
+        shapes[f"wh{layer}"] = (h, h)
+        shapes[f"b{layer}"] = (h,)
+    for name, out_dim in (("state", 3), ("step", bins), ("sub", bins)):
+        shapes[f"w_{name}"] = (out_dim, h)
+        shapes[f"b_{name}"] = (out_dim,)
+    return shapes
+
+
 def _matvecs(w: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write ``w @ row`` for each row of a (T, D) array into the rows of
     ``out`` and return it: one BLAS gemv per row, looped in C (one row, the
@@ -113,17 +127,10 @@ class ScorerModel:
 
     @classmethod
     def init(cls, cfg: ScorerConfig, seed: int = 0) -> "ScorerModel":
+        """Weights drawn from N(0, 1/fan_in), biases zero."""
         rng = np.random.default_rng(seed)
-        h, bins = cfg.hidden_dim, cfg.histogram.bins
-        params: dict[str, np.ndarray] = {}
-        for layer in range(cfg.recurrent_layers):
-            in_dim = cfg.feature_dim if layer == 0 else h
-            params[f"wx{layer}"] = rng.normal(0, 1.0 / np.sqrt(in_dim), (h, in_dim))
-            params[f"wh{layer}"] = rng.normal(0, 1.0 / np.sqrt(h), (h, h))
-            params[f"b{layer}"] = np.zeros(h)
-        for name, out_dim in (("state", 3), ("step", bins), ("sub", bins)):
-            params[f"w_{name}"] = rng.normal(0, 1.0 / np.sqrt(h), (out_dim, h))
-            params[f"b_{name}"] = np.zeros(out_dim)
+        params = {k: rng.normal(0, 1.0 / np.sqrt(shape[1]), shape) if len(shape) == 2 else np.zeros(shape)
+                  for k, shape in _param_shapes(cfg).items()}
         return cls(cfg, params)
 
     def save(self, path) -> None:
@@ -152,6 +159,18 @@ class ScorerModel:
             hidden_dim=int(meta["hidden_dim"]),
             histogram=HistogramConfig(bins=int(meta["bins"]), sigma=float(meta["sigma"])),
         )
+        shapes = _param_shapes(cfg)
+        extra = sorted(params.keys() - shapes.keys())
+        if extra:
+            raise ValueError(f"{path}: parameter {extra[0]} is not one of this model's")
+        for k, shape in shapes.items():
+            if k not in params:
+                raise ValueError(f"{path}: parameter {k} is missing")
+            v = params[k]
+            if v.dtype != np.float64 or v.shape != shape:
+                raise ValueError(f"{path}: parameter {k} is {v.dtype} {v.shape}, the meta implies float64 {shape}")
+            if not np.isfinite(v).all():
+                raise ValueError(f"{path}: parameter {k} holds a non-finite value")
         return cls(cfg, params)
 
     def zero_state(self) -> list[np.ndarray]:

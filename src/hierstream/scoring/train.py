@@ -2,19 +2,33 @@
 
 Targets come straight from annotations: per-frame state classes plus
 histogram-encoded progress for frames inside step/substep instances.
-Training is single-threaded and fully determined by the seed.
+Training is fully determined by the seed. Within a batch, models from
+``OVERLAP_MIN_HIDDEN`` up run each BPTT window's forward and loss on a
+worker thread, one window ahead of the calling thread's backward (GPipe's
+forward/backward pipelining, Huang et al., arXiv:1811.06965). BLAS releases
+the interpreter lock, so the two overlap on a second CPU; the parameters are
+fixed within a batch and only the calling thread writes the accumulator, so
+every operation and its order are those of the sequential loop, and the
+weights and loss trace are bit-identical either way.
 
 Memory stays bounded by four parameter-sized dicts: the parameters, AdamW's
 two moments and one batch accumulator, allocated once. Each BPTT window's
 gradients are added straight into the accumulator by
 ``ScorerModel.backward``, one parameter-sized temporary at a time, and
 ``AdamW.step`` updates moments and parameters in place through two scratch
-buffers the size of the largest parameter. One epoch of eight 30 s videos
-(L=3, window 64, BLAS on one thread, numpy 2.4) peaks at 49.1 MiB resident
-at h=256 and at 138.2 MiB at h=768.
+buffers the size of the largest parameter. Besides these, at most two
+window caches are alive, the one last drawn and the one being built, plus,
+when overlapped, the hidden states of the window before them, which the
+start state of the window in backward views. One epoch of eight 30 s videos
+(L=3, window 64, BLAS on one thread, numpy 2.4, 2 CPUs) peaks at 50.1 MiB
+resident at h=256 and at 142.2 MiB at h=768.
 """
 
 from __future__ import annotations
+
+import os
+from collections.abc import Iterator
+from contextlib import closing
 
 import numpy as np
 
@@ -23,12 +37,14 @@ from .rnn import ScorerConfig, ScorerModel
 from .targets import frame_targets
 
 
+_TARGET_KEYS = ("state", "step_target", "step_mask", "sub_target", "sub_mask")
+
+
 def build_frame_targets(a: AnnotationSet, cfg: ScorerConfig) -> dict[str, np.ndarray]:
     """Per-frame training targets for one video at its fps grid."""
     ts = frame_timestamps(a.duration, a.fps)
     targets = frame_targets(a, ts, cfg.histogram)
-    keys = ("state", "step_target", "step_mask", "sub_target", "sub_mask")
-    return {"timestamps": ts, **{k: targets[k] for k in keys}}
+    return {"timestamps": ts, **{k: targets[k] for k in _TARGET_KEYS}}
 
 
 # AdamW's moment decay rates and denominator guard.
@@ -75,33 +91,68 @@ class AdamW:
             p -= s1
 
 
-def _video_grads(
-    model: ScorerModel, features: np.ndarray, targets: dict[str, np.ndarray], acc: dict[str, np.ndarray]
-) -> tuple[float, int]:
-    """Windowed forward/backward over one video, gradients added into ``acc``
-    by ``backward``; hidden state carries across windows but gradients do not
-    (truncated BPTT). A window's cache is dropped before the next forward."""
+# Hidden sizes from which a batch's next window runs forward on a worker
+# thread while this one runs backward. Below it the two threads spend more
+# time taking turns at the interpreter lock than the overlap saves: one
+# epoch of the benchmark's eight 30 s videos (L=3, window 64, 2 CPUs, BLAS
+# on one thread) took longer overlapped up to h=192 and less from h=224.
+OVERLAP_MIN_HIDDEN = 224
+
+
+def _overlapped(cfg: ScorerConfig) -> bool:
+    """Whether training overlaps windows: only with a second CPU for the
+    worker thread and a model large enough to pay for it."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return cpus >= 2 and cfg.hidden_dim >= OVERLAP_MIN_HIDDEN
+
+
+def _windows(model: ScorerModel, feats: list[np.ndarray], targets: list[dict[str, np.ndarray]], batch):
+    """Forward and loss of every BPTT window of the batch's videos, in
+    (video, window) order, as ``(video, h0, cache, loss, d_logits)``; hidden
+    state carries across a video's windows, gradients do not (truncated
+    BPTT). Reads the parameters and writes nothing it has yielded."""
     W = model.cfg.bptt_window
-    T = features.shape[0]
-    loss_sum, n_windows = 0.0, 0
-    h = model.zero_state()
-    for start in range(0, T, W):
-        stop = min(start + W, T)
-        cache = model.forward(features[start:stop], h0=h)
-        loss, d_logits = model.window_loss(
-            cache,
-            targets["state"][start:stop],
-            targets["step_target"][start:stop],
-            targets["step_mask"][start:stop],
-            targets["sub_target"][start:stop],
-            targets["sub_mask"][start:stop],
-        )
-        model.backward(cache, d_logits, h, acc)
-        loss_sum += loss
-        n_windows += 1
-        h = cache["h_last"]
-        del cache, d_logits
-    return loss_sum, n_windows
+    for vid in batch:
+        f, tg = feats[vid], targets[vid]
+        h = model.zero_state()
+        for start in range(0, len(f), W):
+            cache = model.forward(f[start:start + W], h0=h)
+            loss, d_logits = model.window_loss(cache, *(tg[k][start:start + W] for k in _TARGET_KEYS))
+            yield vid, h, cache, loss, d_logits
+            h = cache["h_last"]
+
+
+def _prefetched(items: Iterator):
+    """``items``, each drawn on a worker thread while the caller works on
+    the one before, so at most two are alive at once. An exception raised
+    drawing one is raised here as it is; closing the generator waits for
+    the draw in progress, then ends the thread."""
+    from concurrent.futures import ThreadPoolExecutor  # here, not at the top: keeps it out of start-up
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        ahead = pool.submit(next, items, None)
+        while (item := ahead.result()) is not None:
+            ahead = pool.submit(next, items, None)
+            yield item
+
+
+def _batch_grads(
+    model: ScorerModel, feats: list[np.ndarray], targets: list[dict[str, np.ndarray]], batch,
+    acc: dict[str, np.ndarray], overlap: bool,
+) -> tuple[list[float], int]:
+    """Gradients of one batch added into ``acc`` by ``backward``, window by
+    window in (video, window) order, the next window's forward overlapping
+    this one's backward when ``overlap`` is set. Returns the per-video loss
+    sums and the window count."""
+    windows = _windows(model, feats, targets, batch)
+    video_loss: dict[int, float] = {}
+    n_windows = 0
+    with closing(_prefetched(windows) if overlap else windows) as items:
+        for vid, h0, cache, loss, d_logits in items:
+            model.backward(cache, d_logits, h0, acc)
+            video_loss[vid] = video_loss.get(vid, 0.0) + loss
+            n_windows += 1
+    return list(video_loss.values()), n_windows
 
 
 def train_scorer(
@@ -125,6 +176,9 @@ def train_scorer(
             raise ValueError(
                 f"features for {a.video_id}: {f.shape[0]} frames, annotations imply {expected}"
             )
+        if not np.isfinite(f).all():
+            row, col = np.argwhere(~np.isfinite(f))[0]
+            raise ValueError(f"features for {a.video_id}: row {row}, column {col} is {f[row, col]}, not finite")
 
     targets = [build_frame_targets(a, cfg) for a in annotations]
     model = ScorerModel.init(cfg, seed=seed)
@@ -134,6 +188,7 @@ def train_scorer(
     trace: list[float] = []
     n = len(feats)
     acc = {k: np.zeros_like(v) for k, v in model.params.items()}
+    overlap = _overlapped(cfg)
     for _epoch in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_loss, epoch_windows = 0.0, 0
@@ -141,12 +196,10 @@ def train_scorer(
             batch = order[batch_start: batch_start + cfg.batch_size]
             for g in acc.values():
                 g.fill(0.0)
-            batch_windows = 0
-            for vid in batch:
-                loss_sum, n_windows = _video_grads(model, feats[vid], targets[vid], acc)
+            video_losses, batch_windows = _batch_grads(model, feats, targets, batch, acc, overlap)
+            for loss_sum in video_losses:
                 epoch_loss += loss_sum
-                epoch_windows += n_windows
-                batch_windows += n_windows
+            epoch_windows += batch_windows
             for k in acc:
                 acc[k] /= max(1, batch_windows)
             opt.step(model.params, acc)

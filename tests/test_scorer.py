@@ -396,6 +396,22 @@ class TestSerialization:
         for k in model.params:
             np.testing.assert_array_equal(model.params[k], loaded.params[k])
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p.pop("wh1"), "parameter wh1 is missing"),
+        (lambda p: p.update(wh1=np.eye(5)), r"parameter wh1 is float64 \(5, 5\), the meta implies float64 \(6, 6\)"),
+        (lambda p: p.update(wh1=np.eye(6, dtype=np.int64)), r"parameter wh1 is int64 \(6, 6\)"),
+        (lambda p: p["wh1"].__setitem__((2, 3), np.nan), "parameter wh1 holds a non-finite value"),
+        (lambda p: p.update(wh2=np.eye(6)), "parameter wh2 is not one of this model's"),
+    ], ids=["missing", "shape", "dtype", "nan", "extra"])
+    def test_parameters_not_matching_meta_refused_naming_file(self, tmp_path, edit, message):
+        model = ScorerModel.init(small_cfg(), seed=9)
+        edit(model.params)
+        path = tmp_path / "model.npz"
+        model.save(path)
+        with pytest.raises(ValueError, match=message) as caught:
+            ScorerModel.load(path)
+        assert str(caught.value).startswith(f"{path}: ")
+
     def test_crafted_meta_refused_without_running_it(self, tmp_path):
         marker = tmp_path / "ran"
 

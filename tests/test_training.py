@@ -1,3 +1,6 @@
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,7 +11,8 @@ from hierstream.detector import run_stream
 from hierstream.metrics.matching import hungarian_f1_corpus
 from hierstream.scoring.histogram import HistogramConfig
 from hierstream.scoring.rnn import ScorerConfig, ScorerModel, infer_scores
-from hierstream.scoring.train import AdamW, _video_grads, build_frame_targets, train_scorer
+from hierstream.scoring import train
+from hierstream.scoring.train import AdamW, _batch_grads, build_frame_targets, train_scorer
 from hierstream.simulator import SimConfig, gen_annotations, gen_features
 from oracles import dict_train_scorer
 
@@ -86,6 +90,14 @@ class TestTrainScorer:
         bad = [f[:, :5] for f in feats]
         with pytest.raises(ValueError):
             train_scorer(bad, anns, desk_cfg(), seed=0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected_before_training(self, value, monkeypatch):
+        _, anns, feats = corpus(videos=2)
+        feats[1][7, 3] = value
+        monkeypatch.setattr(ScorerModel, "forward", lambda *a, **k: pytest.fail("a window ran"))
+        with pytest.raises(ValueError, match=f"features for {anns[1].video_id}: row 7, column 3 is {value}"):
+            train_scorer(feats, anns, desk_cfg(), seed=0)
 
     def test_frame_count_mismatch_rejected(self):
         _, anns, feats = corpus(videos=2)
@@ -167,6 +179,8 @@ class TestBoundedMemory:
         assert traced_peak(lambda: opt.step(model.params, grads)) <= 3 * largest
 
     def test_video_grads_holds_no_second_gradient_dict(self):
+        # Overlapped, the window running forward on the worker thread and
+        # its cache count too.
         cfg = ScorerConfig(**self.CFG)
         model = ScorerModel.init(cfg, seed=0)
         _, anns, feats = corpus(videos=1)
@@ -174,4 +188,92 @@ class TestBoundedMemory:
         assert len(feats[0]) > 2 * cfg.bptt_window
         acc = {k: np.zeros_like(v) for k, v in model.params.items()}
         one_dict = sum(v.nbytes for v in acc.values())
-        assert traced_peak(lambda: _video_grads(model, feats[0], targets, acc)) < one_dict
+        for overlap in (False, True):
+            assert traced_peak(lambda: _batch_grads(model, feats, [targets], [0], acc, overlap)) < one_dict
+
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+two_cpus = pytest.mark.skipif(CPUS < 2, reason="overlap needs a second CPU")
+
+
+@pytest.fixture
+def prefetches(monkeypatch):
+    """Counts the batches whose windows ran forward on a worker thread."""
+    calls = []
+    prefetched = train._prefetched
+
+    def counted(items):
+        calls.append(1)
+        return prefetched(items)
+
+    monkeypatch.setattr(train, "_prefetched", counted)
+    return calls
+
+
+@pytest.fixture
+def fast_switching():
+    """The interpreter switches threads every microsecond instead of every
+    5 ms, so the two threads interleave at many more points."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+@two_cpus
+class TestOverlapped:
+    """The next window's forward on a worker thread while this one runs
+    backward: the same operations in the same order, so bit for bit the
+    sequential form's and the oracle's weights and loss trace."""
+
+    def test_only_models_from_the_crossover_up_overlap(self):
+        assert not train._overlapped(desk_cfg(hidden_dim=train.OVERLAP_MIN_HIDDEN - 1))
+        assert train._overlapped(desk_cfg(hidden_dim=train.OVERLAP_MIN_HIDDEN))
+
+    @pytest.mark.parametrize("trial", range(6))
+    def test_oracle_trials_overlapped(self, trial, prefetches, monkeypatch, fast_switching):
+        monkeypatch.setattr(train, "OVERLAP_MIN_HIDDEN", 1)
+        TestAgainstDictOracle().test_train_scorer_matches_oracle_bit_for_bit(trial)
+        assert prefetches
+
+    @pytest.mark.parametrize("overrides", [dict(batch_size=1), dict(hidden_dim=train.OVERLAP_MIN_HIDDEN)],
+                             ids=["batch-size-1", "hidden-at-crossover"])
+    def test_matches_sequential_and_oracle(self, overrides, prefetches, monkeypatch, fast_switching):
+        sim = SimConfig(seed=5, videos=3, noise_sigma=0.3, duration_range=(8.0, 16.0))
+        anns = gen_annotations(sim)
+        feats = [gen_features(a, sim, seed=5)[1] for a in anns]
+        cfg = desk_cfg(epochs=2, bptt_window=7, **overrides)
+        if "hidden_dim" not in overrides:
+            monkeypatch.setattr(train, "OVERLAP_MIN_HIDDEN", 1)
+        model, trace = train_scorer(feats, anns, cfg, seed=2)
+        assert len(prefetches) == 2 * -(-3 // cfg.batch_size)
+        monkeypatch.setattr(train, "OVERLAP_MIN_HIDDEN", 10**9)
+        seq, seq_trace = train_scorer(feats, anns, cfg, seed=2)
+        ref, ref_trace = dict_train_scorer(feats, anns, cfg, seed=2)
+        assert len(prefetches) == 2 * -(-3 // cfg.batch_size)
+        assert trace == seq_trace == ref_trace
+        for name in ref.params:
+            assert np.array_equal(model.params[name], seq.params[name]), name
+            assert np.array_equal(model.params[name], ref.params[name]), name
+
+    @pytest.mark.parametrize("method", ["forward", "backward"])
+    def test_exception_leaves_unchanged_and_no_thread_outlives(self, method, prefetches, monkeypatch):
+        _, anns, feats = corpus(videos=2)
+        monkeypatch.setattr(train, "OVERLAP_MIN_HIDDEN", 1)
+        boom, calls, threads = RuntimeError("boom"), [], []
+        original = getattr(ScorerModel, method)
+
+        def failing(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                threads.append(threading.current_thread())
+                raise boom
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ScorerModel, method, failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as caught:
+            train_scorer(feats, anns, desk_cfg(), seed=0)
+        assert caught.value is boom and prefetches
+        assert (threads[0] is threading.main_thread()) == (method == "backward")
+        assert threading.active_count() == before

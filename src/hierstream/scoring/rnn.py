@@ -4,12 +4,12 @@ linear heads (state class, step progress, substep progress).
 All math is plain numpy with hand-written backpropagation; no autodiff.
 The forward pass is strictly causal, so scores for frame t depend only on
 frames 0..t and inference over a prefix equals the prefix of full-sequence
-inference exactly. Forward runs layer by layer: each layer's input
+inference exactly. Inference runs layer by layer: each layer's input
 projection and the heads are per-row gemvs batched in C, and only the
-recurrence loops in Python. There is no GEMM, since GEMM rows can round
-differently from per-row matvecs and break that bit identity; backward is
-layer-major, with one GEMM per weight gradient (Appleyard et al.,
-arXiv:1604.01946).
+recurrence loops in Python. Inference has no GEMM, since GEMM rows can
+round differently from per-row matvecs and break that bit identity.
+Training's forward and the backward pass are GEMMs over a time-major block
+of a batch's windows (Appleyard et al., arXiv:1604.01946).
 """
 
 from __future__ import annotations
@@ -147,18 +147,25 @@ class ScorerModel:
     @classmethod
     def load(cls, path) -> "ScorerModel":
         with np.load(path, allow_pickle=False) as data:
+            if "__meta__" not in data.files:
+                raise ValueError(f"{path}: no __meta__ entry")
             try:
                 meta = data["__meta__"]
             except ValueError:  # an object array: files saved before the meta was strings
                 meta = _unpickle_array(data.zip, "__meta__.npy")
-            meta = {str(k): str(v) for k, v in meta.tolist()}
             params = {k: data[k] for k in data.files if k != "__meta__"}
-        cfg = ScorerConfig(
-            feature_dim=int(meta["feature_dim"]),
-            recurrent_layers=int(meta["recurrent_layers"]),
-            hidden_dim=int(meta["hidden_dim"]),
-            histogram=HistogramConfig(bins=int(meta["bins"]), sigma=float(meta["sigma"])),
-        )
+        try:
+            meta = {str(k): str(v) for k, v in meta.tolist()}
+            cfg = ScorerConfig(
+                feature_dim=int(meta["feature_dim"]),
+                recurrent_layers=int(meta["recurrent_layers"]),
+                hidden_dim=int(meta["hidden_dim"]),
+                histogram=HistogramConfig(bins=int(meta["bins"]), sigma=float(meta["sigma"])),
+            )
+        except KeyError as e:
+            raise ValueError(f"{path}: meta has no {e.args[0]}") from e
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{path}: bad meta: {e}") from e
         shapes = _param_shapes(cfg)
         extra = sorted(params.keys() - shapes.keys())
         if extra:
@@ -225,6 +232,27 @@ class ScorerModel:
             cache[key] = _matvecs(p[w], inp, np.empty((T, len(p[b])))) + p[b]
         return cache
 
+    def forward_block(self, features: np.ndarray, h0: list[np.ndarray]) -> dict[str, np.ndarray]:
+        """Training's :meth:`forward` over a time-major (T, B, D) block, column
+        b started from row b of each layer's (B, H) state in ``h0``: input
+        projections and heads are one GEMM over the T·B rows, each frame's
+        recurrence one ``(B, H) @ wh.T``; the cache gains a batch axis."""
+        (T, B, _), H = features.shape, self.cfg.hidden_dim
+        p, inp, hs, h_last = self.params, features, np.empty((len(h0), T, B, H)), []
+        for prev, (wx, wh, b), out in zip(h0, self._layer_keys, hs):
+            np.matmul(inp.reshape(T * B, -1), p[wx].T, out=out.reshape(T * B, H))
+            wh_t, b = np.ascontiguousarray(p[wh].T), p[b]  # BLAS is faster on it than on the view
+            for row in out:
+                row += prev @ wh_t
+                row += b
+                prev = np.tanh(row, out=row)
+            h_last.append(prev)
+            inp = out
+        cache = {"features": features, "hidden": hs, "h_last": h_last}
+        for key, w, b in _HEADS:
+            cache[key] = (_rows(inp) @ p[w].T + p[b]).reshape(T, B, -1)
+        return cache
+
     # ------------------------------------------------------------------
     # loss and gradients
     # ------------------------------------------------------------------
@@ -237,28 +265,30 @@ class ScorerModel:
         step_mask: np.ndarray,
         sub_target: np.ndarray,
         sub_mask: np.ndarray,
-    ) -> tuple[float, dict[str, np.ndarray]]:
+        frames: np.ndarray | None = None,
+    ):
         """Loss over one window plus per-frame logit gradients.
 
         The state head is averaged over every frame; each progress head is
-        averaged over the frames inside that level's instances only.
+        averaged over the frames inside that level's instances only. On a
+        (T, B) block, each column is averaged on its own and gets its own
+        loss, and ``frames`` marks the rows that are not padding.
         """
-        T = cache["features"].shape[0]
+        lead = cache["state_logits"].shape[:-1]
         loss, d_logits = 0.0, {}
         for name, target, mask in (
-            ("state", np.eye(3)[state_target], np.ones(T, dtype=bool)),
+            ("state", np.eye(3)[state_target], np.ones(lead, dtype=bool) if frames is None else frames),
             ("step", step_target, step_mask),
             ("sub", sub_target, sub_mask),
         ):
             logits, mask = cache[f"{name}_logits"], np.asarray(mask, dtype=bool)
-            if target.shape != logits.shape or mask.shape != (T,):
+            if target.shape != logits.shape or mask.shape != lead:
                 raise ValueError(f"{name} head: target {target.shape}, mask {mask.shape}, logits {logits.shape}")
-            n = max(1, int(mask.sum()))
-            lsm = log_softmax(logits[mask])
-            loss += float((-(target[mask] * lsm).sum(axis=1) / n).sum())
-            d_logits[name] = np.zeros_like(logits)
-            d_logits[name][mask] = (np.exp(lsm) - target[mask]) / n
-        return loss, d_logits
+            weight = (mask / np.maximum(1, mask.sum(axis=0)))[..., None]  # 0 off the mask: exact zeros
+            lsm = log_softmax(logits)
+            loss = loss - (weight * target * lsm).sum(axis=(0, -1))
+            d_logits[name] = (np.exp(lsm) - target) * weight
+        return (float(loss) if len(lead) == 1 else loss), d_logits
 
     def backward(
         self,
@@ -269,40 +299,52 @@ class ScorerModel:
     ) -> dict[str, np.ndarray]:
         """Backpropagate logit gradients through heads and time, layer-major.
 
-        From the top layer down, only the recurrence runs per frame; each
+        The cache is a (T, ·) window or a (T, B, ·) block, with one (H,)
+        or (B, H) state per layer in h0. From the top layer down, only the
+        recurrence runs per frame: a gemv, or a ``(B, H) @ wh``. Each
         layer's weight gradients and the gradient into the layer below are
-        one GEMM over the window (Appleyard et al., arXiv:1604.01946).
+        one GEMM over all rows (Appleyard et al., arXiv:1604.01946).
         Gradients stop at the window boundary (truncated BPTT): the incoming
-        hidden state h0 is treated as a constant.
+        hidden state h0 is treated as a constant. Two activation-sized
+        buffers serve every layer, swapping roles at each.
 
-        Each weight gradient is added into ``into`` (parameter name -> array
-        of the parameter's shape) as soon as it is computed, and ``into`` is
-        returned; without it the sums start from zeros. Training passes its
-        batch accumulator, so summing windows never holds more than one
-        parameter-sized temporary, and the sums are the same ``+=`` a caller
-        adding a returned dict would do.
+        Each weight gradient is added into ``into`` (parameter name -> array)
+        as soon as it is computed, and ``into`` is returned; without it the
+        sums start from zeros. So summing windows into training's batch
+        accumulator holds one parameter-sized temporary at a time.
         """
         p, hs = self.params, cache["hidden"]
         h_in = h0 or self.zero_state()
         grads = {k: np.zeros_like(v) for k, v in p.items()} if into is None else into
-        d_h = 0.0
+        d_h = np.zeros(hs.shape[1:])
+        top, d_rows = _rows(hs[-1]), _rows(d_h)
         for name in ("state", "step", "sub"):
-            dl = d_logits[name]
-            grads[f"w_{name}"] += dl.T @ hs[-1]
+            dl = _rows(d_logits[name])
+            grads[f"w_{name}"] += dl.T @ top
             grads[f"b_{name}"] += dl.sum(axis=0)
-            d_h = d_h + dl @ p[f"w_{name}"]
+            d_rows += dl @ p[f"w_{name}"]
+        spare = np.empty_like(d_h)
         for layer in range(self.cfg.recurrent_layers - 1, -1, -1):
             h, wh = hs[layer], p[f"wh{layer}"]
-            dtanh, da, carry = 1.0 - h ** 2, np.empty_like(h), 0.0
-            for t in range(len(h) - 1, -1, -1):
-                da[t] = (d_h[t] + carry) * dtanh[t]
-                carry = np.dot(da[t], wh)  # the same gemv as da[t] @ wh, dispatched for less
-            grads[f"wx{layer}"] += da.T @ (hs[layer - 1] if layer > 0 else cache["features"])
-            grads[f"wh{layer}"] += da.T @ np.vstack([h_in[layer], h])[:-1]  # h[t - 1], h0 first
+            dtanh, carry = np.subtract(1.0, np.multiply(h, h, out=spare), out=spare), 0.0
+            for da, dt in zip(d_h[::-1], dtanh[::-1]):  # newest first, d_h turning into da in place
+                da += carry
+                da *= dt
+                carry = np.dot(da, wh)  # the same gemv as da @ wh, dispatched for less
+            spare[:1], spare[1:] = h_in[layer], h[:-1]  # h[t - 1], h0 first
+            da = _rows(d_h)
+            grads[f"wx{layer}"] += da.T @ _rows(hs[layer - 1] if layer > 0 else cache["features"])
+            grads[f"wh{layer}"] += da.T @ _rows(spare)
             grads[f"b{layer}"] += da.sum(axis=0)
-            if layer > 0:
-                d_h = da @ p[f"wx{layer}"]
+            if layer > 0:  # the gradient into the layer below, in the spare buffer
+                np.matmul(da, p[f"wx{layer}"], out=_rows(spare))
+                d_h, spare = spare, d_h
         return grads
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """A (T, B, n) block as a view of its T·B rows; a (T, n) window as is."""
+    return a.reshape(-1, a.shape[-1])
 
 
 def infer_scores(model: ScorerModel, features: np.ndarray, timestamps: np.ndarray) -> list[FrameScores]:

@@ -2,33 +2,20 @@
 
 Targets come straight from annotations: per-frame state classes plus
 histogram-encoded progress for frames inside step/substep instances.
-Training is fully determined by the seed. Within a batch, models from
-``OVERLAP_MIN_HIDDEN`` up run each BPTT window's forward and loss on a
-worker thread, one window ahead of the calling thread's backward (GPipe's
-forward/backward pipelining, Huang et al., arXiv:1811.06965). BLAS releases
-the interpreter lock, so the two overlap on a second CPU; the parameters are
-fixed within a batch and only the calling thread writes the accumulator, so
-every operation and its order are those of the sequential loop, and the
-weights and loss trace are bit-identical either way.
+Training is fully determined by the seed. A batch's videos step through
+each BPTT window as the columns of one time-major (T, B) block, so each
+frame's recurrence reads a recurrent matrix once for the whole batch, not
+once per video (Diamos et al., Persistent RNNs, ICML 2016), on one thread.
 
-Memory stays bounded by four parameter-sized dicts: the parameters, AdamW's
-two moments and one batch accumulator, allocated once. Each BPTT window's
-gradients are added straight into the accumulator by
-``ScorerModel.backward``, one parameter-sized temporary at a time, and
-``AdamW.step`` updates moments and parameters in place through two scratch
-buffers the size of the largest parameter. Besides these, at most two
-window caches are alive, the one last drawn and the one being built, plus,
-when overlapped, the hidden states of the window before them, which the
-start state of the window in backward views. One epoch of eight 30 s videos
-(L=3, window 64, BLAS on one thread, numpy 2.4, 2 CPUs) peaks at 50.1 MiB
-resident at h=256 and at 142.2 MiB at h=768.
+Memory holds the parameters, AdamW's two moments and one batch accumulator,
+allocated once, one block's activations and a few parameter-sized
+temporaries (``backward`` adds each gradient into the accumulator as it is
+computed; ``AdamW.step`` works in place through two scratch buffers). One
+epoch (L=3, window 64, one BLAS thread) peaks at 56.6 MiB resident for eight
+30 s videos at h=256 (B=8), 193.5 MiB for sixteen at h=768 (B=16).
 """
 
 from __future__ import annotations
-
-import os
-from collections.abc import Iterator
-from contextlib import closing
 
 import numpy as np
 
@@ -91,68 +78,41 @@ class AdamW:
             p -= s1
 
 
-# Hidden sizes from which a batch's next window runs forward on a worker
-# thread while this one runs backward. Below it the two threads spend more
-# time taking turns at the interpreter lock than the overlap saves: one
-# epoch of the benchmark's eight 30 s videos (L=3, window 64, 2 CPUs, BLAS
-# on one thread) took longer overlapped up to h=192 and less from h=224.
-OVERLAP_MIN_HIDDEN = 224
+def _block(arrays: list[np.ndarray], start: int, T: int) -> np.ndarray:
+    """Rows ``start:start + T`` of each array side by side, as the columns of
+    a time-major (T, B, ...) block; zero (False) past an array's end."""
+    block = np.zeros((T, len(arrays)) + arrays[0].shape[1:], dtype=arrays[0].dtype)
+    for col, a in enumerate(arrays):
+        rows = a[start:start + T]
+        block[:len(rows), col] = rows
+    return block
 
 
-def _overlapped(cfg: ScorerConfig) -> bool:
-    """Whether training overlaps windows: only with a second CPU for the
-    worker thread and a model large enough to pay for it."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return cpus >= 2 and cfg.hidden_dim >= OVERLAP_MIN_HIDDEN
-
-
-def _windows(model: ScorerModel, feats: list[np.ndarray], targets: list[dict[str, np.ndarray]], batch):
-    """Forward and loss of every BPTT window of the batch's videos, in
-    (video, window) order, as ``(video, h0, cache, loss, d_logits)``; hidden
-    state carries across a video's windows, gradients do not (truncated
-    BPTT). Reads the parameters and writes nothing it has yielded."""
-    W = model.cfg.bptt_window
-    for vid in batch:
-        f, tg = feats[vid], targets[vid]
-        h = model.zero_state()
-        for start in range(0, len(f), W):
-            cache = model.forward(f[start:start + W], h0=h)
-            loss, d_logits = model.window_loss(cache, *(tg[k][start:start + W] for k in _TARGET_KEYS))
-            yield vid, h, cache, loss, d_logits
-            h = cache["h_last"]
-
-
-def _prefetched(items: Iterator):
-    """``items``, each drawn on a worker thread while the caller works on
-    the one before, so at most two are alive at once. An exception raised
-    drawing one is raised here as it is; closing the generator waits for
-    the draw in progress, then ends the thread."""
-    from concurrent.futures import ThreadPoolExecutor  # here, not at the top: keeps it out of start-up
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        ahead = pool.submit(next, items, None)
-        while (item := ahead.result()) is not None:
-            ahead = pool.submit(next, items, None)
-            yield item
-
-
-def _batch_grads(
-    model: ScorerModel, feats: list[np.ndarray], targets: list[dict[str, np.ndarray]], batch,
-    acc: dict[str, np.ndarray], overlap: bool,
-) -> tuple[list[float], int]:
-    """Gradients of one batch added into ``acc`` by ``backward``, window by
-    window in (video, window) order, the next window's forward overlapping
-    this one's backward when ``overlap`` is set. Returns the per-video loss
-    sums and the window count."""
-    windows = _windows(model, feats, targets, batch)
-    video_loss: dict[int, float] = {}
-    n_windows = 0
-    with closing(_prefetched(windows) if overlap else windows) as items:
-        for vid, h0, cache, loss, d_logits in items:
-            model.backward(cache, d_logits, h0, acc)
-            video_loss[vid] = video_loss.get(vid, 0.0) + loss
-            n_windows += 1
-    return list(video_loss.values()), n_windows
+def _batch_grads(model: ScorerModel, feats: list[np.ndarray], targets: list[dict[str, np.ndarray]], batch,
+                 acc: dict[str, np.ndarray]) -> tuple[list[float], int]:
+    """Gradients of one batch added into ``acc``. At window w, the videos
+    that still have frames form one time-major block, a column that ends
+    early padded with rows in no loss mask. Hidden state carries across a
+    video's windows, gradients do not (truncated BPTT). Returns the
+    per-video loss sums, in batch order, and the window count."""
+    W, L, H = model.cfg.bptt_window, model.cfg.recurrent_layers, model.cfg.hidden_dim
+    lengths = np.array([len(feats[vid]) for vid in batch])
+    losses = np.zeros(len(batch))
+    h = np.zeros((L, len(batch), H))
+    for start in range(0, lengths.max(), W):
+        cols = np.flatnonzero(lengths > start)
+        vids = [batch[col] for col in cols]
+        T = min(W, lengths.max() - start)
+        h0 = list(h[:, cols])
+        cache = model.forward_block(_block([feats[vid] for vid in vids], start, T), h0)
+        loss, d_logits = model.window_loss(
+            cache, *(_block([targets[vid][k] for vid in vids], start, T) for k in _TARGET_KEYS),
+            frames=np.arange(T)[:, None] < lengths[cols] - start)
+        model.backward(cache, d_logits, h0, acc)
+        losses[cols] += loss
+        h[:, cols] = cache["h_last"]
+        del cache, d_logits  # one block's activations alive at a time
+    return losses.tolist(), int(np.ceil(lengths / W).sum())
 
 
 def train_scorer(
@@ -188,7 +148,6 @@ def train_scorer(
     trace: list[float] = []
     n = len(feats)
     acc = {k: np.zeros_like(v) for k, v in model.params.items()}
-    overlap = _overlapped(cfg)
     for _epoch in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_loss, epoch_windows = 0.0, 0
@@ -196,9 +155,8 @@ def train_scorer(
             batch = order[batch_start: batch_start + cfg.batch_size]
             for g in acc.values():
                 g.fill(0.0)
-            video_losses, batch_windows = _batch_grads(model, feats, targets, batch, acc, overlap)
-            for loss_sum in video_losses:
-                epoch_loss += loss_sum
+            video_losses, batch_windows = _batch_grads(model, feats, targets, batch, acc)
+            epoch_loss += sum(video_losses)
             epoch_windows += batch_windows
             for k in acc:
                 acc[k] /= max(1, batch_windows)

@@ -276,10 +276,11 @@ def dict_video_grads(model, features, targets, acc) -> tuple[float, int]:
 
 
 def dict_train_scorer(features, annotations, cfg, seed: int = 0):
-    """``scoring.train.train_scorer``'s loop as it was, with a fresh zeroed
-    accumulator per batch, :func:`dict_video_grads` and
-    :class:`NewArrayAdamW`; inputs are assumed valid. The reference for
-    bit-identical training."""
+    """``scoring.train.train_scorer``'s loop as it was, a batch's videos one
+    after another, with a fresh zeroed accumulator per batch,
+    :func:`dict_video_grads` and :class:`NewArrayAdamW`; inputs are assumed
+    valid. The reference for training, to the tolerance of summing the same
+    terms in another order."""
     feats = [np.asarray(f, dtype=np.float64) for f in features]
     targets = [build_frame_targets(a, cfg) for a in annotations]
     model = ScorerModel.init(cfg, seed=seed)

@@ -224,7 +224,7 @@ class TestE2E:
         for name in sorted(params):
             digest.update(name.encode())
             digest.update(params[name].tobytes())
-        assert digest.hexdigest() == "27bec728ce37494f8d3fe4f44b70d5cce08c94278a8e1b8f7ddd4c0ec59e8adb"
+        assert digest.hexdigest() == "be6062406d23e56142342ba15d9493cc721d212ec9ba66cf43ae5ebb2753c85c"
 
     def test_training_arm_scores_frames_through_step(self, tmp_path):
         # e2e --train feeds the loop frames scored one at a time by

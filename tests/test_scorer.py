@@ -356,6 +356,80 @@ class TestAgainstPerFrameOracles:
                 model.window_loss(cache, *bad)
 
 
+class TestBlock:
+    """Training's time-major (T, B) blocks against the (T, ·) window path.
+    Columns are videos; a column whose video ends early is padded at its end
+    with rows that are in no mask."""
+
+    @staticmethod
+    def block_case(rng, L, H, D=3, bins=5, lengths=(7, 4, 7)):
+        cfg = ScorerConfig(feature_dim=D, recurrent_layers=L, hidden_dim=H, histogram=HistogramConfig(bins=bins))
+        model = ScorerModel.init(cfg, seed=L * H)
+        T, B = max(lengths), len(lengths)
+        feats, frames = np.zeros((T, B, D)), np.arange(T)[:, None] < np.array(lengths)
+        feats[frames] = rng.normal(0, 1, (frames.sum(), D))
+        state, step, step_mask, sub, sub_mask = random_targets(rng, T * B, bins)
+        targets = (state.reshape(T, B), step.reshape(T, B, bins), (step_mask.reshape(T, B) & frames),
+                   sub.reshape(T, B, bins), (sub_mask.reshape(T, B) & frames))
+        h0 = [rng.normal(0, 0.5, (B, H)) for _ in range(L)]
+        return model, feats, frames, targets, h0
+
+    def test_forward_block_matches_forward_per_column(self):
+        rng = np.random.default_rng(21)
+        for L in (1, 2, 3):
+            model, feats, _, _, h0 = self.block_case(rng, L, H=7)
+            block = model.forward_block(feats, h0)
+            for b in range(feats.shape[1]):
+                window = model.forward(feats[:, b], [h[b] for h in h0])
+                for key in ("hidden", "state_logits", "step_logits", "sub_logits"):
+                    got = block[key][:, :, b] if key == "hidden" else block[key][:, b]
+                    np.testing.assert_allclose(got, window[key], rtol=1e-12, atol=1e-12, err_msg=key)
+                for got, want in zip(block["h_last"], window["h_last"]):
+                    np.testing.assert_allclose(got[b], want, rtol=1e-12, atol=1e-12)
+
+    def test_window_loss_per_column_and_zero_on_padding(self):
+        rng = np.random.default_rng(22)
+        model, feats, frames, targets, h0 = self.block_case(rng, 2, H=5)
+        cache = model.forward_block(feats, h0)
+        loss, d_logits = model.window_loss(cache, *targets, frames=frames)
+        assert loss.shape == (feats.shape[1],)
+        for b, n in enumerate(frames.sum(axis=0)):
+            column = {k: cache[k][:n, b] for k in ("state_logits", "step_logits", "sub_logits")}
+            want, want_d = model.window_loss(column, *(t[:n, b] for t in targets))
+            assert loss[b] == pytest.approx(want, rel=1e-12)
+            for name in want_d:
+                np.testing.assert_allclose(d_logits[name][:n, b], want_d[name], rtol=1e-12, err_msg=name)
+                assert not d_logits[name][n:, b].any(), name
+
+    @pytest.mark.parametrize("H", [32, 256, 768])
+    def test_one_column_block_backward_equals_window_bit_for_bit(self, H):
+        # The carry of a one-column block is a (1, H) @ wh, which BLAS
+        # computes as the window's gemv; every GEMM sees the same rows.
+        rng = np.random.default_rng(H)
+        model, feats, frames, targets, h0 = self.block_case(rng, 3, H, lengths=(6,))
+        cache = model.forward_block(feats, h0)
+        _, d_logits = model.window_loss(cache, *targets, frames=frames)
+        window = {"features": cache["features"][:, 0], "hidden": cache["hidden"][:, :, 0]}
+        got = model.backward(cache, d_logits, h0)
+        want = model.backward(window, {k: v[:, 0] for k, v in d_logits.items()}, [h[0] for h in h0])
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+
+    def test_block_gradcheck(self):
+        rng = np.random.default_rng(23)
+        for L in (1, 2, 3):
+            model, feats, frames, targets, h0 = self.block_case(rng, L, H=4)
+            cache = model.forward_block(feats, h0)
+            _, d_logits = model.window_loss(cache, *targets, frames=frames)
+            grads = model.backward(cache, d_logits, h0)
+
+            def loss_fn():
+                return model.window_loss(model.forward_block(feats, h0), *targets, frames=frames)[0].sum()
+
+            for name, param in model.params.items():
+                assert relative_error(grads[name], numeric_gradient(loss_fn, param)) < 1e-6, name
+
+
 class TestSerialization:
     def test_save_load_round_trip(self, tmp_path):
         model = ScorerModel.init(small_cfg(), seed=9)
@@ -409,6 +483,45 @@ class TestSerialization:
         path = tmp_path / "model.npz"
         model.save(path)
         with pytest.raises(ValueError, match=message) as caught:
+            ScorerModel.load(path)
+        assert str(caught.value).startswith(f"{path}: ")
+
+    @staticmethod
+    def saved_with_meta(tmp_path, **edits):
+        """A saved small model whose meta entries are replaced by ``edits``,
+        None removing one."""
+        model = ScorerModel.init(small_cfg(), seed=9)
+        path = tmp_path / "model.npz"
+        model.save(path)
+        with np.load(path) as data:
+            meta = dict(data["__meta__"].tolist())
+        meta.update(edits)
+        meta = np.array([(k, v) for k, v in meta.items() if v is not None])
+        np.savez(path, __meta__=meta, **model.params)
+        return path
+
+    def test_missing_meta_refused_naming_file(self, tmp_path):
+        path = tmp_path / "model.npz"
+        np.savez(path, **ScorerModel.init(small_cfg()).params)
+        with pytest.raises(ValueError, match="no __meta__ entry") as caught:
+            ScorerModel.load(path)
+        assert str(caught.value).startswith(f"{path}: ")
+
+    def test_meta_without_a_key_refused_naming_file(self, tmp_path):
+        path = self.saved_with_meta(tmp_path, recurrent_layers=None)
+        with pytest.raises(ValueError, match="meta has no recurrent_layers") as caught:
+            ScorerModel.load(path)
+        assert str(caught.value).startswith(f"{path}: ")
+
+    def test_non_integer_hidden_dim_refused_naming_file(self, tmp_path):
+        path = self.saved_with_meta(tmp_path, hidden_dim="6.5")
+        with pytest.raises(ValueError, match="bad meta: invalid literal for int.*'6.5'") as caught:
+            ScorerModel.load(path)
+        assert str(caught.value).startswith(f"{path}: ")
+
+    def test_meta_the_config_refuses_named_by_file(self, tmp_path):
+        path = self.saved_with_meta(tmp_path, sigma="0.0")
+        with pytest.raises(ValueError, match="bad meta: sigma must be positive, got 0.0") as caught:
             ScorerModel.load(path)
         assert str(caught.value).startswith(f"{path}: ")
 

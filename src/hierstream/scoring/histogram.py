@@ -33,8 +33,8 @@ class HistogramConfig:
     def __post_init__(self) -> None:
         if self.bins <= 0:
             raise ValueError(f"bins must be positive, got {self.bins}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:  # NaN fails too
+            raise ValueError(f"sigma must be positive, got {self.sigma}; it must be finite too")
 
     # Computed once (decoding reads them every frame), read-only as shared.
     @cached_property

@@ -15,7 +15,8 @@ of a batch's windows (Appleyard et al., arXiv:1604.01946).
 from __future__ import annotations
 
 import math
-import pickle
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,35 +47,6 @@ class ScorerConfig:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0 <= self.weight_decay < math.inf:
             raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
-
-
-# The only globals a pickled plain ndarray needs (numpy 1.x and 2.x names).
-_ARRAY_GLOBALS = {
-    ("numpy.core.multiarray", "_reconstruct"), ("numpy._core.multiarray", "_reconstruct"),
-    ("numpy", "ndarray"), ("numpy", "dtype"),
-}
-
-
-class _ArrayUnpickler(pickle.Unpickler):
-    def find_class(self, module, name):
-        if (module, name) not in _ARRAY_GLOBALS:
-            raise ValueError(f"refusing to unpickle {module}.{name}")
-        return super().find_class(module, name)
-
-
-def _unpickle_array(archive, member: str) -> np.ndarray:
-    """Read a pickled object array from an .npz member, admitting nothing but
-    numpy's array reconstruction, so a crafted file cannot run code."""
-    with archive.open(member) as fh:
-        fmt = np.lib.format
-        if fmt.read_magic(fh) == (1, 0):
-            fmt.read_array_header_1_0(fh)
-        else:
-            fmt.read_array_header_2_0(fh)
-        arr = _ArrayUnpickler(fh).load()
-    if not isinstance(arr, np.ndarray):
-        raise ValueError(f"{member} does not hold an array")
-    return arr
 
 
 _HEADS = (("state_logits", "w_state", "b_state"), ("step_logits", "w_step", "b_step"),
@@ -146,14 +118,18 @@ class ScorerModel:
 
     @classmethod
     def load(cls, path) -> "ScorerModel":
-        with np.load(path, allow_pickle=False) as data:
-            if "__meta__" not in data.files:
-                raise ValueError(f"{path}: no __meta__ entry")
-            try:
-                meta = data["__meta__"]
-            except ValueError:  # an object array: files saved before the meta was strings
-                meta = _unpickle_array(data.zip, "__meta__.npy")
-            params = {k: data[k] for k in data.files if k != "__meta__"}
+        """Read a file that :meth:`save` wrote; refuse any other, a pickled
+        meta included, with a ValueError that starts with the path."""
+        # Raised by damage, a plain .npy (TypeError) or a pickled meta (ValueError);
+        # an unsupported zip feature's NotImplementedError is a RuntimeError.
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                params = {k: data[k] for k in data.files}
+        except (OSError, EOFError, RuntimeError, TypeError, ValueError, zipfile.BadZipFile, zlib.error) as e:
+            raise ValueError(f"{path}: not a model archive that save writes ({e}); save the model again") from e
+        if "__meta__" not in params:
+            raise ValueError(f"{path}: no __meta__ entry")
+        meta = params.pop("__meta__")
         try:
             meta = {str(k): str(v) for k, v in meta.tolist()}
             cfg = ScorerConfig(

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import zlib
@@ -211,20 +212,37 @@ class TestE2E:
         expected = (DATA / "e2e_seed7_videos5_report.json").read_bytes()
         assert (tmp_path / "report.json").read_bytes() == expected
 
+    TRAINED_E2E = ("e2e", "--seed", 7, "--videos", 4, "--noise-sigma", 0.1, "--train", "--layers", 2,
+                   "--learning-rate", 0.01, "--epochs", 8)
+
     def test_trained_report_matches_committed_one(self, tmp_path):
         # Pins the scorer's bits across commits: the seed-7 report above
-        # never runs it, while here training and per-frame scoring do. The
-        # report is coarse, so the trained weights are pinned by digest too:
-        # a rounding change anywhere in forward or backward moves them.
-        assert run("e2e", "--seed", 7, "--videos", 4, "--noise-sigma", 0.1, "--train", "--layers", 2,
-                   "--learning-rate", 0.01, "--epochs", 8, "--out", tmp_path) == 0
+        # never runs it, while here training and per-frame scoring do.
+        assert run(*self.TRAINED_E2E, "--out", tmp_path) == 0
+        expected = (DATA / "e2e_seed7_videos4_train_report.json").read_bytes()
+        assert (tmp_path / "report.json").read_bytes() == expected
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="OPENBLAS_CORETYPE names x86-64 kernels")
+    def test_trained_weights_digest_on_prescott_kernels(self, tmp_path):
+        # The report is coarse, so the trained weights are pinned by digest
+        # too: a rounding change anywhere in forward or backward moves them.
+        # OpenBLAS kernels sum a gemv in different orders, so the run is
+        # pinned to the Prescott ones (SSE3, in numpy's x86-64 baseline),
+        # in a child process: this process has loaded its kernel already.
+        proc = subprocess.run(
+            [sys.executable, "-m", "hierstream.cli", *map(str, self.TRAINED_E2E), "--out", str(tmp_path)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_CORETYPE": "Prescott"},
+        )
+        assert proc.returncode == 0, proc.stderr
         expected = (DATA / "e2e_seed7_videos4_train_report.json").read_bytes()
         assert (tmp_path / "report.json").read_bytes() == expected
         params, digest = ScorerModel.load(tmp_path / "model.npz").params, hashlib.sha256()
         for name in sorted(params):
             digest.update(name.encode())
             digest.update(params[name].tobytes())
-        assert digest.hexdigest() == "be6062406d23e56142342ba15d9493cc721d212ec9ba66cf43ae5ebb2753c85c"
+        assert digest.hexdigest() == "331bb95d86fbfa40f436de152bf75206c12e103e8b93add12faf2aad4cf3e6f2"
 
     def test_training_arm_scores_frames_through_step(self, tmp_path):
         # e2e --train feeds the loop frames scored one at a time by

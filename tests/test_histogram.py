@@ -121,6 +121,12 @@ def test_config_validation():
     np.testing.assert_allclose(edges, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 0.0, -1.0])
+def test_config_rejects_sigma_not_positive_and_finite(sigma):
+    with pytest.raises(ValueError, match=f"sigma must be positive, got {sigma}"):
+        HistogramConfig(sigma=sigma)
+
+
 @pytest.mark.parametrize("cfg", [CFG, HistogramConfig(bins=7, sigma=0.05), HistogramConfig(bins=20, sigma=0.3)])
 def test_rows_equal_scalar_targets_bit_for_bit(cfg):
     p = np.concatenate([[0.0, 1.0, 0.5], np.random.default_rng(1).uniform(0, 1, 200)])

@@ -456,19 +456,16 @@ class TestSerialization:
         assert meta == {"feature_dim": "3", "recurrent_layers": "2", "hidden_dim": "6",
                         "bins": "5", "sigma": repr(HistogramConfig().sigma)}
 
-    def test_loads_pickled_meta_of_older_files(self, tmp_path):
+    def test_pickled_meta_of_older_files_refused_naming_file(self, tmp_path):
         model = ScorerModel.init(small_cfg(), seed=9)
         cfg = model.cfg
         meta = dict(feature_dim=cfg.feature_dim, recurrent_layers=cfg.recurrent_layers,
                     hidden_dim=cfg.hidden_dim, bins=cfg.histogram.bins, sigma=cfg.histogram.sigma)
         path = tmp_path / "model.npz"
         np.savez(path, __meta__=np.array(list(meta.items()), dtype=object), **model.params)
-        loaded = ScorerModel.load(path)
-        for name in ("feature_dim", "recurrent_layers", "hidden_dim", "histogram"):
-            assert getattr(loaded.cfg, name) == getattr(cfg, name)
-        assert loaded.params.keys() == model.params.keys()
-        for k in model.params:
-            np.testing.assert_array_equal(model.params[k], loaded.params[k])
+        with pytest.raises(ValueError, match="save the model again") as caught:
+            ScorerModel.load(path)
+        assert str(caught.value).startswith(f"{path}: ")
 
     @pytest.mark.parametrize("edit, message", [
         (lambda p: p.pop("wh1"), "parameter wh1 is missing"),
@@ -525,6 +522,68 @@ class TestSerialization:
             ScorerModel.load(path)
         assert str(caught.value).startswith(f"{path}: ")
 
+    def test_non_finite_sigma_refused_naming_file(self, tmp_path):
+        path = self.saved_with_meta(tmp_path, sigma="nan")
+        with pytest.raises(ValueError, match="bad meta: sigma must be positive, got nan") as caught:
+            ScorerModel.load(path)
+        assert str(caught.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("content", [b"", b"not an archive", b"PK\x03\x04", "npy"],
+                             ids=["empty", "text", "zip-magic-only", "npy"])
+    def test_file_that_is_no_archive_refused_naming_file(self, tmp_path, content):
+        path = tmp_path / "model.npz"
+        if content == "npy":  # one plain array, which np.load returns without an archive
+            with path.open("wb") as fh:
+                np.save(fh, np.zeros(3))
+        else:
+            path.write_bytes(content)
+        with pytest.raises(ValueError) as caught:
+            ScorerModel.load(path)
+        assert str(caught.value).startswith(f"{path}: ")
+
+    def test_archive_flagged_encrypted_refused_naming_file(self, tmp_path):
+        path = tmp_path / "model.npz"
+        ScorerModel.init(small_cfg()).save(path)
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(b"PK\x01\x02") + 8] |= 1  # the first central-directory entry's encryption bit
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="encrypted") as caught:
+            ScorerModel.load(path)
+        assert str(caught.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("savez", [np.savez, np.savez_compressed], ids=["stored", "compressed"])
+    def test_damaged_archive_refused_naming_file(self, tmp_path, savez):
+        # Seeded mutations of a saved h=8 model: every fourth one truncated,
+        # the rest with 1-7 random bytes overwritten. Each is refused with a
+        # ValueError that names the file, or, where it hit only zip fields
+        # that no reader checks, loads the very same weights.
+        model = ScorerModel.init(small_cfg(hidden_dim=8), seed=9)
+        clean = tmp_path / "clean.npz"
+        model.save(clean)
+        with np.load(clean) as data:
+            savez(clean, **{k: data[k] for k in data.files})
+        raw = clean.read_bytes()
+        rng = np.random.default_rng(33)
+        refused = 0
+        for i in range(400):
+            mutated = bytearray(raw)
+            if i % 4 == 0:
+                del mutated[int(rng.integers(len(raw))):]
+            else:
+                for _ in range(int(rng.integers(1, 8))):
+                    mutated[int(rng.integers(len(raw)))] = int(rng.integers(256))
+            path = tmp_path / f"model{i}.npz"
+            path.write_bytes(mutated)
+            try:
+                loaded = ScorerModel.load(path)
+            except ValueError as e:
+                assert str(e).startswith(f"{path}: "), str(e)
+                refused += 1
+                continue
+            for k in model.params:
+                np.testing.assert_array_equal(loaded.params[k], model.params[k])
+        assert refused > 380
+
     def test_crafted_meta_refused_without_running_it(self, tmp_path):
         marker = tmp_path / "ran"
 
@@ -535,8 +594,9 @@ class TestSerialization:
         path = tmp_path / "model.npz"
         np.savez(path, __meta__=np.array([Payload()], dtype=object),
                  **ScorerModel.init(small_cfg()).params)
-        with pytest.raises(ValueError, match="refusing to unpickle builtins.exec"):
+        with pytest.raises(ValueError) as caught:
             ScorerModel.load(path)
+        assert str(caught.value).startswith(f"{path}: ")
         assert not marker.exists()
         np.load(path, allow_pickle=True)["__meta__"]  # an unrestricted load does run it
         assert marker.exists()

@@ -1,5 +1,5 @@
 from .histogram import HistogramConfig, histogram_expectation, histogram_target, histogram_targets
-from .losses import log_softmax, soft_cross_entropy, softmax
+from .losses import log_softmax, softmax
 from .rnn import ScorerConfig, ScorerModel, infer_scores, stream_scores
 from .targets import frame_targets
 from .train import build_frame_targets, train_scorer
@@ -12,7 +12,6 @@ __all__ = [
     "frame_targets",
     "softmax",
     "log_softmax",
-    "soft_cross_entropy",
     "ScorerConfig",
     "ScorerModel",
     "infer_scores",

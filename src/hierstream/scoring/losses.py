@@ -1,32 +1,27 @@
-"""Soft-target cross-entropy with a log-sum-exp stabilized softmax."""
+"""Log-sum-exp stabilized softmax over the last axis. One row, (K,) or
+(1, K), takes fewer numpy calls for the bits of that row in a (T, K) block: a
+max is exact in any order, the row's full ``.sum()`` is the per-row reduce's
+pairwise sum, and a NaN sum (a NaN or infinite logit) takes the block's way.
+"""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim == 1 or logits.ndim == 2 and len(logits) == 1:
+        shifted = logits - max(logits.ravel().tolist())  # ValueError on an empty row
+        total = np.exp(shifted).sum()
+        if not math.isnan(total):
+            return shifted - np.log(total)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    return np.exp(log_softmax(logits))
-
-
-def soft_cross_entropy(logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Cross-entropy of a probability target against logits.
-
-    Returns (loss, gradient wrt logits). The gradient is the classic
-    softmax(logits) - target, which also serves as the finite-difference
-    oracle's reference point.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if logits.shape != target.shape:
-        raise ValueError(f"shape mismatch: logits {logits.shape} vs target {target.shape}")
-    lsm = log_softmax(logits)
-    loss = float(-(target * lsm).sum())
-    grad = np.exp(lsm) - target
-    return loss, grad
+    out = log_softmax(logits)
+    return np.exp(out, out=out)

@@ -6,8 +6,9 @@ The forward pass is strictly causal, so scores for frame t depend only on
 frames 0..t and inference over a prefix equals the prefix of full-sequence
 inference exactly. Inference runs layer by layer: each layer's input
 projection and the heads are per-row gemvs batched in C, and only the
-recurrence loops in Python. Inference has no GEMM, since GEMM rows can
-round differently from per-row matvecs and break that bit identity.
+recurrence loops in Python; a streamed frame's one row makes the same
+gemvs and sums in place. Inference has no GEMM, since GEMM rows can round
+differently from per-row matvecs and break that bit identity.
 Training's forward and the backward pass are GEMMs over a time-major block
 of a batch's windows (Appleyard et al., arXiv:1604.01946).
 """
@@ -65,18 +66,6 @@ def _param_shapes(cfg: ScorerConfig) -> dict[str, tuple[int, ...]]:
         shapes[f"w_{name}"] = (out_dim, h)
         shapes[f"b_{name}"] = (out_dim,)
     return shapes
-
-
-def _matvecs(w: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``w @ row`` for each row of a (T, D) array into the rows of
-    ``out`` and return it: one BLAS gemv per row, looped in C (one row, the
-    streaming case, skips matmul's slower stacked dispatch), so bit-identical
-    to per-row ``@``, unlike the GEMM ``rows @ w.T``."""
-    if len(rows) == 1:
-        np.dot(w, rows[0], out=out[0])
-    else:
-        np.matmul(w, rows[:, :, None], out=out[:, :, None])
-    return out
 
 
 class ScorerModel:
@@ -159,6 +148,12 @@ class ScorerModel:
     def zero_state(self) -> list[np.ndarray]:
         return [np.zeros(self.cfg.hidden_dim) for _ in range(self.cfg.recurrent_layers)]
 
+    def _state(self, h0):  # one state per layer, in any sequence; zeros for None
+        h = self.zero_state() if h0 is None else h0
+        if len(h) != self.cfg.recurrent_layers:
+            raise ValueError(f"expected {self.cfg.recurrent_layers} hidden states, got {len(h)}")
+        return h
+
     # ------------------------------------------------------------------
     # forward
     # ------------------------------------------------------------------
@@ -174,38 +169,50 @@ class ScorerModel:
         return (cache["h_last"], cache["state_logits"][0],
                 cache["step_logits"][0], cache["sub_logits"][0])
 
-    def forward(
-        self, features: np.ndarray, h0: list[np.ndarray] | None = None
-    ) -> dict[str, np.ndarray]:
+    def forward(self, features: np.ndarray, h0: list[np.ndarray] | None = None) -> dict[str, np.ndarray]:
         """Run the scorer over a (T, D) feature window, layer by layer.
 
         Per layer, frame t's hidden state is ``tanh(wx @ x[t] + wh @ h[t-1]
         + b)``, added in that order; the heads are ``w @ top[t] + b``.
         Returns a cache holding hidden states and head logits; the cache
         feeds both inference and the backward pass.
+        One row, the streaming case, makes the same gemvs and sums in place
+        in the cache: the bits of that row inside a window, in fewer calls.
         """
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.cfg.feature_dim:
-            raise ValueError(
-                f"expected (T, {self.cfg.feature_dim}) features, got {features.shape}"
-            )
-        T = features.shape[0]
-        L, H = self.cfg.recurrent_layers, self.cfg.hidden_dim
-        h = h0 or self.zero_state()
-        if len(h) != L:
-            raise ValueError(f"expected {L} hidden states, got {len(h)}")
-        p, inp, hs, h_last = self.params, features, np.empty((L, T, H)), []
+            raise ValueError(f"expected (T, {self.cfg.feature_dim}) features, got {features.shape}")
+        T, h, p = features.shape[0], self._state(h0), self.params
+        hs = np.empty((len(h), T, self.cfg.hidden_dim))
+        cache = {"features": features, "hidden": hs}
+        if T == 1:
+            top, h_last = features[0], []
+            for prev, (wx, wh, b), out in zip(h, self._layer_keys, hs[:, 0]):
+                np.dot(p[wx], top, out=out)
+                out += np.dot(p[wh], prev)
+                out += p[b]
+                top = np.tanh(out, out=out)
+                h_last.append(top)  # a view of this cache, never the caller's h0
+            cache["h_last"] = h_last
+            for key, w, b in _HEADS:
+                logits = np.dot(p[w], top)
+                logits += p[b]
+                cache[key] = logits[None]
+            return cache
+        # Stacked matmul over (T, D, 1) rows: one BLAS gemv per row looped in C,
+        # so bit-identical to per-row np.dot, unlike the GEMM rows @ w.T.
+        inp, h_last = features[:, :, None], []
         for prev, (wx, wh, b), out in zip(h, self._layer_keys, hs):
-            _matvecs(p[wx], inp, out)  # out[t] holds wx @ x[t] until frame t overwrites it
+            np.matmul(p[wx], inp, out=out[:, :, None])  # out[t] holds wx @ x[t] until frame t overwrites it
             wh, b = p[wh], p[b]
             for t in range(T):
                 # np.dot: the same gemv as wh @ prev, dispatched for less
                 prev = out[t] = np.tanh(out[t] + np.dot(wh, prev) + b)
             h_last.append(prev if T else np.array(prev, dtype=np.float64))  # never the caller's h0
-            inp = out
-        cache = {"features": features, "hidden": hs, "h_last": h_last}
+            inp = out[:, :, None]
+        cache["h_last"] = h_last
         for key, w, b in _HEADS:
-            cache[key] = _matvecs(p[w], inp, np.empty((T, len(p[b])))) + p[b]
+            cache[key] = np.matmul(p[w], inp)[:, :, 0] + p[b]
         return cache
 
     def forward_block(self, features: np.ndarray, h0: list[np.ndarray]) -> dict[str, np.ndarray]:
@@ -289,8 +296,7 @@ class ScorerModel:
         sums start from zeros. So summing windows into training's batch
         accumulator holds one parameter-sized temporary at a time.
         """
-        p, hs = self.params, cache["hidden"]
-        h_in = h0 or self.zero_state()
+        p, hs, h_in = self.params, cache["hidden"], self._state(h0)
         grads = {k: np.zeros_like(v) for k, v in p.items()} if into is None else into
         d_h = np.zeros(hs.shape[1:])
         top, d_rows = _rows(hs[-1]), _rows(d_h)

@@ -48,7 +48,7 @@ from hierstream.memory import (
     RetrievalBundle,
 )
 from hierstream.scoring.histogram import HistogramConfig
-from hierstream.scoring.losses import soft_cross_entropy
+from hierstream.scoring.losses import log_softmax
 from hierstream.scoring.rnn import ScorerModel
 from hierstream.scoring.train import BETA1, BETA2, EPS, AdamW, build_frame_targets
 
@@ -306,6 +306,23 @@ def dict_train_scorer(features, annotations, cfg, seed: int = 0):
             opt.step(model.params, acc)
         trace.append(epoch_loss / max(1, epoch_windows))
     return model, trace
+
+
+def soft_cross_entropy(logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """Cross-entropy of a probability target against logits.
+
+    Returns (loss, gradient wrt logits). The gradient is the classic
+    softmax(logits) - target, which also serves as the finite-difference
+    oracle's reference point.
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if logits.shape != target.shape:
+        raise ValueError(f"shape mismatch: logits {logits.shape} vs target {target.shape}")
+    lsm = log_softmax(logits)
+    loss = float(-(target * lsm).sum())
+    grad = np.exp(lsm) - target
+    return loss, grad
 
 
 def per_frame_window_loss(model, cache, state_target, step_target, step_mask,

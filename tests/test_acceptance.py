@@ -18,7 +18,6 @@ from hierstream.metrics.semantic import topk_f1_corpus
 from hierstream.pipeline import GroupingProposal, check_consistency, kmeans_canonicalize, postprocess
 from hierstream.runner import mock_describer, run_described_stream
 from hierstream.scoring.histogram import HistogramConfig, histogram_expectation, histogram_target
-from hierstream.scoring.losses import soft_cross_entropy
 from hierstream.scoring.rnn import ScorerConfig, ScorerModel
 from hierstream.simulator import SimConfig, gen_annotations, gen_scores
 from oracles import (
@@ -27,6 +26,7 @@ from oracles import (
     numeric_gradient,
     quadrature_histogram,
     relative_error,
+    soft_cross_entropy,
 )
 
 SUB = HierarchyLevel.SUBSTEP

@@ -198,6 +198,84 @@ class TestForwardOracle:
         assert not np.array_equal(gemm, np.array([p["wh1"] @ r for r in want["hidden"][0]]))
 
 
+HEADS = ("state_logits", "step_logits", "sub_logits")
+
+
+class TestOneRow:
+    """forward over one row, the streaming case, takes a path of its own; it
+    must give the bytes of that row inside a whole window."""
+
+    @staticmethod
+    def case(layers, hidden, frames=24):
+        model = ScorerModel.init(small_cfg(recurrent_layers=layers, hidden_dim=hidden), seed=hidden)
+        rng = np.random.default_rng(hidden)
+        for value in model.params.values():  # biases too, so that the order of the sums shows
+            value[...] = rng.normal(0, 0.5, value.shape)
+        return model, rng.normal(0, 1, (frames, 3)), [rng.normal(0, 0.5, hidden) for _ in range(layers)]
+
+    @pytest.mark.parametrize("layers,hidden", [(1, 5), (2, 32), (3, 256)])
+    def test_one_row_forward_equals_window_rows_bit_for_bit(self, layers, hidden):
+        model, feats, h0 = self.case(layers, hidden)
+        whole, h = model.forward(feats, h0), h0
+        for t in range(len(feats)):
+            cache = model.forward(feats[t:t + 1], h)
+            for key in HEADS:
+                assert cache[key].shape == (1, whole[key].shape[1])
+                assert cache[key].tobytes() == whole[key][t:t + 1].tobytes(), key
+            assert cache["hidden"].tobytes() == whole["hidden"][:, t:t + 1].tobytes()
+            assert not any(np.shares_memory(a, b) for a in cache["h_last"] for b in h)
+            h = cache["h_last"]
+        assert np.array(h).tobytes() == np.array(whole["h_last"]).tobytes()
+
+    @pytest.mark.parametrize("layers,hidden", [(1, 5), (2, 32), (3, 256)])
+    def test_backward_on_one_row_cache_equals_first_window_row(self, layers, hidden):
+        model, feats, h0 = self.case(layers, hidden)
+        whole, one = model.forward(feats, h0), model.forward(feats[:1], h0)
+        first = {"features": whole["features"][:1], "hidden": whole["hidden"][:, :1],
+                 **{key: whole[key][:1] for key in HEADS}}
+        rng = np.random.default_rng(layers)
+        d_logits = {name: rng.normal(0, 1, one[f"{name}_logits"].shape) for name in ("state", "step", "sub")}
+        got, want = model.backward(one, d_logits, h0), model.backward(first, d_logits, h0)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_state_sequence_checked_in_forward_step_and_backward(self):
+        model, feats, h0 = self.case(2, 8, frames=5)
+        cache = model.forward(feats, h0)
+        d_logits = {name: np.ones(cache[f"{name}_logits"].shape) for name in ("state", "step", "sub")}
+        for bad in ([], np.zeros((3, 8))):
+            calls = (lambda: model.forward(feats, bad), lambda: model.forward(feats[:1], bad),
+                     lambda: model.step(feats[0], bad), lambda: model.backward(cache, d_logits, bad))
+            for call in calls:
+                with pytest.raises(ValueError, match=f"expected 2 hidden states, got {len(bad)}"):
+                    call()
+        # An (L, H) array or a tuple of states is read as the list is.
+        want = model.backward(cache, d_logits, h0)
+        for same in (np.array(h0), tuple(h0)):
+            for rows in (feats, feats[:1]):
+                got, ref = model.forward(rows, same), model.forward(rows, h0)
+                for key in ("hidden",) + HEADS:
+                    assert got[key].tobytes() == ref[key].tobytes(), key
+            for a, b in zip(model.step(feats[0], same), model.step(feats[0], h0)):
+                assert np.array(a).tobytes() == np.array(b).tobytes()
+            got = model.backward(cache, d_logits, same)
+            assert all(got[name].tobytes() == want[name].tobytes() for name in want)
+
+    def test_stream_scores_equal_infer_scores_at_train_size(self):
+        # The benchmark's train workload streams an h=256, L=3 scorer.
+        model, rng = ScorerModel.init(ScorerConfig(feature_dim=8, hidden_dim=256), seed=5), np.random.default_rng(6)
+        for value in model.params.values():
+            if value.ndim == 1:  # nonzero biases, as a trained scorer has
+                value[...] = rng.normal(0, 0.5, value.shape)
+        feats, ts = rng.normal(0, 1, (60, 8)), np.arange(60) / 4.0
+        streamed, batch = list(stream_scores(model, ts, feats)), infer_scores(model, feats, ts)
+        assert len(streamed) == len(batch)
+        for a, b in zip(streamed, batch):
+            assert a.timestamp == b.timestamp
+            for name in ("state_probs", "step_progress_dist", "substep_progress_dist"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
 class TestInferTimestamps:
     def test_one_timestamp_per_feature_row(self):
         model = ScorerModel.init(small_cfg(), seed=0)

@@ -222,6 +222,7 @@ def _run_videos(args, cfg: DetectorConfig, videos: list, out: Path, describe=Non
             return video_id, result, None
         except VIDEO_ERRORS as exc:
             print(f"error: {video_id}: {exc}", file=sys.stderr)
+            (out / f"{video_id}.jsonl").unlink(missing_ok=True)  # from an earlier run
             return video_id, None, f"{type(exc).__name__}: {exc}"
 
     workers = args.max_inflight if describe is not None and args.describer == "http" else 1

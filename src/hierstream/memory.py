@@ -6,11 +6,16 @@ Retrieval queries assemble the frames and prior text that one describer
 call needs:
 
  - substep queries sample stored frames at 1.0 s spacing and carry the
-   long-form predictions of earlier substeps inside the current step;
+   long-form predictions of the substeps committed since the last step
+   prediction;
  - step queries sample frames belonging to detected substeps at 3.3 s
    spacing and carry up to the 10 most recent step predictions;
  - goal queries return one representative frame per described step plus
    every step's short-form prediction.
+
+A substep's history ends at its step's commit, not at the step's last
+frame: the detector ends a step's last substep before the step, on the same
+frame, so that substep is described with its earlier siblings.
 
 After a step is described, its stored frames collapse to the single frame
 closest to the step midpoint; that representative is what goal queries see.
@@ -77,15 +82,12 @@ class ContextMemory:
     def __init__(self) -> None:
         self._times: list[float] = []  # stored frames' timestamps, ascending, for bisection
         self._frames: list[frozenset[HierarchyLevel]] = []  # their memberships
+        # Unread here; acceptance criterion 8 and perfbench/spans.py read it.
         self._predictions: list[Prediction] = []
         self._step_predictions: list[Prediction] = []
+        # Long forms of the substeps committed since the last step prediction.
+        self._substep_history: list[str] = []
         self._last_seen: float | None = None
-        # Start of the step instance currently ongoing, derived from the
-        # membership of observed frames; None while no step is ongoing.
-        self._current_step_start: float | None = None
-        # Index into _predictions of the first one committed since that step
-        # started; no earlier one can lie inside the step.
-        self._step_predictions_from = 0
 
     # ------------------------------------------------------------------
     # writes
@@ -94,21 +96,11 @@ class ContextMemory:
     def insert_frame(self, timestamp: float, member_levels: AbstractSet[HierarchyLevel]) -> None:
         check_timestamp(timestamp, self._last_seen)
         self._last_seen = timestamp
-
-        if _STEP in member_levels:
-            if self._current_step_start is None:
-                self._current_step_start = timestamp
-                self._step_predictions_from = len(self._predictions)
-        else:
-            self._current_step_start = None
-
         if member_levels:
             self._times.append(timestamp)
             self._frames.append(frozenset(member_levels))
 
     def commit_prediction(self, p: Prediction) -> None:
-        # A prediction lies in the frames seen so far, so none committed
-        # before a step started can lie inside that step.
         if p.level != HierarchyLevel.GOAL and (
             self._last_seen is None or p.interval.end > self._last_seen
         ):
@@ -117,7 +109,10 @@ class ContextMemory:
                 f"prediction interval ends at {p.interval.end}"
             )
         self._predictions.append(p)
-        if p.level == _STEP:
+        if p.level == _SUBSTEP:
+            self._substep_history.append(p.long_form)
+        elif p.level == _STEP:
+            self._substep_history.clear()
             self._step_predictions.append(p)
             self._prune_to_representative(p.interval)
 
@@ -161,17 +156,8 @@ class ContextMemory:
 
         if instance.level == HierarchyLevel.SUBSTEP:
             picks = _spaced(self._times, range(*self._span(iv)), SUBSTEP_FRAME_SPACING)
-            prior: list[str] = []
-            if self._current_step_start is not None:
-                step_iv = Interval(self._current_step_start, self._last_seen)
-                prior = [
-                    p.long_form
-                    for p in self._predictions[self._step_predictions_from:]
-                    if p.level == _SUBSTEP
-                    and step_iv.start <= p.interval.start
-                    and p.interval.end <= step_iv.end
-                ]
-            return RetrievalBundle(self._times_at(picks), tuple(prior), instance.level, iv)
+            history = tuple(self._substep_history)
+            return RetrievalBundle(self._times_at(picks), history, instance.level, iv)
 
         if instance.level == HierarchyLevel.STEP:
             candidates = [i for i in range(*self._span(iv)) if _SUBSTEP in self._frames[i]]

@@ -710,9 +710,6 @@ class ScanMemory:
         self._frames: list[FrameRef] = []
         self._predictions: list[Prediction] = []
         self._last_seen: float | None = None
-        # Start of the step instance currently ongoing, derived from the
-        # membership of observed frames; None while no step is ongoing.
-        self._current_step_start: float | None = None
 
     # ------------------------------------------------------------------
     # writes
@@ -723,13 +720,6 @@ class ScanMemory:
     ) -> None:
         check_timestamp(timestamp, self._last_seen)
         self._last_seen = timestamp
-
-        if HierarchyLevel.STEP in member_levels:
-            if self._current_step_start is None:
-                self._current_step_start = timestamp
-        else:
-            self._current_step_start = None
-
         if member_levels:
             self._frames.append(FrameRef(timestamp, frozenset(member_levels), handle))
 
@@ -770,16 +760,14 @@ class ScanMemory:
 
         if instance.level == HierarchyLevel.SUBSTEP:
             frames = _spaced(self._frames_within(iv), SUBSTEP_FRAME_SPACING)
+            # The substeps committed since the last step prediction: scan
+            # back to it.
             prior: list[str] = []
-            if self._current_step_start is not None:
-                step_iv = Interval(self._current_step_start, self._last_seen)
-                prior = [
-                    p.long_form
-                    for p in self._predictions
-                    if p.level == HierarchyLevel.SUBSTEP
-                    and step_iv.start <= p.interval.start
-                    and p.interval.end <= step_iv.end
-                ]
+            for p in reversed(self._predictions):
+                if p.level == HierarchyLevel.STEP:
+                    break
+                if p.level == HierarchyLevel.SUBSTEP:
+                    prior.insert(0, p.long_form)
             return RetrievalBundle(tuple(frames), tuple(prior), instance.level, iv)
 
         if instance.level == HierarchyLevel.STEP:

@@ -21,6 +21,7 @@ from hierstream.runner import mock_describer
 from hierstream.scoring.rnn import ScorerConfig, ScorerModel, infer_scores, stream_scores
 from hierstream.scoring.streams import read_features, read_scores
 from test_describer import _StubHandler, chat_reply, stub_server  # noqa: F401 (a fixture)
+from test_scorer import with_random_biases
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parent.parent / "src"
@@ -250,8 +251,8 @@ class TestE2E:
         assert run("simulate", "--seed", 2, "--videos", 1, "--features", "--out", tmp_path) == 0
         (path,) = (tmp_path / "features").glob("*.csv")
         ts, feats = read_features(path)
-        model = ScorerModel.init(ScorerConfig(feature_dim=feats.shape[1], recurrent_layers=2,
-                                              hidden_dim=8), seed=3)
+        model = with_random_biases(ScorerModel.init(
+            ScorerConfig(feature_dim=feats.shape[1], recurrent_layers=2, hidden_dim=8), seed=3), 3)
         streamed = list(stream_scores(model, ts, feats))
         batch = infer_scores(model, feats, timestamps=ts)
         assert len(streamed) == len(batch)
@@ -744,8 +745,6 @@ class TestPartialFailure:
         assert run("e2e", "--seed", seed, "--videos", 3, "--out", out) == 0
         assert (out / "report.json").exists() and not (out / "failures.json").exists()
         _, ids, failing, args = corpus_with_failing_video(tmp_path, monkeypatch, seed, path, stub_server)
-        for p in (out / "emissions").glob("*.jsonl"):
-            p.unlink()
         assert run("e2e", "--seed", seed, "--videos", 3, *args, "--out", out) == EXIT_PARTIAL
         assert not (out / "report.json").exists()  # the earlier run's is gone too
         assert list(json.loads((out / "failures.json").read_text())) == [failing]
@@ -764,6 +763,28 @@ class TestPartialFailure:
                    "--out", out) == EXIT_PARTIAL
         (failure,) = json.loads((out / "failures.json").read_text()).values()
         assert failure == "ValueError: no recognizable answer labels: 'garbage'"
+
+    def test_failed_video_leaves_no_earlier_output(self, tmp_path):
+        """A rerun into the same directory removes a failed video's emissions
+        from the earlier run, so ``evaluate`` cannot read them as this run's."""
+        corpus, det = tmp_path / "corpus", tmp_path / "det"
+        assert run("simulate", "--seed", 7, "--videos", 3, "--out", corpus) == 0
+
+        def step_f1():
+            report_path = tmp_path / "report.json"
+            assert run("evaluate", "--annotations", corpus / "annotations.jsonl",
+                       "--pred", det, "--out", report_path) == 0
+            return json.loads(report_path.read_text())["levels"]["step"]["f1_loc"]["0.5"]
+
+        assert run("detect", "--scores", corpus / "scores", "--out", det) == 0
+        assert step_f1() == 1.0
+        broken = sorted((corpus / "scores").glob("*.csv"))[0]
+        with open(broken, "a") as fh:
+            fh.write("not,a,row\n")
+        assert run("detect", "--scores", corpus / "scores", "--out", det) == EXIT_PARTIAL
+        assert list(json.loads((det / "failures.json").read_text())) == [broken.stem]
+        assert not (det / f"{broken.stem}.jsonl").exists()
+        assert step_f1() < 1.0
 
     @pytest.mark.parametrize("bad", [1, 2])  # 1-based position of the unreadable stream
     def test_detect_finishes_past_unreadable_stream(self, tmp_path, bad):

@@ -81,20 +81,31 @@ class TestSubstepQuery:
         mem = ContextMemory()
         fill(mem, 0.0, 5.0, {SUB, STEP})
         mem.commit_prediction(prediction(SUB, 0.0, 5.0, "a"))
-        # Step boundary: background frame resets the step membership run.
-        mem.insert_frame(5.25, set())
-        fill(mem, 5.5, 9.0, {SUB, STEP})
-        mem.commit_prediction(prediction(SUB, 5.5, 9.0, "b"))
+        # Step boundary: the step's own commit ends its substeps' history.
+        mem.commit_prediction(prediction(STEP, 0.0, 5.0, "s"))
+        fill(mem, 5.25, 9.0, {SUB, STEP})
+        mem.commit_prediction(prediction(SUB, 5.25, 9.0, "b"))
         fill(mem, 9.25, 12.0, {SUB, STEP})
 
         bundle = mem.query(ActionInstance(Interval(9.25, 12.0), "", SUB))
-        # Prediction "a" belongs to the previous step run and is excluded.
+        # Prediction "a" belongs to the previous step and is excluded.
         assert bundle.prior_predictions == ("long b",)
+
+    def test_prior_predictions_outlive_a_background_frame(self):
+        # Frame membership does not scope the history: the last substep of a
+        # step is described on a frame its step no longer covers.
+        mem = ContextMemory()
+        fill(mem, 0.0, 4.0, {SUB, STEP})
+        mem.commit_prediction(prediction(SUB, 0.0, 2.0, "a"))
+        mem.insert_frame(4.25, set())
+        bundle = mem.query(ActionInstance(Interval(2.25, 4.0), "", SUB))
+        assert bundle.prior_predictions == ("long a",)
 
     def test_prior_predictions_empty_without_ongoing_step(self):
         mem = ContextMemory()
         fill(mem, 0.0, 4.0, {SUB, STEP})
         mem.commit_prediction(prediction(SUB, 0.0, 4.0, "a"))
+        mem.commit_prediction(prediction(STEP, 0.0, 4.0, "s"))
         mem.insert_frame(4.25, set())
         bundle = mem.query(ActionInstance(Interval(0.0, 4.0), "", SUB))
         assert bundle.prior_predictions == ()

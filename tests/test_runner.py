@@ -79,13 +79,45 @@ class TestMemoryInteraction:
                 histories.append(len(bundle.prior_predictions))
             return base(bundle, request)
 
-        # One step with several zero-gap substeps keeps one step run alive.
+        # One step with several zero-gap substeps: no step commit between them.
         _, _, streams = stream_for(
             seed=6, zero_gap_prob=1.0, steps_per_video=(1, 1), substeps_per_step=(4, 4),
         )
         run_described_stream(streams[0], spying)
         assert histories[0] == 0
         assert any(h > 0 for h in histories[1:])
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    def test_last_substep_of_a_step_carries_its_siblings(self, sigma):
+        """The detector ends a step's last substep on the step's own frame,
+        after that frame joined the memory with no step membership. Its
+        history is still the long forms of the step's earlier substeps."""
+        described = []
+        base = mock_describer()
+
+        def spying(bundle, request):
+            described.append((bundle, base(bundle, request)))
+            return described[-1][1]
+
+        checked = 0
+        _, _, streams = stream_for(seed=11, videos=8, noise_sigma=sigma)
+        for stream in streams:
+            described.clear()
+            result = run_described_stream(stream, spying)
+            calls = list(zip(result.emissions, described))
+            steps = [e for e, _ in calls if e.instance.level == STEP]
+            subs = [(e.instance.interval, e.emit_time, bundle, response.long_form_after)
+                    for e, (bundle, response) in calls if e.instance.level == SUB]
+            for iv, emit_time, bundle, _ in subs:
+                for step in steps:
+                    if emit_time != step.emit_time:
+                        continue
+                    start = step.instance.interval.start
+                    siblings = tuple(long for sib, _, _, long in subs if start <= sib.start < iv.start)
+                    if siblings:
+                        assert bundle.prior_predictions == siblings
+                        checked += 1
+        assert checked >= 10
 
 
 class TestFrameHandles:

@@ -21,6 +21,16 @@ def small_cfg(**overrides):
     return ScorerConfig(**base)
 
 
+def with_random_biases(model, seed):
+    """``model`` with every bias drawn at random. ``ScorerModel.init`` gives
+    zero biases, and with those a test cannot see where a bias enters a sum."""
+    rng = np.random.default_rng(seed)
+    for value in model.params.values():
+        if value.ndim == 1:
+            value[...] = rng.normal(0, 0.5, value.shape)
+    return model
+
+
 def random_targets(rng, T, bins):
     return (
         rng.integers(0, 3, T),
@@ -68,7 +78,7 @@ class TestForward:
     def test_frame_by_frame_equals_infer_scores(self):
         # The streamed loop scores one frame at a time with a carried hidden
         # state; it must equal batch inference bit for bit.
-        model = ScorerModel.init(small_cfg(recurrent_layers=3, hidden_dim=64), seed=6)
+        model = with_random_biases(ScorerModel.init(small_cfg(recurrent_layers=3, hidden_dim=64), seed=6), 7)
         feats = np.random.default_rng(8).normal(0, 1, (40, 3))
         batch = infer_scores(model, feats, np.arange(len(feats), dtype=float))
         h = model.zero_state()
@@ -80,7 +90,7 @@ class TestForward:
             np.testing.assert_array_equal(softmax(cache["sub_logits"])[0], fs.substep_progress_dist)
 
     def test_step_is_the_per_frame_body_of_forward(self):
-        model = ScorerModel.init(small_cfg(recurrent_layers=3, hidden_dim=8), seed=4)
+        model = with_random_biases(ScorerModel.init(small_cfg(recurrent_layers=3, hidden_dim=8), seed=4), 4)
         feats = np.random.default_rng(5).normal(0, 1, (12, 3))
         cache = model.forward(feats)
         h = model.zero_state()
@@ -98,6 +108,7 @@ class TestForward:
         # Odd sizes too: forward feeds row views of its caches to the same
         # matvecs that step feeds fresh arrays.
         model = ScorerModel.init(small_cfg(recurrent_layers=layers, hidden_dim=hidden), seed=hidden)
+        model = with_random_biases(model, hidden)
         rng = np.random.default_rng(layers)
         feats, h0 = rng.normal(0, 1, (frames, 3)), [rng.normal(0, 0.5, hidden) for _ in range(layers)]
         cache, h = model.forward(feats, h0), h0
@@ -146,6 +157,7 @@ class TestForwardOracle:
     @staticmethod
     def case(layers, hidden, frames, layout, h0_kind):
         model = ScorerModel.init(small_cfg(recurrent_layers=layers, hidden_dim=hidden), seed=hidden)
+        model = with_random_biases(model, hidden)
         rng = np.random.default_rng(frames)
         feats = laid_out(rng.normal(0, 1, (frames, 3)), layout)
         h0 = None
@@ -208,9 +220,7 @@ class TestOneRow:
     @staticmethod
     def case(layers, hidden, frames=24):
         model = ScorerModel.init(small_cfg(recurrent_layers=layers, hidden_dim=hidden), seed=hidden)
-        rng = np.random.default_rng(hidden)
-        for value in model.params.values():  # biases too, so that the order of the sums shows
-            value[...] = rng.normal(0, 0.5, value.shape)
+        model, rng = with_random_biases(model, hidden + 1), np.random.default_rng(hidden)
         return model, rng.normal(0, 1, (frames, 3)), [rng.normal(0, 0.5, hidden) for _ in range(layers)]
 
     @pytest.mark.parametrize("layers,hidden", [(1, 5), (2, 32), (3, 256)])
@@ -263,10 +273,8 @@ class TestOneRow:
 
     def test_stream_scores_equal_infer_scores_at_train_size(self):
         # The benchmark's train workload streams an h=256, L=3 scorer.
-        model, rng = ScorerModel.init(ScorerConfig(feature_dim=8, hidden_dim=256), seed=5), np.random.default_rng(6)
-        for value in model.params.values():
-            if value.ndim == 1:  # nonzero biases, as a trained scorer has
-                value[...] = rng.normal(0, 0.5, value.shape)
+        model = with_random_biases(ScorerModel.init(ScorerConfig(feature_dim=8, hidden_dim=256), seed=5), 6)
+        rng = np.random.default_rng(6)
         feats, ts = rng.normal(0, 1, (60, 8)), np.arange(60) / 4.0
         streamed, batch = list(stream_scores(model, ts, feats)), infer_scores(model, feats, ts)
         assert len(streamed) == len(batch)

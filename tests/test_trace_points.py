@@ -57,3 +57,20 @@ def test_online_loop_reaches_its_trace_points(monkeypatch):
     result = hs.runner.run_described_stream(gen_scores(video, 0.0, cfg.fps), hs.runner.mock_describer())
     assert result.emissions
     assert set(calls) == {attr for _owner, attr in wanted}
+
+
+def test_tracer_notes_read_the_memory_and_the_run():
+    """The tracer's notes read ``ContextMemory._predictions`` and ``_frames``
+    and the run's emissions, so a rename of those names breaks a traced
+    benchmark run; each count must come out positive."""
+    hs = load("workloads").HS
+    tracer = load("spans").Tracer(hs)
+    cfg = SimConfig(seed=3, videos=1, duration_range=(20.0, 30.0))
+    (video,) = gen_annotations(cfg)
+    tracer.install()
+    try:
+        hs.runner.run_described_stream(gen_scores(video, 0.0, cfg.fps), hs.runner.mock_describer())
+    finally:
+        tracer.uninstall()
+    for name in ("memory.prior_held", "memory.frames_peak", "runner.emissions"):
+        assert tracer.counts[name] > 0, name

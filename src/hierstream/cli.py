@@ -10,11 +10,12 @@ Subcommands:
   e2e       simulate -> detect -> describe -> evaluate in one pass
 
 Every subcommand takes ``--config``, a JSON file read as flags (see
-``_Subcommand``). Every run writes its effective configuration next to its
-outputs, and all mock-client paths are deterministic under --seed. Exit
-codes: 0 ok, 1 usage, 2 data/validation error, 3 transport error, 4 some
-videos failed (listed in failures.json under --out; the others are written
-as usual).
+``_Subcommand``). A config class's flags are declared once, in its table in
+``_FLAGS``, and both the parser and the config are made from that table.
+Every run writes its effective configuration next to its outputs, and all
+mock-client paths are deterministic under --seed. Exit codes: 0 ok, 1 usage,
+2 data/validation error or a refused allocation, 3 transport error, 4 some
+videos failed (listed in failures.json under --out; the others are written).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import itertools
 import json
 import math
 import sys
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -96,41 +98,73 @@ def _read_annotations(path) -> list:
     return annotations
 
 
-def _sim_config(args) -> SimConfig:
-    return SimConfig(
-        seed=args.seed,
-        videos=args.videos,
-        duration_range=(args.duration_min, args.duration_max),
-        steps_per_video=(args.steps_min, args.steps_max),
-        substeps_per_step=(args.substeps_min, args.substeps_max),
-        zero_gap_prob=args.zero_gap_prob,
-        gap_range=(args.gap_min, args.gap_max),
-        noise_sigma=args.noise_sigma,
-        fps=args.fps,
-        feature_dim=args.feature_dim,
-    )
+# Each config class's flags, in --help order; their dests key run_config.json and --config.
+# A row sets ``field``, one end (``index``) of a (min, max) field, the min first, or turns a bool
+# field off (``invert``); its default is the class's, or a desk-scale one (``desk``).
+_Flag = namedtuple("_Flag", "flag field index invert desk help", defaults=(None, False, None, None))
+_FLAGS = {
+    SimConfig: (
+        _Flag("--seed", "seed"),
+        _Flag("--videos", "videos"),
+        _Flag("--duration-min", "duration_range", index=0),
+        _Flag("--duration-max", "duration_range", index=1),
+        _Flag("--steps-min", "steps_per_video", index=0),
+        _Flag("--steps-max", "steps_per_video", index=1),
+        _Flag("--substeps-min", "substeps_per_step", index=0),
+        _Flag("--substeps-max", "substeps_per_step", index=1),
+        _Flag("--zero-gap-prob", "zero_gap_prob"),
+        _Flag("--gap-min", "gap_range", index=0),
+        _Flag("--gap-max", "gap_range", index=1),
+        _Flag("--noise-sigma", "noise_sigma"),
+        _Flag("--fps", "fps"),
+        _Flag("--feature-dim", "feature_dim"),
+    ),
+    DetectorConfig: (
+        _Flag("--start-threshold", "start_threshold"),
+        _Flag("--drop-delta", "drop_delta"),
+        _Flag("--min-progress-for-drop", "min_progress_for_drop"),
+        _Flag("--no-eos-close", "close_incomplete_at_eos", invert=True),
+    ),
+    ScorerConfig: (
+        _Flag("--layers", "recurrent_layers", desk=2),
+        _Flag("--hidden-dim", "hidden_dim", desk=32, help="desk-scale default; the full-scale setting is 768"),
+        _Flag("--learning-rate", "learning_rate"),
+        _Flag("--weight-decay", "weight_decay"),
+        _Flag("--batch-size", "batch_size"),
+        _Flag("--epochs", "epochs"),
+        _Flag("--bptt-window", "bptt_window"),
+    ),
+    HttpLimits: (
+        _Flag("--timeout", "timeout"),
+        _Flag("--max-retries", "max_retries"),
+        _Flag("--max-inflight", "max_inflight",
+              help="HTTP requests in flight, and videos run at once with --describer http"),
+    ),
+}
 
 
-def _detector_config(args) -> DetectorConfig:
-    return DetectorConfig(
-        start_threshold=args.start_threshold,
-        drop_delta=args.drop_delta,
-        min_progress_for_drop=args.min_progress_for_drop,
-        close_incomplete_at_eos=not args.no_eos_close,
-    )
+def _add_flags(p: argparse.ArgumentParser, cls) -> None:
+    """The flags of config class ``cls``, each read as its default's type."""
+    for row in _FLAGS[cls]:
+        default = getattr(cls, row.field) if row.desk is None else row.desk
+        if row.index is not None:
+            default = default[row.index]
+        if row.invert:
+            p.add_argument(row.flag, action="store_true", help=row.help)
+        else:
+            p.add_argument(row.flag, type=type(default), default=default, help=row.help)
 
 
-def _scorer_config(args, feature_dim: int) -> ScorerConfig:
-    return ScorerConfig(
-        feature_dim=feature_dim,
-        recurrent_layers=args.layers,
-        hidden_dim=args.hidden_dim,
-        learning_rate=args.learning_rate,
-        weight_decay=args.weight_decay,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        bptt_window=args.bptt_window,
-    )
+def _config(cls, args: argparse.Namespace, **fields):
+    """Config class ``cls`` from its flags' values in ``args`` and the given ``fields``."""
+    for row in _FLAGS[cls]:
+        value = getattr(args, row.flag[2:].replace("-", "_"))  # the flag's dest
+        if row.invert:
+            value = not value
+        if row.index is not None:  # one end of a (min, max) field, after the min's row
+            value = (*fields.get(row.field, ()), value)
+        fields[row.field] = value
+    return cls(**fields)
 
 
 def _write_corpus(cfg: SimConfig, outdir: Path, with_features: bool) -> list:
@@ -160,7 +194,7 @@ def _write_corpus(cfg: SimConfig, outdir: Path, with_features: bool) -> list:
 # ----------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    cfg = _sim_config(args)
+    cfg = _config(SimConfig, args)
     outdir = Path(args.out)
     _write_corpus(cfg, outdir, with_features=args.features)
     _echo_config(args, outdir)
@@ -177,7 +211,8 @@ def _train(args, annotations: list, features_dir: Path) -> tuple[ScorerModel, li
         if not path.exists():
             raise ValueError(f"missing feature file {path}")
         features.append(read_features(path)[1])
-    return train_scorer(features, annotations, _scorer_config(args, features[0].shape[1]), seed=args.seed)
+    return train_scorer(features, annotations, _config(ScorerConfig, args, feature_dim=features[0].shape[1]),
+                        seed=args.seed)
 
 
 def cmd_train(args) -> int:
@@ -252,8 +287,7 @@ def _score_streams(args) -> list:
 
 def _make_describe_fn(args):
     check_completion(args.completion)  # once for the run, not once per video
-    limits = HttpLimits(timeout=args.timeout, max_retries=args.max_retries,
-                        max_inflight=args.max_inflight)  # checked with either describer
+    limits = _config(HttpLimits, args)  # checked with either describer
     if args.describer == "mock":
         return mock_describer()
     return HttpDescriber(HttpChatClient(args.endpoint, args.model_name, limits))
@@ -262,7 +296,7 @@ def _make_describe_fn(args):
 def cmd_detect(args, describe=None) -> int:
     """The online loop over score streams; with ``describe``, also each
     video's goal text and the describer's HTTP counts."""
-    cfg, videos = _detector_config(args), _score_streams(args)  # checked before any output
+    cfg, videos = _config(DetectorConfig, args), _score_streams(args)  # checked before any output
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     results, failures = _run_videos(args, cfg, videos, outdir, describe)
@@ -397,10 +431,10 @@ def cmd_pipeline(args) -> int:
 def cmd_e2e(args) -> int:
     describe = _make_describe_fn(args)
     _eval_settings(args)  # checked before the first video, not after the last
-    detector = _detector_config(args)  # checked before any output, as the corpus config is
+    detector = _config(DetectorConfig, args)  # checked before any output, as the corpus config is
     if args.train:
-        _scorer_config(args, args.feature_dim)  # likewise
-    cfg = _sim_config(args)
+        _config(ScorerConfig, args, feature_dim=args.feature_dim)  # likewise
+    cfg = _config(SimConfig, args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     sim = outdir / "sim"
@@ -481,41 +515,6 @@ class _Subcommand(argparse.ArgumentParser):
         return tokens
 
 
-def _add_sim_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=SimConfig.seed)
-    p.add_argument("--videos", type=int, default=SimConfig.videos)
-    p.add_argument("--duration-min", type=float, default=SimConfig.duration_range[0])
-    p.add_argument("--duration-max", type=float, default=SimConfig.duration_range[1])
-    p.add_argument("--steps-min", type=int, default=SimConfig.steps_per_video[0])
-    p.add_argument("--steps-max", type=int, default=SimConfig.steps_per_video[1])
-    p.add_argument("--substeps-min", type=int, default=SimConfig.substeps_per_step[0])
-    p.add_argument("--substeps-max", type=int, default=SimConfig.substeps_per_step[1])
-    p.add_argument("--zero-gap-prob", type=float, default=SimConfig.zero_gap_prob)
-    p.add_argument("--gap-min", type=float, default=SimConfig.gap_range[0])
-    p.add_argument("--gap-max", type=float, default=SimConfig.gap_range[1])
-    p.add_argument("--noise-sigma", type=float, default=SimConfig.noise_sigma)
-    p.add_argument("--fps", type=float, default=SimConfig.fps)
-    p.add_argument("--feature-dim", type=int, default=SimConfig.feature_dim)
-
-
-def _add_detector_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--start-threshold", type=float, default=DetectorConfig.start_threshold)
-    p.add_argument("--drop-delta", type=float, default=DetectorConfig.drop_delta)
-    p.add_argument("--min-progress-for-drop", type=float, default=DetectorConfig.min_progress_for_drop)
-    p.add_argument("--no-eos-close", action="store_true")
-
-
-def _add_train_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--hidden-dim", type=int, default=32,
-                   help="desk-scale default; the full-scale setting is 768")
-    p.add_argument("--learning-rate", type=float, default=ScorerConfig.learning_rate)
-    p.add_argument("--weight-decay", type=float, default=ScorerConfig.weight_decay)
-    p.add_argument("--batch-size", type=int, default=ScorerConfig.batch_size)
-    p.add_argument("--epochs", type=int, default=ScorerConfig.epochs)
-    p.add_argument("--bptt-window", type=int, default=ScorerConfig.bptt_window)
-
-
 def _add_endpoint_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--endpoint", default="http://localhost:8000/v1")
     p.add_argument("--model-name", default="default")
@@ -524,10 +523,7 @@ def _add_endpoint_args(p: argparse.ArgumentParser) -> None:
 def _add_describer_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--describer", choices=("mock", "http"), default="mock")
     _add_endpoint_args(p)
-    p.add_argument("--timeout", type=float, default=HttpLimits.timeout)
-    p.add_argument("--max-retries", type=int, default=HttpLimits.max_retries)
-    p.add_argument("--max-inflight", type=int, default=HttpLimits.max_inflight,
-                   help="HTTP requests in flight, and videos run at once with --describer http")
+    _add_flags(p, HttpLimits)
     p.add_argument("--completion", type=float, default=1.0,
                    help="fraction of each instance visible to the describer")
 
@@ -547,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
     p = sub.add_parser("simulate", help="generate a synthetic corpus")
-    _add_sim_args(p)
+    _add_flags(p, SimConfig)
     p.add_argument("--features", action="store_true", help="also write feature CSVs")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
@@ -555,20 +551,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the scorer")
     p.add_argument("--annotations", required=True)
     p.add_argument("--features", required=True, help="directory of feature CSVs")
-    _add_train_args(p)
+    _add_flags(p, ScorerConfig)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("detect", help="detect boundaries over score streams")
     p.add_argument("--scores", required=True, help="score CSV file or directory")
-    _add_detector_args(p)
+    _add_flags(p, DetectorConfig)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("describe", help="detect and generate descriptions")
     p.add_argument("--scores", required=True, help="score CSV file or directory")
-    _add_detector_args(p)
+    _add_flags(p, DetectorConfig)
     _add_describer_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_describe)
@@ -595,11 +591,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("e2e", help="simulate, detect, describe, evaluate")
-    _add_sim_args(p)
-    _add_detector_args(p)
+    _add_flags(p, SimConfig)
+    _add_flags(p, DetectorConfig)
     _add_describer_args(p)
     _add_eval_args(p)
-    _add_train_args(p)
+    _add_flags(p, ScorerConfig)
     p.add_argument("--train", action="store_true", help="train a scorer instead of oracle streams")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_e2e)
@@ -616,7 +612,7 @@ def main(argv: list[str] | None = None) -> int:
     except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError) as exc:  # MemoryError: an allocation refused
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -22,11 +22,14 @@ LEVEL_KEYS = {HierarchyLevel.SUBSTEP: "substep", HierarchyLevel.STEP: "step"}
 
 def check_settings(thresholds: Sequence[float], k: int, aedt_threshold: float) -> None:
     """Reject run-wide evaluation values before any work: at least one
-    tIoU threshold, each one and the AEDT one in (0, 1], and k >= 1."""
+    tIoU threshold, none twice, each one and the AEDT one in (0, 1], and k >= 1."""
     if not thresholds:
         raise ValueError("at least one tIoU threshold is required")
     for threshold in (*thresholds, aedt_threshold):
         check_threshold(threshold)
+    for i, threshold in enumerate(thresholds):
+        if threshold in thresholds[:i]:
+            raise ValueError(f"tIoU threshold {threshold} is given twice")
     if not k >= 1:
         raise ValueError(f"k must be >= 1, got {k}")
 

@@ -353,6 +353,7 @@ BAD_RUN_VALUES = [
     ("e2e", ["--completion", "nan"], 2, "completion must be in (0, 1], got nan"),
     ("e2e", ["--tiou", "0,0.5"], 2, "threshold must be in (0, 1], got 0.0"),
     ("e2e", ["--tiou", "0.5,nan"], 2, "threshold must be in (0, 1], got nan"),
+    ("e2e", ["--tiou", "0.3,0.5,0.50"], 2, "tIoU threshold 0.5 is given twice"),
     ("e2e", ["--aedt-tiou", "1.5"], 2, "threshold must be in (0, 1], got 1.5"),
     ("e2e", ["--topk", "0"], 2, "k must be >= 1, got 0"),
     ("pipeline", ["--bounds-min", "nan"], 1, "--bounds-min nan and --bounds-max 5.0 must be finite"),
@@ -401,6 +402,7 @@ class TestErrors:
         assert run(*base) == 0
         assert run(*base, "--aedt-tiou", "0") == 2
         assert run(*base, "--tiou", "0,0.5") == 2
+        assert run(*base, "--tiou", "0.5,0.5") == 2  # the report has one F1 per threshold
         assert run(*base, "--topk", "0") == 2
 
     @pytest.mark.parametrize("flag", ["--bounds-min", "--bounds-max"])
@@ -474,6 +476,19 @@ class TestErrors:
         assert proc.stderr == ("error: no frame grid for duration 1000000000000.0 at fps 4.0 "
                                "(at most 100000000 frames)\n")
         assert not out.exists()
+
+    def test_refused_allocation_prints_no_traceback(self, tmp_path):
+        # One video's frames of 1e12 float64 features are about 1.4 PiB, more
+        # than a process can map: numpy's allocation is refused at once,
+        # before any memory is touched.
+        proc = subprocess.run(
+            [sys.executable, "-m", "hierstream.cli", "simulate", "--videos", "1", "--features",
+             "--feature-dim", "1000000000000", "--out", str(tmp_path / "s")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: Unable to allocate ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("field,value", [("fps", math.inf), ("duration", math.nan)])
     def test_non_finite_duration_or_fps_is_a_data_error(self, tmp_path, capsys, field, value):
@@ -650,12 +665,44 @@ FLAGS = {
 }
 
 
+# How each flag's value is read: int or float; every other flag is kept as
+# its string, or is a switch. A table that took a type from the wrong
+# default (int for --duration-min) fails this pin.
+PARSED_AS = {
+    int: {"--seed", "--videos", "--steps-min", "--steps-max", "--substeps-min", "--substeps-max",
+          "--feature-dim", "--layers", "--hidden-dim", "--batch-size", "--epochs", "--bptt-window",
+          "--max-retries", "--max-inflight", "--topk", "--k"},
+    float: {"--duration-min", "--duration-max", "--zero-gap-prob", "--gap-min", "--gap-max",
+            "--noise-sigma", "--fps", "--start-threshold", "--drop-delta", "--min-progress-for-drop",
+            "--learning-rate", "--weight-decay", "--timeout", "--completion", "--aedt-tiou",
+            "--bounds-min", "--bounds-max"},
+}
+HELP = {
+    "--config": "JSON file of flag values; the command line wins",
+    "--features": "also write feature CSVs",
+    "--hidden-dim": "desk-scale default; the full-scale setting is 768",
+    "--scores": "score CSV file or directory",
+    "--max-inflight": "HTTP requests in flight, and videos run at once with --describer http",
+    "--completion": "fraction of each instance visible to the describer",
+    "--pred": "emissions JSONL file or directory",
+    "--input": "JSONL with substep-only annotations",
+    "--k": "canonicalize step captions into k clusters",
+    "--train": "train a scorer instead of oracle streams",
+}
+HELP_IN = {("train", "--features"): "directory of feature CSVs"}  # where a command's differs
+
+
+def subcommands():
+    """Each subcommand's parser, by name, in ``--help`` order."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
 def flag_table():
     """Each subcommand's flags as ``build_parser()`` reports them: the
     default, with the choices where there are some; REQUIRED for a required flag."""
-    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     table = {}
-    for command, parser in sub.choices.items():
+    for command, parser in subcommands().items():
         table[command] = {}
         for a in parser._actions:
             if a.option_strings and a.dest != "help":
@@ -670,6 +717,20 @@ def test_flag_table_pinned():
     for command in table:  # the types too: 0, 0.0 and False compare equal
         assert {f: type(v) for f, v in table[command].items()} == {f: type(v) for f, v in FLAGS[command].items()}
     assert sum(map(len, table.values())) == 111
+
+
+def test_flag_parsing_and_help_pinned():
+    """Each flag's ``type`` callable and ``help`` text, in every subcommand."""
+    types = {flag: t for t, flags in PARSED_AS.items() for flag in flags}
+    seen = set()
+    for command, parser in subcommands().items():
+        for a in parser._actions:
+            if a.option_strings and a.dest != "help":
+                flag = a.option_strings[0]
+                seen.add(flag)
+                assert a.type is types.get(flag), (command, flag)
+                assert a.help == HELP_IN.get((command, flag), HELP.get(flag)), (command, flag)
+    assert set(types) | set(HELP) <= seen  # no pin names a flag that is gone
 
 
 def failing_on(last_ts):
